@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import solve_exact
-from .rationals import parse_rational
+from .rationals import parse_integer, parse_rational
 
 WEAK_NEF = "weak-nef"
 CANONICAL = "canonical"
@@ -397,12 +397,13 @@ def relate_models(weak_nef_chi: Mapping[int, int], canonical_chi: Mapping[int, i
     """Check the crepant relation between the two Euler tables.
 
     The weak nef table must sit below the canonical one by the cusp count at
-    m = 0 and agree everywhere else.
+    m = 0 and agree everywhere else. Keys are ints or decimal-integer
+    strings; bools, floats and other strings are rejected.
     """
     if not isinstance(cusps, int) or isinstance(cusps, bool) or cusps < 0:
         raise ValidationError("cusp count must be a nonnegative integer")
-    weak = {int(k): parse_rational(v) for k, v in dict(weak_nef_chi).items()}
-    canon = {int(k): parse_rational(v) for k, v in dict(canonical_chi).items()}
+    weak = {parse_integer(k): parse_rational(v) for k, v in dict(weak_nef_chi).items()}
+    canon = {parse_integer(k): parse_rational(v) for k, v in dict(canonical_chi).items()}
     if set(weak) != set(canon):
         raise ValidationError("both tables must cover the same multiples")
     if 0 not in weak:

@@ -20,8 +20,13 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegenerateConfigurationError, ValidationError
-from .linalg import is_negative_definite_matrix, solve_exact
+from .linalg import eliminate
 from .rationals import format_rational, parse_rational
+
+
+def _is_int(value) -> bool:
+    """True for ints proper; bools and floats are not intersection numbers."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -38,6 +43,10 @@ class Curve:
     is_exceptional: bool = True
     is_nodal: bool = False
 
+    def __post_init__(self):
+        if not _is_int(self.self_intersection):
+            raise ValidationError(f"self-intersection of {self.label!r} must be an integer")
+
 
 class DualGraph:
     """Weighted configuration graph carrying the symmetric pairing.
@@ -45,10 +54,12 @@ class DualGraph:
     Off-diagonal intersection numbers are nonnegative integers; diagonal
     entries are the recorded self-intersections (any integer). Labels are
     unique. Arbitrary configurations are allowed, including cycles and
-    non-definite lattices.
+    non-definite lattices. ``sparse_rows`` holds the pairing: per curve, the
+    nonzero entries of its matrix row as a ``{curve index: entry}`` dict, not
+    to be modified. ``matrix``, the dense form, is built on first use.
     """
 
-    __slots__ = ("curves", "labels", "matrix", "_index")
+    __slots__ = ("curves", "labels", "sparse_rows", "_index", "_matrix")
 
     def __init__(self, curves: Iterable[Curve], edges: Iterable[Sequence] = ()):
         curves = tuple(curves)
@@ -56,26 +67,34 @@ class DualGraph:
         if len(set(labels)) != len(labels):
             raise ValidationError("curve labels must be unique")
         index = {label: i for i, label in enumerate(labels)}
-        n = len(curves)
-        matrix = [[0] * n for _ in range(n)]
-        for i, c in enumerate(curves):
-            if not isinstance(c.self_intersection, int):
-                raise ValidationError(f"self-intersection of {c.label!r} must be an integer")
-            matrix[i][i] = c.self_intersection
+        rows: list[dict[int, int]] = [{i: c.self_intersection} for i, c in enumerate(curves)]
         for edge in edges:
             a, b, mult = edge
             if a not in index or b not in index:
                 raise ValidationError(f"edge {a!r}-{b!r} uses an unknown label")
             if a == b:
                 raise ValidationError(f"edge {a!r}-{b!r} is a loop; use the self-intersection instead")
-            if not isinstance(mult, int) or mult < 0:
+            if not _is_int(mult) or mult < 0:
                 raise ValidationError(f"edge {a!r}-{b!r} multiplicity must be a nonnegative integer")
-            matrix[index[a]][index[b]] += mult
-            matrix[index[b]][index[a]] += mult
+            i, j = index[a], index[b]
+            rows[i][j] = rows[j][i] = rows[i].get(j, 0) + mult
         self.curves = curves
         self.labels = labels
-        self.matrix = tuple(tuple(row) for row in matrix)
+        self.sparse_rows = tuple({j: v for j, v in row.items() if v} for row in rows)
         self._index = index
+        self._matrix = None
+
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The full symmetric pairing matrix as a tuple of row tuples."""
+        if self._matrix is None:
+            n = len(self.curves)
+            dense = [[0] * n for _ in range(n)]
+            for i, row in enumerate(self.sparse_rows):
+                for j, v in row.items():
+                    dense[i][j] = v
+            self._matrix = tuple(tuple(row) for row in dense)
+        return self._matrix
 
     @classmethod
     def from_matrix(cls, labels: Sequence[str], matrix: Sequence[Sequence[int]]) -> "DualGraph":
@@ -85,7 +104,7 @@ class DualGraph:
             raise ValidationError("matrix shape does not match the label count")
         for i in range(n):
             for j in range(n):
-                if not isinstance(matrix[i][j], int):
+                if not _is_int(matrix[i][j]):
                     raise ValidationError("matrix entries must be integers")
                 if matrix[i][j] != matrix[j][i]:
                     raise ValidationError("matrix must be symmetric")
@@ -113,11 +132,11 @@ class DualGraph:
         return (
             isinstance(other, DualGraph)
             and self.curves == other.curves
-            and self.matrix == other.matrix
+            and self.sparse_rows == other.sparse_rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.curves, self.matrix))
+        return hash((self.curves, tuple(tuple(sorted(row.items())) for row in self.sparse_rows)))
 
     def __repr__(self) -> str:
         return f"DualGraph({list(self.labels)!r})"
@@ -176,6 +195,8 @@ class QDivisor:
         return QDivisor(self.graph, {label: -v for label, v in self.coefficients.items()})
 
     def __rmul__(self, scalar) -> "QDivisor":
+        if not isinstance(scalar, (int, Fraction)) or isinstance(scalar, bool):
+            raise ValidationError(f"divisors scale by exact rationals, not {scalar!r}")
         s = Fraction(scalar)
         return QDivisor(self.graph, {label: s * v for label, v in self.coefficients.items()})
 
@@ -227,16 +248,25 @@ def intersection_matrix(graph: DualGraph) -> list[list[int]]:
 def is_negative_definite(graph: DualGraph, support: Iterable[str]) -> bool:
     """Whether the principal submatrix on ``support`` is negative definite.
 
-    Tested by the exact signs of the leading principal minors. The support is
-    ordered by the graph's curve order, so the answer is deterministic (and,
-    for definiteness, order-independent anyway).
+    Decided by the signs of the pivots of one sparse exact elimination; see
+    ``folcalc.linalg``.
     """
     chosen = {graph.index_of(label) for label in support}
     if not chosen:
         raise ValidationError("support must be nonempty")
-    idxs = sorted(chosen)
-    sub = [[graph.matrix[i][j] for j in idxs] for i in idxs]
-    return is_negative_definite_matrix(sub)
+    return eliminate(principal_rows(graph, sorted(chosen)))[0]
+
+
+def principal_rows(graph: DualGraph, idxs: Sequence[int]) -> list[dict[int, int]]:
+    """Sparse rows of the principal submatrix on the curve indices ``idxs``.
+
+    Row and column k of the result stand for curve ``idxs[k]``.
+    """
+    position = {i: k for k, i in enumerate(idxs)}
+    return [
+        {position[j]: v for j, v in graph.sparse_rows[i].items() if j in position}
+        for i in idxs
+    ]
 
 
 def solve_pullback(graph: DualGraph, profile: IntersectionProfile) -> QDivisor:
@@ -249,7 +279,7 @@ def solve_pullback(graph: DualGraph, profile: IntersectionProfile) -> QDivisor:
     if profile.graph != graph:
         raise ValidationError("profile belongs to a different graph")
     rhs = [profile.degree(label) for label in graph.labels]
-    xs = solve_exact(intersection_matrix(graph), rhs)
+    xs = eliminate(graph.sparse_rows, rhs)[1]
     if xs is None:
         raise DegenerateConfigurationError("degenerate configuration: pairing matrix is singular")
     return QDivisor(graph, dict(zip(graph.labels, xs)))
@@ -261,9 +291,9 @@ def pair(d1: QDivisor, d2: QDivisor) -> Fraction:
     graph = d1.graph
     total = Fraction(0)
     for la, a in d1.coefficients.items():
-        row = graph.matrix[graph.index_of(la)]
+        row = graph.sparse_rows[graph.index_of(la)]
         for lb, b in d2.coefficients.items():
-            entry = row[graph.index_of(lb)]
+            entry = row.get(graph.index_of(lb))
             if entry:
                 total += a * b * entry
     return total
@@ -272,10 +302,10 @@ def pair(d1: QDivisor, d2: QDivisor) -> Fraction:
 def degree_against_curve(d: QDivisor, label: str) -> Fraction:
     """d . C for a single curve C of the graph."""
     graph = d.graph
-    row = graph.matrix[graph.index_of(label)]
+    row = graph.sparse_rows[graph.index_of(label)]
     total = Fraction(0)
     for la, a in d.coefficients.items():
-        entry = row[graph.index_of(la)]
+        entry = row.get(graph.index_of(la))
         if entry:
             total += a * entry
     return total
@@ -398,12 +428,11 @@ def graph_from_json(obj) -> DualGraph:
 
 def graph_to_json(graph: DualGraph) -> dict:
     curves = [{"label": c.label, "self": c.self_intersection} for c in graph.curves]
-    n = len(graph)
     edges = [
-        [graph.labels[i], graph.labels[j], graph.matrix[i][j]]
-        for i in range(n)
-        for j in range(i + 1, n)
-        if graph.matrix[i][j]
+        [graph.labels[i], graph.labels[j], row[j]]
+        for i, row in enumerate(graph.sparse_rows)
+        for j in sorted(row)
+        if j > i
     ]
     return {"curves": curves, "edges": edges}
 

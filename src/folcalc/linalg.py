@@ -1,30 +1,139 @@
-"""Exact linear algebra: fraction-free Gaussian elimination.
+"""Exact linear algebra: one sparse, fraction-free elimination kernel.
 
-Systems are scaled row by row to integers, then eliminated Bareiss-style, so
-the only divisions are exact integer divisions. Pivots always take the first
-row with a nonzero entry in the pivot column, which makes elimination order
-(and therefore every result) deterministic.
+Every caller needs the same two facts about a square exact matrix: whether
+it is negative definite, and the solution of a system against it.
+``eliminate`` computes both in a single pass; ``solve_exact`` and
+``is_negative_definite_matrix`` are its dense-matrix front ends.
+
+Rows. Each row is a sparse ``{column: entry}`` dict of ints or Fractions,
+scaled by the lcm of its denominators to an integer row. Scaling a row by a
+positive constant changes neither the solution nor the sign of any pivot.
+
+Order. Columns are eliminated in index order. On a string whose curves are
+numbered along the path, as resolution strings are, the pivot row of column
+c meets only row c + 1, so no row ever grows; other sparse patterns may fill
+in.
+
+Pivot rule. The pivot of column c is the diagonal entry when row c remains
+and that entry is nonzero; otherwise it is the first remaining row, by
+index, with a nonzero entry in column c. When there is none, the matrix is
+singular.
+
+Update. Every other remaining row i with a_ic != 0 becomes
+``|p| * row_i - sign(p) * a_ic * row_pivot`` and is divided by the gcd of its
+entries. All arithmetic is on integers, and rows the step does not touch are
+left alone.
+
+Verdict. With diagonal pivots the elimination is Gaussian elimination of the
+matrix itself, and its k-th pivot is, up to a positive factor, the ratio
+D_k / D_(k-1) of consecutive leading principal minors. By Sylvester's
+criterion a symmetric matrix is therefore negative definite exactly when
+every pivot was diagonal and negative. When only the verdict is wanted, elimination stops at the first
+pivot that is not.
+
+Complexity. A step costs the lengths of the rows it touches. On a string of
+r curves that is O(r) in all, against O(r^3) for dense elimination; a dense
+matrix still costs O(r^3).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
-def _integer_rows(matrix, rhs):
-    """Scale each augmented row [A_i | b_i] to integers.
+def _integer_row(row, b, rhs_column: int) -> dict[int, int]:
+    """The nonzero entries of ``[row | b]`` as integers, the rhs at ``rhs_column``."""
+    out = {j: v for j, v in row.items() if v}
+    if b:
+        out[rhs_column] = b
+    den = lcm(*(v.denominator for v in out.values()))
+    return {j: v.numerator * (den // v.denominator) for j, v in out.items()}
 
-    Row scaling by positive constants preserves the solution set.
+
+def eliminate(rows, rhs=None, *, require_definite: bool = False):
+    """Negative-definiteness verdict and exact solution of ``rows @ x = rhs``.
+
+    ``rows`` gives the nonzero entries of a square matrix, one ``{column:
+    entry}`` mapping per row, with int or Fraction entries; it is not
+    modified. Returns ``(definite, xs)``. ``definite`` says whether the
+    matrix is negative definite; it is meaningful for symmetric matrices.
+    ``xs`` is the solution as a list of Fractions, or None when the matrix is
+    singular or ``rhs`` is None. Without ``rhs``, or with
+    ``require_definite``, elimination stops at the first pivot that rules
+    definiteness out and returns ``(False, None)``.
     """
-    rows = []
-    for arow, b in zip(matrix, rhs):
-        entries = [Fraction(x) for x in arow] + [Fraction(b)]
-        den = 1
-        for x in entries:
-            den = den * x.denominator // gcd(den, x.denominator)
-        rows.append([int(x * den) for x in entries])
-    return rows
+    n = len(rows)
+    stop_early = require_definite or rhs is None
+    work = [_integer_row(row, 0 if rhs is None else rhs[i], n) for i, row in enumerate(rows)]
+    # cols[c]: the remaining rows with a nonzero entry in column c
+    cols: list[set[int]] = [set() for _ in range(n)]
+    for i, row in enumerate(work):
+        for j in row:
+            if j != n:
+                cols[j].add(i)
+    definite = True
+    pivots: list[dict[int, int]] = []
+    for c in range(n):
+        col = cols[c]
+        k = c if c in col else min(col, default=None)
+        if k is None:
+            return False, None
+        pivot_row = work[k]
+        p = pivot_row[c]
+        if k != c or p > 0:
+            definite = False
+            if stop_early:
+                return False, None
+        pivots.append(pivot_row)
+        for j in pivot_row:
+            if j != n:
+                cols[j].discard(k)
+        scale = abs(p)
+        sign = 1 if p > 0 else -1
+        for i in col:
+            row = work[i]
+            f = sign * row.pop(c)
+            if scale != 1:
+                for j in row:
+                    row[j] *= scale
+            for j, v in pivot_row.items():
+                if j == c:
+                    continue
+                old = row.get(j, 0)
+                new = old - f * v
+                if new:
+                    row[j] = new
+                    if not old and j != n:
+                        cols[j].add(i)
+                else:
+                    del row[j]
+                    if j != n:
+                        cols[j].discard(i)
+            g = gcd(*row.values())
+            if g > 1:
+                for j in row:
+                    row[j] //= g
+        col.clear()
+    if rhs is None:
+        return definite, None
+    # back substitution on reduced (numerator, denominator) pairs; Fraction fixes the sign
+    nums, dens = [0] * n, [1] * n
+    for c in reversed(range(n)):
+        row = pivots[c]
+        num, den = row.get(n, 0), 1
+        for j, v in row.items():
+            if j != c and j != n:
+                num = num * dens[j] - v * nums[j] * den
+                den *= dens[j]
+        den *= row[c]
+        g = gcd(num, den)
+        nums[c], dens[c] = num // g, den // g
+    return definite, [Fraction(a, b) for a, b in zip(nums, dens)]
+
+
+def _sparse(matrix) -> list[dict[int, object]]:
+    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
 
 
 def solve_exact(matrix, rhs) -> list[Fraction] | None:
@@ -33,81 +142,9 @@ def solve_exact(matrix, rhs) -> list[Fraction] | None:
     Returns None when the matrix is singular. Entries may be ints or
     Fractions; the result is a list of Fractions.
     """
-    n = len(matrix)
-    if n == 0:
-        return []
-    aug = _integer_rows(matrix, rhs)
-    width = n + 1
-    prev = 1
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if aug[i][k]:
-                piv = i
-                break
-        if piv is None:
-            return None
-        if piv != k:
-            aug[k], aug[piv] = aug[piv], aug[k]
-        rowk = aug[k]
-        pk = rowk[k]
-        for i in range(k + 1, n):
-            rowi = aug[i]
-            f = rowi[k]
-            if f:
-                for j in range(k + 1, width):
-                    rowi[j] = (pk * rowi[j] - f * rowk[j]) // prev
-            else:
-                # Bareiss still rescales untouched rows; the division stays exact.
-                for j in range(k + 1, width):
-                    if rowi[j]:
-                        rowi[j] = (pk * rowi[j]) // prev
-            rowi[k] = 0
-        prev = pk
-    xs: list[Fraction] = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(aug[i][n])
-        for j in range(i + 1, n):
-            if aug[i][j]:
-                acc -= aug[i][j] * xs[j]
-        xs[i] = acc / aug[i][i]
-    return xs
+    return eliminate(_sparse(matrix), rhs)[1]
 
 
 def is_negative_definite_matrix(matrix) -> bool:
-    """Sign test via leading principal minors: (-1)^k d_k > 0 for k = 1..n.
-
-    Eliminates without row swaps so the running pivots are exactly the leading
-    principal minors (up to the positive global scaling used to clear
-    denominators). A vanishing pivot means a vanishing leading minor, which
-    already rules out definiteness.
-    """
-    n = len(matrix)
-    if n == 0:
-        return True
-    den = 1
-    for row in matrix:
-        for x in row:
-            d = Fraction(x).denominator
-            den = den * d // gcd(den, d)
-    m = [[int(Fraction(x) * den) for x in row] for row in matrix]
-    prev = 1
-    for k in range(n):
-        pk = m[k][k]
-        if pk == 0:
-            return False
-        # d_{k+1} must have sign (-1)^{k+1}
-        if (pk < 0) != (k % 2 == 0):
-            return False
-        for i in range(k + 1, n):
-            f = m[i][k]
-            if f:
-                for j in range(k + 1, n):
-                    m[i][j] = (pk * m[i][j] - f * m[k][j]) // prev
-            else:
-                for j in range(k + 1, n):
-                    if m[i][j]:
-                        m[i][j] = (pk * m[i][j]) // prev
-            m[i][k] = 0
-        prev = pk
-    return True
+    """Whether the symmetric ``matrix`` is negative definite (True when empty)."""
+    return eliminate(_sparse(matrix))[0]

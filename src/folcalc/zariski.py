@@ -19,13 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotPseudoeffectiveError, ValidationError
-from .lattice import (
-    DualGraph,
-    QDivisor,
-    degree_against_curve,
-    is_negative_definite,
-)
-from .linalg import solve_exact
+from .lattice import DualGraph, QDivisor, principal_rows
+from .linalg import eliminate
 
 
 @dataclass(frozen=True)
@@ -37,47 +32,60 @@ class ZariskiResult:
     support: tuple[str, ...]
 
 
+def _degrees(graph: DualGraph, coefficients) -> list[Fraction]:
+    """Z . C_j for every curve j of the graph, Z given as {curve index: coefficient}."""
+    out = [Fraction(0)] * len(graph)
+    for i, x in coefficients.items():
+        for j, v in graph.sparse_rows[i].items():
+            out[j] += x * v
+    return out
+
+
 def zariski_decompose(graph: DualGraph, d: QDivisor) -> ZariskiResult:
     """Split d into its nef and contractible parts relative to the graph.
 
     Raises NotPseudoeffectiveError when the accumulated support stops being
-    negative definite or the solved negative part picks up a negative
-    coefficient.
+    negative definite (``location`` names the curves adopted in that pass)
+    or the solved negative part picks up a negative coefficient
+    (``location`` names the first such curve in graph order). Each pass makes
+    one elimination call, which tests definiteness and solves together.
     """
     if d.graph != graph:
         raise ValidationError("divisor belongs to a different graph")
     labels = graph.labels
-    target = {label: degree_against_curve(d, label) for label in labels}
-    support: list[str] = []
-    coeffs: dict[str, Fraction] = {}
+    target = _degrees(graph, {graph.index_of(label): x for label, x in d.coefficients.items()})
+    support: list[int] = []
+    coeffs: dict[int, Fraction] = {}
+    adopted: list[int] = []
     for _ in range(len(labels) + 1):
         if support:
-            if not is_negative_definite(graph, support):
+            definite, xs = eliminate(
+                principal_rows(graph, support),
+                [target[i] for i in support],
+                require_definite=True,
+            )
+            if not definite:
                 raise NotPseudoeffectiveError(
                     "not pseudoeffective relative to configuration: "
-                    "support is not negative definite"
+                    "support is not negative definite",
+                    location=", ".join(labels[i] for i in adopted),
                 )
-            idxs = [graph.index_of(label) for label in support]
-            sub = [[graph.matrix[i][j] for j in idxs] for i in idxs]
-            rhs = [target[label] for label in support]
-            xs = solve_exact(sub, rhs)
             coeffs = dict(zip(support, xs))
-        negative = QDivisor(graph, coeffs)
-        positive = d - negative
-        newly = [
-            label
-            for label in labels
-            if label not in coeffs and degree_against_curve(positive, label) < 0
+        n_degrees = _degrees(graph, coeffs)
+        adopted = [
+            j for j in range(len(labels)) if j not in coeffs and target[j] < n_degrees[j]
         ]
-        if not newly:
+        if not adopted:
             break
-        support = [label for label in labels if label in coeffs or label in newly]
-        coeffs = {label: coeffs.get(label, Fraction(0)) for label in support}
-    if not negative.is_effective():
-        raise NotPseudoeffectiveError(
-            "not pseudoeffective relative to configuration: negative part is not effective"
-        )
-    return ZariskiResult(positive=positive, negative=negative, support=negative.support)
+        support = sorted(support + adopted)
+    negative = QDivisor(graph, {labels[i]: x for i, x in coeffs.items()})
+    for i in sorted(coeffs):
+        if coeffs[i] < 0:
+            raise NotPseudoeffectiveError(
+                "not pseudoeffective relative to configuration: negative part is not effective",
+                location=labels[i],
+            )
+    return ZariskiResult(positive=d - negative, negative=negative, support=negative.support)
 
 
 def pseudo_threshold(d1_sq, d1_d2, alpha) -> Fraction:

@@ -289,3 +289,11 @@ class TestRelateModels:
     def test_zero_must_be_present(self):
         with pytest.raises(ValidationError):
             relate_models({1: 1}, {1: 1}, 0)
+
+    def test_decimal_string_keys_accepted(self):
+        assert relate_models({"0": 0, "1": 3}, {"0": 2, 1: 3}, 2)
+
+    @pytest.mark.parametrize("key", [1.5, 1.0, "x", "1.5", True, None])
+    def test_non_integer_keys_rejected(self, key):
+        with pytest.raises(ValidationError):
+            relate_models({0: 1, key: 2}, {0: 1, key: 2}, 0)

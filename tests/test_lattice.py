@@ -23,6 +23,7 @@ from folcalc import (
     solve_pullback,
 )
 from folcalc.errors import DegenerateConfigurationError, ValidationError
+from folcalc.lattice import graph_from_json, graph_to_json
 
 from conftest import random_divisor, random_graph, x1_closed_form
 
@@ -82,6 +83,55 @@ class TestGraphConstruction:
         g = hj_graph(3, 2)
         with pytest.raises(ValidationError):
             QDivisor(g, {"nope": 1})
+
+    @pytest.mark.parametrize("value", [True, False, 1.5, -2.0, "2", Fraction(-2)])
+    def test_curve_rejects_non_integer_self_intersection(self, value):
+        with pytest.raises(ValidationError):
+            Curve("A", value)
+
+    @pytest.mark.parametrize("mult", [True, 1.0])
+    def test_non_integer_multiplicity_rejected(self, mult):
+        with pytest.raises(ValidationError):
+            DualGraph([Curve("A", -2), Curve("B", -2)], [("A", "B", mult)])
+
+    @pytest.mark.parametrize(
+        "matrix", [[[True, 0], [0, -2]], [[-2, True], [True, -2]], [[-2, 1.0], [1.0, -2]]]
+    )
+    def test_from_matrix_rejects_bools_and_floats(self, matrix):
+        with pytest.raises(ValidationError):
+            DualGraph.from_matrix(["A", "B"], matrix)
+
+    def test_sparse_rows_match_matrix(self):
+        g = DualGraph(
+            [Curve("A", -2), Curve("B", 0), Curve("Z", -3)],
+            [("A", "B", 1), ("B", "A", 2), ("A", "Z", 0)],
+        )
+        assert g.matrix == ((-2, 3, 0), (3, 0, 0), (0, 0, -3))
+        assert g.sparse_rows == ({0: -2, 1: 3}, {0: 3}, {2: -3})
+
+    def test_equality_hash_and_json_ignore_edge_order(self):
+        curves = [Curve("A", -2), Curve("B", -3), Curve("C", -2)]
+        g1 = DualGraph(curves, [("A", "B", 1), ("B", "C", 2)])
+        g2 = DualGraph(curves, [("C", "B", 2), ("B", "A", 1)])
+        assert g1 == g2 and hash(g1) == hash(g2)
+        assert g1 != DualGraph(curves, [("A", "B", 1), ("B", "C", 1)])
+        expected = [["A", "B", 1], ["B", "C", 2]]
+        assert graph_to_json(g1)["edges"] == graph_to_json(g2)["edges"] == expected
+        assert graph_from_json(graph_to_json(g2)) == g1
+
+
+class TestDivisorScaling:
+    def test_exact_scalars(self):
+        g = hj_graph(3, 2)
+        d = QDivisor(g, {"C1": 1, "C2": Fraction(1, 3)})
+        assert 2 * d == QDivisor(g, {"C1": 2, "C2": Fraction(2, 3)})
+        assert Fraction(3, 2) * d == QDivisor(g, {"C1": Fraction(3, 2), "C2": Fraction(1, 2)})
+
+    @pytest.mark.parametrize("scalar", [0.1, 2.0, True, False])
+    def test_floats_and_bools_rejected(self, scalar):
+        d = QDivisor(hj_graph(3, 2), {"C1": 1})
+        with pytest.raises(ValidationError):
+            scalar * d
 
 
 class TestIntersectionMatrix:

@@ -57,6 +57,34 @@ class TestDecompose:
         with pytest.raises(NotPseudoeffectiveError):
             zariski_decompose(g, d)
 
+    def test_location_names_the_curves_that_broke_definiteness(self):
+        g = DualGraph([Curve("H", 1)])
+        with pytest.raises(NotPseudoeffectiveError) as info:
+            zariski_decompose(g, QDivisor(g, {"H": -1}))
+        assert info.value.location == "H"
+        # pass 1 adopts A alone; pass 2 adds B, and [[-1, 2], [2, -1]] is indefinite
+        g = DualGraph([Curve("A", -1), Curve("B", -1)], [("A", "B", 2)])
+        with pytest.raises(NotPseudoeffectiveError) as info:
+            zariski_decompose(g, QDivisor(g, {"B": -1}))
+        assert info.value.location == "B"
+        # both curves adopted in the same pass are both named
+        g = DualGraph([Curve("A", 1), Curve("B", 1)])
+        with pytest.raises(NotPseudoeffectiveError) as info:
+            zariski_decompose(g, QDivisor(g, {"A": -1, "B": -1}))
+        assert info.value.location == "A, B"
+
+    def test_location_names_the_first_negative_coefficient(self):
+        # With nonnegative off-diagonal entries a negative definite support
+        # always gives N >= 0 (minus its matrix is an M-matrix), so a validated
+        # graph never reaches this error; a negative off-diagonal entry does.
+        g = DualGraph([Curve("A", -2), Curve("B", -2)], [("A", "B", 1)])
+        g.sparse_rows = ({0: -2, 1: -1}, {0: -1, 1: -2})
+        d = QDivisor(g, {"A": Fraction(-2, 3), "B": Fraction(7, 3)})  # D.A = -1, D.B = -4
+        with pytest.raises(NotPseudoeffectiveError) as info:
+            zariski_decompose(g, d)
+        assert "not effective" in info.value.message
+        assert info.value.location == "A"
+
     def test_mismatched_graph_rejected(self):
         g1 = f.hj_string_graph(f.CyclicType(3, 1))
         g2 = f.hj_string_graph(f.CyclicType(3, 2))
