@@ -55,9 +55,9 @@ class HilbertSamples:
                 raise ValidationError("sample keys must be nonnegative integers")
             clean[m] = parse_rational(v)
         object.__setattr__(self, "values", clean)
-        if self.period_hint is not None:
-            if not isinstance(self.period_hint, int) or self.period_hint < 1:
-                raise ValidationError("period hint must be a positive integer")
+        hint = self.period_hint
+        if hint is not None and (not isinstance(hint, int) or isinstance(hint, bool) or hint < 1):
+            raise ValidationError("period hint must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,7 @@ def bound_singularity_count(s) -> int:
 
     Every contributing point adds at least 1/4 to the sum.
     """
-    s = Fraction(s)
+    s = parse_rational(s)
     if s < 0:
         raise InconsistentModelError("inconsistent contribution sum: negative total")
     return math.floor(4 * s)
@@ -266,9 +266,9 @@ def enumerate_reciprocal_tuples(k: int, c, n_min: int = 2) -> list[tuple[int, ..
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValidationError("k must be a nonnegative integer")
-    if not isinstance(n_min, int) or n_min < 1:
+    if not isinstance(n_min, int) or isinstance(n_min, bool) or n_min < 1:
         raise ValidationError("n_min must be a positive integer")
-    c = Fraction(c)
+    c = parse_rational(c)
     if c < 0:
         raise ValidationError("c must be nonnegative")
     return list(_reciprocal_tuples(k, c, n_min))

@@ -14,27 +14,28 @@ points contribute 0 at m = 0 and -1 otherwise; Gorenstein canonical points
 contribute nothing.
 
 The dihedral value is certified here by the defining root-of-unity sums: for
-group order 4n the 2n terms 1/(1 +- eps^(..j..)) must add up to exactly n.
-Two independent evaluations are provided, an exact one pairing conjugate
-terms (each conjugate pair of unit-circle terms sums to exactly 1) and a
-high-precision complex one.
+group order 4n the 2n terms 1/(1 +- eps^(u_j)) must add up to exactly n. Two
+independent evaluations are provided: an exact closed form over the coset of
+exponents, pairing conjugate terms, and a double-precision complex one.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import fsum, gcd, pi
 from typing import Union
-
-import mpmath
 
 from .cyclic import CyclicType
 from .errors import InconsistentModelError, ValidationError
+from .rationals import parse_integer, parse_rational
 
 DIHEDRAL_E1 = "e1"
 DIHEDRAL_E2 = "e2"
+
+MAX_NUMERIC_TWO_N = 4096  # the numeric route's error grows with 2n; about 5e-11 here
+NUMERIC_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,7 @@ class Dihedral:
     The two variants constrain the twist exponent p by congruences:
     e1 needs p = -1 mod 2^a_exp * m_odd and p = 1 mod l;
     e2 needs a_exp >= 2, p = 1 mod 2^a_exp, p = 1 mod l and p = -1 mod m_odd.
+    The congruences mod 2^a_exp test the low a_exp bits of p +- 1 by shifts, never 2**a_exp.
     """
 
     a_exp: int
@@ -73,16 +75,14 @@ class Dihedral:
         if gcd(self.l, self.m_odd) != 1:
             raise ValidationError("invalid dihedral datum: l and m_odd must be coprime")
         if self.variant == DIHEDRAL_E1:
-            if (self.p + 1) % (2**self.a_exp * self.m_odd):
-                raise ValidationError(
-                    "invalid dihedral datum: need p = -1 (mod 2^a_exp * m_odd)"
-                )
+            if (self.p + 1) >> self.a_exp << self.a_exp != self.p + 1 or (self.p + 1) % self.m_odd:
+                raise ValidationError("invalid dihedral datum: need p = -1 (mod 2^a_exp * m_odd)")
             if (self.p - 1) % self.l:
                 raise ValidationError("invalid dihedral datum: need p = 1 (mod l)")
         else:
             if self.a_exp < 2:
                 raise ValidationError("invalid dihedral datum: variant e2 needs a_exp >= 2")
-            if (self.p - 1) % 2**self.a_exp:
+            if (self.p - 1) >> self.a_exp << self.a_exp != self.p - 1:
                 raise ValidationError("invalid dihedral datum: need p = 1 (mod 2^a_exp)")
             if (self.p - 1) % self.l:
                 raise ValidationError("invalid dihedral datum: need p = 1 (mod l)")
@@ -190,49 +190,34 @@ def contribution(datum: SingularityDatum, m: int) -> Fraction:
     raise ValidationError(f"unknown singularity datum: {datum!r}")
 
 
-def _sum_exponents(datum: Dihedral) -> list[int]:
-    """Exponents u_j with the j-th term equal to 1/(1 +- eps^(u_j))."""
-    two_n = datum.two_n
-    step = (datum.p + 1) % two_n
-    offset = 0 if datum.variant == DIHEDRAL_E1 else (datum.m_odd * datum.l) % two_n
-    return [(step * j + offset) % two_n for j in range(two_n)]
-
-
-def _exact_root_sum(datum: Dihedral) -> Fraction:
-    """Exact value of the defining sum, by pairing conjugate terms.
+def _exact_root_sum(two_n: int, plus_sign: bool, offset: int, g: int) -> Fraction:
+    """Exact value of the sum over the exponent coset offset + gZ mod 2n, each residue g times.
 
     On the unit circle 1/(1+z) + 1/(1+conj(z)) = 1 (same with both signs
-    flipped), and the surviving self-conjugate terms are literal halves.
+    flipped), and the self-conjugate terms (u = 0 or n) are literal halves.
     """
-    two_n = datum.two_n
-    n = datum.half_order
-    plus_sign = datum.variant == DIHEDRAL_E1
+    n = two_n // 2
     pole = n if plus_sign else 0
-    counts = Counter(_sum_exponents(datum))
-    if counts.get(pole):
+    if (pole - offset) % g == 0:
         raise ValidationError("invalid dihedral datum: the sum has a vanishing denominator")
-    total = Fraction(0)
-    for u, cnt in counts.items():
-        v = (two_n - u) % two_n
-        if v == u:
-            total += Fraction(cnt, 2)
-        elif u < v:
-            if counts.get(v, 0) != cnt:
-                raise InconsistentModelError("root-of-unity sum is not conjugation-symmetric")
-            total += cnt
-    return total
+    if 2 * offset % g:
+        raise InconsistentModelError("root-of-unity sum is not conjugation-symmetric")
+    self_conjugate = sum(1 for u in (0, n) if (u - offset) % g == 0)
+    pairs = (two_n // g - self_conjugate) // 2
+    return g * pairs + Fraction(g * self_conjugate, 2)
 
 
-def _numeric_root_sum(datum: Dihedral, precision_bits: int = 80):
-    """High-precision complex evaluation of the same sum."""
-    with mpmath.workprec(precision_bits):
-        n = datum.half_order
-        plus_sign = datum.variant == DIHEDRAL_E1
-        total = mpmath.mpc(0)
-        for u in _sum_exponents(datum):
-            z = mpmath.expjpi(mpmath.mpf(u) / n)
-            total += 1 / (1 + z) if plus_sign else 1 / (1 - z)
-        return total
+def _root_sum_terms(two_n: int, plus_sign: bool, step: int, offset: int):
+    """The terms 1/(1 +- eps^(u_j)), u_j = step*j + offset mod 2n, in double precision.
+
+    Each exponent is reduced into [-n, n) first, so conjugate terms mirror
+    exactly and their imaginary parts cancel in ``fsum``.
+    """
+    n = two_n // 2
+    sign = 1 if plus_sign else -1
+    for j in range(two_n):
+        u = (step * j + offset + n) % two_n - n
+        yield 1 / (1 + sign * cmath.exp(1j * (pi * u / n)))
 
 
 @dataclass(frozen=True)
@@ -244,22 +229,30 @@ class DihedralSumReport:
     a_value: Fraction
 
 
-def dihedral_sum_verify(datum: Dihedral, tolerance: float = 1e-9) -> DihedralSumReport:
+def dihedral_sum_verify(datum: Dihedral) -> DihedralSumReport:
     """Certify that the defining root-of-unity sum of the datum equals n.
 
-    The high-precision complex evaluation must land within ``tolerance`` of n
-    and the exact conjugate-pairing evaluation must give n on the nose; the
-    resulting contribution -sum/(2n) is reported alongside (it must be -1/2).
+    The exact evaluation must give n on the nose and the numeric one must land
+    within NUMERIC_TOLERANCE of n; the resulting contribution -sum/(2n) is
+    reported alongside (it must be -1/2). 2n above MAX_NUMERIC_TWO_N is refused,
+    through a_exp first, so a huge 2^a_exp is never built.
     """
-    n = datum.half_order
-    exact = _exact_root_sum(datum)
-    numeric = _numeric_root_sum(datum)
-    with mpmath.workprec(80):
-        numeric_ok = abs(numeric - n) < tolerance
-    a_value = -exact / (2 * n)
-    passed = bool(numeric_ok) and exact == n and a_value == Fraction(-1, 2)
+    if datum.a_exp >= MAX_NUMERIC_TWO_N.bit_length() or datum.two_n > MAX_NUMERIC_TWO_N:
+        raise ValidationError(f"dihedral certificate: 2n must be at most {MAX_NUMERIC_TWO_N}")
+    two_n = datum.two_n
+    n = two_n // 2
+    plus_sign = datum.variant == DIHEDRAL_E1
+    step = (datum.p + 1) % two_n
+    offset = 0 if plus_sign else (datum.m_odd * datum.l) % two_n
+    exact = _exact_root_sum(two_n, plus_sign, offset, gcd(step, two_n))
+    numeric = complex(
+        fsum(t.real for t in _root_sum_terms(two_n, plus_sign, step, offset)),
+        fsum(t.imag for t in _root_sum_terms(two_n, plus_sign, step, offset)),
+    )
+    a_value = -exact / two_n
+    passed = abs(numeric - n) < NUMERIC_TOLERANCE and exact == n and a_value == Fraction(-1, 2)
     return DihedralSumReport(
-        sum_value=complex(numeric),
+        sum_value=numeric,
         sum_exact=exact,
         expected_n=n,
         passed=passed,
@@ -322,8 +315,9 @@ def global_chi(
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ValidationError("m must be a nonnegative integer")
-    k2 = Fraction(k2)
-    k_dot_ky = Fraction(k_dot_ky)
+    chi_o = parse_integer(chi_o)
+    k2 = parse_rational(k2)
+    k_dot_ky = parse_rational(k_dot_ky)
     total = Fraction(m * m, 2) * k2 - Fraction(m, 2) * k_dot_ky + chi_o
     for datum in sings:
         total += contribution(datum, m)

@@ -29,7 +29,8 @@ class CyclicType:
     q: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or not isinstance(self.q, int):
+        n, q = self.n, self.q
+        if not isinstance(n, int) or not isinstance(q, int) or isinstance(n, bool) or isinstance(q, bool):
             raise ValidationError("n and q must be integers")
         if self.n < 2:
             raise ValidationError("n must be >= 2")

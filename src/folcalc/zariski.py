@@ -21,6 +21,7 @@ from fractions import Fraction
 from .errors import NotPseudoeffectiveError, ValidationError
 from .lattice import DualGraph, QDivisor, principal_rows
 from .linalg import eliminate
+from .rationals import parse_rational
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,9 @@ def pseudo_threshold(d1_sq, d1_d2, alpha) -> Fraction:
     Pure arithmetic: beta = 2 (D1.D2)/D1^2 + alpha. The geometric hypotheses
     (D1 nef and big, D2 + alpha*D1 nef) are the caller's responsibility.
     """
-    d1_sq = Fraction(d1_sq)
-    d1_d2 = Fraction(d1_d2)
-    alpha = Fraction(alpha)
+    d1_sq = parse_rational(d1_sq)
+    d1_d2 = parse_rational(d1_d2)
+    alpha = parse_rational(alpha)
     if d1_sq <= 0:
         raise ValidationError("D1^2 must be positive")
     if alpha < 0:

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. Every expected value is
-exact; the only tolerance anywhere is the 1e-9 window of the high-precision
-complex route in the dihedral sum certification, and the stated wall-clock
+exact; the only tolerance anywhere is the 1e-9 window of the double-precision
+cross-check in the dihedral sum certification, and the stated wall-clock
 budgets are asserted where the criterion pins one.
 """
 

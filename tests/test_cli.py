@@ -1,6 +1,7 @@
 """Command-line surface: JSON output, exit codes, error objects."""
 
 import json
+import time
 
 import pytest
 
@@ -82,6 +83,22 @@ class TestBasicCommands:
         )
         assert code == 2
         assert "invalid dihedral datum" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize(
+        "variant, a, p",
+        [("e2", "1000000000", "1"), ("e1", "40", "1099511627775")],
+    )
+    def test_dihedral_verify_huge_group_refused_quickly(self, capsys, variant, a, p):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys,
+            "dihedral-verify",
+            "--variant", variant, "--a", a, "--l", "1", "--modd", "1", "--p", p,
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 2 and out == ""
+        assert json.loads(err)["code"] == "invalid-input"
+        assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")

@@ -1,11 +1,16 @@
 """Local contribution tables and their closed forms."""
 
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+import folcalc
 from folcalc import (
     Cusp,
     CyclicType,
@@ -21,11 +26,14 @@ from folcalc import (
     contribution,
     dihedral_sum_verify,
     global_chi,
+    pseudo_threshold,
 )
-from folcalc.contributions import dual_generator
+from folcalc.bounds import HilbertSamples, bound_singularity_count, enumerate_reciprocal_tuples
+from folcalc.contributions import MAX_NUMERIC_TWO_N, _exact_root_sum, dual_generator
 from folcalc.errors import InconsistentModelError, ValidationError
 
 from conftest import coprime_pairs
+from test_acceptance import _dihedral_tuples
 
 
 def a_cyclic_by_direct_sum(t, i):
@@ -33,6 +41,31 @@ def a_cyclic_by_direct_sum(t, i):
     c = dual_generator(t)
     total = sum((c * j) % t.n for j in range(i))
     return Fraction(total, t.n) - Fraction(i * (t.n - 1), 2 * t.n)
+
+
+def dihedral_exponents(datum):
+    """Every exponent u_j with the j-th term equal to 1/(1 +- eps^(u_j)), listed."""
+    two_n = datum.two_n
+    step = (datum.p + 1) % two_n
+    offset = 0 if datum.variant == "e1" else (datum.m_odd * datum.l) % two_n
+    return [(step * j + offset) % two_n for j in range(two_n)]
+
+
+def dihedral_sum_by_counting(datum):
+    """The defining sum, pairing the counted exponents; oracle for the closed form."""
+    two_n = datum.two_n
+    pole = datum.half_order if datum.variant == "e1" else 0
+    counts = Counter(dihedral_exponents(datum))
+    assert not counts.get(pole)
+    total = Fraction(0)
+    for u, cnt in counts.items():
+        v = (two_n - u) % two_n
+        if v == u:
+            total += Fraction(cnt, 2)
+        elif u < v:
+            assert counts.get(v, 0) == cnt
+            total += cnt
+    return total
 
 
 class TestCyclicSheafContribution:
@@ -152,6 +185,61 @@ class TestDihedralVerify:
         with pytest.raises(ValidationError, match="a_exp >= 2"):
             Dihedral(a_exp=1, l=1, m_odd=1, p=1, variant="e2")
 
+    def test_closed_form_matches_counting_on_every_tuple(self):
+        count = 0
+        for datum in _dihedral_tuples(200):
+            two_n, g = datum.two_n, gcd(datum.p + 1, datum.two_n)
+            counts = Counter(dihedral_exponents(datum))
+            assert set(counts.values()) == {g}, datum
+            assert len(counts) == two_n // g, datum
+            assert dihedral_sum_verify(datum).sum_exact == dihedral_sum_by_counting(datum)
+            count += 1
+        assert count == 359
+
+    def test_numeric_route_at_the_cap(self):
+        # p = 1 forces a_exp = m_odd = 1, so 2n = 2l; l = 2047 is the largest under the cap
+        datum = Dihedral(a_exp=1, l=2047, m_odd=1, p=1)
+        assert datum.two_n <= MAX_NUMERIC_TWO_N < datum.two_n + 4
+        report = dihedral_sum_verify(datum)
+        assert abs(report.sum_value - 2047) < 1e-10
+        assert report.sum_value.imag == 0
+        assert report.passed
+
+    def test_above_the_cap_refused(self):
+        with pytest.raises(ValidationError, match="2n must be at most"):
+            dihedral_sum_verify(Dihedral(a_exp=1, l=2049, m_odd=1, p=1))
+        # valid data whose 2n = 2^a_exp would be astronomically large
+        with pytest.raises(ValidationError, match="2n must be at most"):
+            dihedral_sum_verify(Dihedral(a_exp=10**9, l=1, m_odd=1, p=1, variant="e2"))
+        with pytest.raises(ValidationError, match="2n must be at most"):
+            dihedral_sum_verify(Dihedral(a_exp=40, l=1, m_odd=1, p=2**40 - 1))
+
+    def test_certificate_checks(self):
+        # 2n = 8: the odd coset 1 + 2Z misses both poles 0 and 4 and pairs up
+        assert _exact_root_sum(8, True, 1, 2) == 4
+        assert _exact_root_sum(8, False, 1, 2) == 4
+        # eight copies of the self-conjugate u = n = 4 under the minus sign: 8 halves
+        assert _exact_root_sum(8, False, 4, 8) == 4
+        with pytest.raises(ValidationError, match="vanishing denominator"):
+            _exact_root_sum(8, True, 0, 2)
+        with pytest.raises(ValidationError, match="vanishing denominator"):
+            _exact_root_sum(8, False, 0, 4)
+        # the coset 1 + 4Z mod 8 = {1, 5} is not closed under negation
+        with pytest.raises(InconsistentModelError):
+            _exact_root_sum(8, False, 1, 4)
+
+    def test_import_leaves_mpmath_out(self):
+        src = os.path.dirname(os.path.dirname(folcalc.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, folcalc.cli; print('mpmath' in sys.modules)"],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
+
 
 class TestChiFchain:
     def test_3_1_values(self):
@@ -218,3 +306,26 @@ class TestGlobalChi:
     def test_negative_multiple_rejected(self):
         with pytest.raises(ValidationError):
             global_chi(1, 0, 0, [], -1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: global_chi(1, 0, 0.5, [], 2),
+        lambda: global_chi(0.1, 0, 1, [], 2),
+        lambda: global_chi(1, 0.5, 1, [], 2),
+        lambda: global_chi(1, 0, True, [], 2),
+        lambda: CyclicType(5, True),
+        lambda: CyclicType(True, 1),
+        lambda: HilbertSamples({0: 1}, period_hint=True),
+        lambda: bound_singularity_count(0.3),
+        lambda: enumerate_reciprocal_tuples(2, 0.5),
+        lambda: enumerate_reciprocal_tuples(2, 1, True),
+        lambda: pseudo_threshold(0.1, 1, 0),
+        lambda: pseudo_threshold(1, 0.1, 0),
+        lambda: pseudo_threshold(1, 1, 0.5),
+    ],
+)
+def test_public_entry_points_reject_floats_and_bools(call):
+    with pytest.raises(ValidationError):
+        call()
