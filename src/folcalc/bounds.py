@@ -13,20 +13,28 @@ candidate, and the worst case over configurations feeds the explicit bound
     N1 = 4*i + ceil(gamma) + 1,   gamma = max(2*(K.K_Y)/K^2 + 3*i, 0),
 
 past which every pluricanonical system is birational.
+
+The unit-fraction search runs on integers: the remaining target is a reduced
+pair p/q, and taking 1/n off it leaves (p*n - q)/(q*n) over their gcd. The
+last two slots need no scan, since 1/a + 1/b = p/q exactly when
+(p*a - q)(p*b - q) = q^2, so the pairs come from the divisors of q^2
+(Curtiss 1922). The search stops with ``SearchBudgetError`` past
+``MAX_CONFIGURATIONS`` configurations.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     InconsistentModelError,
     InconsistentSamplesError,
     NotGeneralTypeError,
+    SearchBudgetError,
     ValidationError,
 )
 from .linalg import solve_exact
@@ -35,6 +43,7 @@ from .rationals import parse_integer, parse_rational
 WEAK_NEF = "weak-nef"
 CANONICAL = "canonical"
 DEFAULT_PERIOD_BOUND = 60
+MAX_CONFIGURATIONS = 500_000  # per search, and per unit-fraction call; weak-nef sum 3 has 298,165
 
 
 @dataclass(frozen=True)
@@ -42,7 +51,8 @@ class HilbertSamples:
     """Finite table m -> chi(m), plus an optional quasi-period hint.
 
     Values are exact rationals; honest geometric models give integers, but
-    the extraction arithmetic never needs that.
+    the extraction arithmetic never needs that. The table is kept in
+    ascending m.
     """
 
     values: Mapping[int, Fraction]
@@ -54,7 +64,7 @@ class HilbertSamples:
             if not isinstance(m, int) or isinstance(m, bool) or m < 0:
                 raise ValidationError("sample keys must be nonnegative integers")
             clean[m] = parse_rational(v)
-        object.__setattr__(self, "values", clean)
+        object.__setattr__(self, "values", dict(sorted(clean.items())))
         hint = self.period_hint
         if hint is not None and (not isinstance(hint, int) or isinstance(hint, bool) or hint < 1):
             raise ValidationError("period hint must be a positive integer")
@@ -154,11 +164,15 @@ def _resolved_hint(hint: int, mode: str) -> int:
     return hint
 
 
-def _try_period(values: Mapping[int, Fraction], mode: str, period: int) -> ModelInvariants | None:
-    """Extraction attempt at one period; None when the samples refuse it."""
+def _try_period(values: Mapping[int, Fraction], mode: str, period: int) -> ModelInvariants | str:
+    """Extraction attempt at one period.
+
+    When the samples refuse the period, the result is where: "period L", or
+    "period L, m = M" for the first multiple M whose sample breaks it.
+    """
     needed = {0, 1, period, 2 * period, 3 * period}
     if not needed.issubset(values):
-        return None
+        return f"period {period}"
     if mode == CANONICAL:
         pts = [(k * period, values[k * period]) for k in (1, 2, 3)]
     else:
@@ -174,7 +188,7 @@ def _try_period(values: Mapping[int, Fraction], mode: str, period: int) -> Model
     if mode == CANONICAL:
         b4 = chi_o - qc
         if b4.denominator != 1 or b4 < 0:
-            return None
+            return f"period {period}, m = 0"
         cusp_count = int(b4)
     # every sample must sit on the same quadratic up to a constant per residue
     constants: dict[int, Fraction] = {}
@@ -184,7 +198,7 @@ def _try_period(values: Mapping[int, Fraction], mode: str, period: int) -> Model
         r = m % period
         c = v - (qa * m * m + qb * m)
         if constants.setdefault(r, c) != c:
-            return None
+            return f"period {period}, m = {m}"
     if k2 <= 0:
         raise NotGeneralTypeError("not general type: extracted K^2 is not positive")
     s = -values[1] + (k2 - k_dot_ky) / 2 + chi_o
@@ -217,15 +231,15 @@ def extract_invariants(
         if missing:
             raise ValidationError(f"samples must include m = {needed}; missing {missing}")
         inv = _try_period(values, mode, period)
-        if inv is None:
+        if isinstance(inv, str):
             raise InconsistentSamplesError(
-                f"samples incompatible with quasi-polynomial of period {period}"
+                f"samples incompatible with quasi-polynomial of period {period}", location=inv
             )
         return inv
     start, step = (1, 1) if mode == WEAK_NEF else (2, 2)
     for period in range(start, period_bound + 1, step):
         inv = _try_period(values, mode, period)
-        if inv is not None:
+        if isinstance(inv, ModelInvariants):
             return inv
     raise InconsistentSamplesError(
         f"samples incompatible with quasi-polynomial of any period <= {period_bound}"
@@ -243,26 +257,88 @@ def bound_singularity_count(s) -> int:
     return math.floor(4 * s)
 
 
-@functools.lru_cache(maxsize=4096)
-def _reciprocal_tuples(slots: int, remaining: Fraction, lo: int) -> tuple[tuple[int, ...], ...]:
-    if slots == 0:
-        return ((),) if remaining == 0 else ()
-    if remaining <= 0:
-        return ()
-    lower = max(lo, -(-remaining.denominator // remaining.numerator))  # ceil(1/remaining)
-    upper = slots * remaining.denominator // remaining.numerator  # floor(slots/remaining)
+def _prime_powers(q: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of q by trial division."""
     out = []
-    for n in range(lower, upper + 1):
-        for tail in _reciprocal_tuples(slots - 1, remaining - Fraction(1, n), n):
-            out.append((n,) + tail)
-    return tuple(out)
+    f = 2
+    while f * f <= q:
+        if q % f == 0:
+            e = 0
+            while q % f == 0:
+                q //= f
+                e += 1
+            out.append((f, e))
+        f += 1 if f == 2 else 2
+    if q > 1:
+        out.append((q, 1))
+    return out
+
+
+def _two_slot_divisors(p: int, q: int, low: int) -> list[int]:
+    """The divisors d of q^2 with low <= d <= q and d = -q mod p, ascending.
+
+    The prime powers of q^2 are dealt into two halves of about equal divisor
+    counts; the divisors of one half are filed by residue mod p, and each
+    divisor of the other looks up the residue that completes -q (p is prime
+    to q, so every divisor of q^2 is invertible mod p).
+    """
+    halves: tuple[list[int], list[int]] = ([1], [1])
+    for f, e in _prime_powers(q):
+        half = min(halves, key=len)
+        half[:] = [d * f**j for d in half for j in range(2 * e + 1)]
+    left, right = halves
+    by_residue: dict[int, list[int]] = {}
+    for d in right:
+        by_residue.setdefault(d % p, []).append(d)
+    r = -q % p
+    return sorted(
+        d
+        for a in left
+        for b in by_residue.get(r * pow(a, -1, p) % p, ())
+        if low <= (d := a * b) <= q
+    )
+
+
+def _reciprocal_tuples(slots: int, p: int, q: int, lo: int) -> Iterator[tuple[int, ...]]:
+    """Nondecreasing slot-tuples with entries >= lo whose reciprocals add up to p/q.
+
+    p/q is reduced, p >= 0. Tuples come out in lexicographic order. The first
+    entry n runs from ceil(q/p) (it must fit) to floor(slots*q/p) (it is the
+    smallest); the remainder (p*n - q)/(q*n) goes down reduced by its gcd. One
+    slot is a unit-fraction test. Two slots are solved outright, with no
+    scan: for a <= b, 1/a + 1/b = p/q exactly when (p*a - q)(p*b - q) = q^2,
+    so d = p*a - q is a divisor d <= q of q^2 with d = -q mod p (then so is
+    e = q^2/d, as q is prime to p), a = (d + q)/p, b = (e + q)/p, and
+    ascending d gives ascending a.
+    """
+    if slots == 0 or p == 0:
+        if slots == p == 0:
+            yield ()
+        return
+    if slots == 1:
+        if p == 1 and q >= lo:
+            yield (q,)
+        return
+    if slots == 2:
+        qq = q * q
+        for d in _two_slot_divisors(p, q, p * lo - q):  # a >= lo
+            yield ((d + q) // p, (qq // d + q) // p)
+        return
+    for n in range(max(lo, -(-q // p)), slots * q // p + 1):
+        num = p * n - q
+        den = q * n
+        g = math.gcd(num, den)
+        for tail in _reciprocal_tuples(slots - 1, num // g, den // g, n):
+            yield (n,) + tail
 
 
 def enumerate_reciprocal_tuples(k: int, c, n_min: int = 2) -> list[tuple[int, ...]]:
     """All nondecreasing k-tuples with entries >= n_min and sum of reciprocals c.
 
     The smallest entry of any solution is at most k/c, so the recursion is
-    finite; tuples come out in lexicographic order.
+    finite; tuples come out in lexicographic order. More than
+    MAX_CONFIGURATIONS tuples raise SearchBudgetError, since each of them
+    would be a configuration.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValidationError("k must be a nonnegative integer")
@@ -271,7 +347,15 @@ def enumerate_reciprocal_tuples(k: int, c, n_min: int = 2) -> list[tuple[int, ..
     c = parse_rational(c)
     if c < 0:
         raise ValidationError("c must be nonnegative")
-    return list(_reciprocal_tuples(k, c, n_min))
+    search = _reciprocal_tuples(k, c.numerator, c.denominator, n_min)
+    tuples = list(itertools.islice(search, MAX_CONFIGURATIONS + 1))
+    if len(tuples) > MAX_CONFIGURATIONS:
+        raise SearchBudgetError(
+            f"unit-fraction search reached {len(tuples)} tuples, "
+            f"over the budget of {MAX_CONFIGURATIONS}",
+            location=f"{k} slots, sum {c}",
+        )
+    return tuples
 
 
 def enumerate_configurations(inv: ModelInvariants, mode: str) -> list[SingularityConfiguration]:
@@ -279,13 +363,25 @@ def enumerate_configurations(inv: ModelInvariants, mode: str) -> list[Singularit
 
     Weak nef models only carry terminal points; canonical models mix terminal
     points, dihedral points (1/2 each) and cusps (1 each), with the cusp
-    count pinned when the invariants carry it.
+    count pinned when the invariants carry it. The list is ordered by cusp
+    count, dihedral count, number of terminal points and then terminal orders,
+    which is the order the loops below produce. More than MAX_CONFIGURATIONS
+    configurations raise SearchBudgetError.
     """
     _check_mode(mode)
     s = inv.contribution_sum
     if s < 0:
         raise InconsistentModelError("inconsistent contribution sum: negative total")
-    configs: set[SingularityConfiguration] = set()
+    configs: list[SingularityConfiguration] = []
+
+    def add(orders: tuple[int, ...], dihedrals: int = 0, cusps: int = 0) -> None:
+        if len(configs) >= MAX_CONFIGURATIONS:
+            raise SearchBudgetError(
+                f"configuration search reached {len(configs) + 1} configurations, "
+                f"over the budget of {MAX_CONFIGURATIONS}",
+                location=f"contribution sum {s}",
+            )
+        configs.append(SingularityConfiguration(orders, dihedrals, cusps))
 
     def terminal_multisets(target: Fraction) -> Iterable[tuple[int, ...]]:
         # k points contribute k/2 - (1/2) sum 1/n, so sum 1/n = k - 2*target;
@@ -297,7 +393,7 @@ def enumerate_configurations(inv: ModelInvariants, mode: str) -> list[Singularit
 
     if mode == WEAK_NEF:
         for orders in terminal_multisets(s):
-            configs.add(SingularityConfiguration(terminal_orders=orders))
+            add(orders)
     else:
         cusp_options = (
             [inv.cusp_count] if inv.cusp_count is not None else list(range(math.floor(s) + 1))
@@ -309,17 +405,8 @@ def enumerate_configurations(inv: ModelInvariants, mode: str) -> list[Singularit
             for dihedrals in range(math.floor(2 * s_after_cusps) + 1):
                 remaining = s_after_cusps - Fraction(dihedrals, 2)
                 for orders in terminal_multisets(remaining):
-                    configs.add(
-                        SingularityConfiguration(
-                            terminal_orders=orders,
-                            dihedral_count=dihedrals,
-                            cusp_count=cusps,
-                        )
-                    )
-    return sorted(
-        configs,
-        key=lambda c: (c.cusp_count, c.dihedral_count, len(c.terminal_orders), c.terminal_orders),
-    )
+                    add(orders, dihedrals, cusps)
+    return configs
 
 
 def index_bounds(configs, mode: str) -> IndexBoundsResult:
@@ -381,7 +468,8 @@ def pipeline(
         )
     idx = index_bounds(configs, mode)
     candidates = tuple(idx.index_candidates[cfg] for cfg in configs)
-    results = tuple(compute_n1(inv, i) for i in candidates)
+    n1_by_index = {i: compute_n1(inv, i) for i in dict.fromkeys(candidates)}
+    results = tuple(n1_by_index[i] for i in candidates)
     return BoundReport(
         mode=mode,
         invariants=inv,

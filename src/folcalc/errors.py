@@ -48,3 +48,9 @@ class InconsistentModelError(FolcalcError):
     """Model data is numerically inconsistent (non-integral Euler characteristic)."""
 
     code = "inconsistent-model"
+
+
+class SearchBudgetError(FolcalcError):
+    """The configuration search outgrew ``bounds.MAX_CONFIGURATIONS``."""
+
+    code = "search-budget-exceeded"

@@ -1,5 +1,7 @@
 """Invariant extraction, configuration enumeration, and the explicit bound."""
 
+import functools
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import folcalc as f
+from folcalc import bounds
 from folcalc import (
     CANONICAL,
     WEAK_NEF,
@@ -27,6 +30,7 @@ from folcalc.errors import (
     InconsistentModelError,
     InconsistentSamplesError,
     NotGeneralTypeError,
+    SearchBudgetError,
     ValidationError,
 )
 
@@ -35,6 +39,49 @@ from conftest import brute_reciprocal_tuples, make_synthetic_model, model_sample
 
 def invariants(k2, k_dot_ky, chi_o, s, cusps=None):
     return ModelInvariants(Fraction(k2), Fraction(k_dot_ky), chi_o, Fraction(s), cusps)
+
+
+@functools.lru_cache(maxsize=4096)
+def fraction_reciprocal_tuples(slots, remaining, lo):
+    """The Fraction recursion that the integer search replaced; the reference for it."""
+    if slots == 0:
+        return ((),) if remaining == 0 else ()
+    if remaining <= 0:
+        return ()
+    lower = max(lo, -(-remaining.denominator // remaining.numerator))
+    upper = slots * remaining.denominator // remaining.numerator
+    out = []
+    for n in range(lower, upper + 1):
+        for tail in fraction_reciprocal_tuples(slots - 1, remaining - Fraction(1, n), n):
+            out.append((n,) + tail)
+    return tuple(out)
+
+
+def reference_configurations(inv, mode):
+    """The enumeration over fraction_reciprocal_tuples: collected in a set, sorted at the end."""
+    s = inv.contribution_sum
+    configs = set()
+
+    def terminal_multisets(target):
+        for k in range(0, math.floor(4 * target) + 1):
+            if k - 2 * target >= 0:
+                yield from fraction_reciprocal_tuples(k, k - 2 * target, 2)
+
+    if mode == WEAK_NEF:
+        for orders in terminal_multisets(s):
+            configs.add(SingularityConfiguration(terminal_orders=orders))
+    else:
+        cusp_options = [inv.cusp_count] if inv.cusp_count is not None else range(math.floor(s) + 1)
+        for cusps in cusp_options:
+            if s - cusps < 0:
+                continue
+            for dihedrals in range(math.floor(2 * (s - cusps)) + 1):
+                for orders in terminal_multisets(s - cusps - Fraction(dihedrals, 2)):
+                    configs.add(SingularityConfiguration(orders, dihedrals, cusps))
+    return sorted(
+        configs,
+        key=lambda c: (c.cusp_count, c.dihedral_count, len(c.terminal_orders), c.terminal_orders),
+    )
 
 
 class TestExtractInvariants:
@@ -87,6 +134,14 @@ class TestExtractInvariants:
         with pytest.raises(InconsistentSamplesError):
             extract_invariants(HilbertSamples(values), WEAK_NEF, period_bound=4)
 
+    def test_hinted_period_failure_names_first_breaking_multiple(self):
+        values = {m: Fraction(m * m + 2) for m in range(0, 181)}
+        values[91] += 1
+        values[97] += 1
+        with pytest.raises(InconsistentSamplesError) as err:
+            extract_invariants(HilbertSamples(dict(reversed(values.items())), period_hint=6), WEAK_NEF)
+        assert err.value.location == "period 6, m = 91"
+
     def test_not_general_type_rejected(self):
         values = {m: Fraction(-m * m + m + 1) for m in range(0, 8)}
         with pytest.raises(NotGeneralTypeError):
@@ -128,6 +183,32 @@ class TestReciprocalTuples:
         for k in range(1, 5):
             for c in [Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(5, 6), Fraction(2)]:
                 assert enumerate_reciprocal_tuples(k, c) == brute_reciprocal_tuples(k, c, 2)
+
+    def test_matches_fraction_recursion(self):
+        # targets below 1/4 make the reference recursion slow at k = 4
+        targets = {Fraction(a, b) for a in range(0, 13) for b in range(1, 13)}
+        for k in range(0, 5):
+            for c in sorted(c for c in targets if c == 0 or c >= Fraction(1, 4)):
+                for lo in (1, 2, 3, 5):
+                    expected = list(fraction_reciprocal_tuples(k, c, lo))
+                    assert enumerate_reciprocal_tuples(k, c, lo) == expected, (k, c, lo)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            # a large denominator, target at least 1/30 so the scan oracle stays short
+            st.integers(1, 10_000).flatmap(
+                lambda q: st.integers(-(-q // 30), 2 * q).map(lambda p: Fraction(p, q))
+            ),
+            # a target with solutions: 1/a + 1/b, denominators up to 10^4
+            st.tuples(st.integers(1, 40), st.integers(1, 250)).map(
+                lambda ab: Fraction(1, ab[0]) + Fraction(1, ab[1])
+            ),
+        ),
+        st.integers(1, 60),
+    )
+    def test_two_slot_divisor_path_matches_scan(self, c, lo):
+        assert enumerate_reciprocal_tuples(2, c, lo) == brute_reciprocal_tuples(2, c, lo)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 4), st.fractions(min_value=0, max_value=3))
@@ -177,6 +258,35 @@ class TestEnumerateConfigurations:
 
     def test_unrealizable_sum_yields_nothing(self):
         assert enumerate_configurations(invariants(2, 0, 1, Fraction(1, 5)), WEAK_NEF) == []
+
+    @pytest.mark.parametrize(
+        "s, mode, cusps",
+        [
+            (s, mode, cusps)
+            for s in (Fraction(2), Fraction(15, 8), Fraction(9, 4))
+            for mode, cusps in ((WEAK_NEF, None), (CANONICAL, 0), (CANONICAL, 1))
+        ]
+        + [(Fraction(5, 2), WEAK_NEF, None)],
+    )
+    def test_matches_fraction_recursion(self, s, mode, cusps):
+        inv = invariants(2, 0, 1, s, cusps)
+        assert enumerate_configurations(inv, mode) == reference_configurations(inv, mode)
+
+    def test_search_budget(self, monkeypatch):
+        # weak-nef sum 2: 168 configurations, 147 of them with five points
+        inv = invariants(2, 0, 1, 2)
+        monkeypatch.setattr(bounds, "MAX_CONFIGURATIONS", 168)
+        assert len(enumerate_configurations(inv, WEAK_NEF)) == 168
+        monkeypatch.setattr(bounds, "MAX_CONFIGURATIONS", 160)
+        with pytest.raises(SearchBudgetError, match="reached 161 configurations") as err:
+            enumerate_configurations(inv, WEAK_NEF)
+        assert err.value.code == "search-budget-exceeded"
+        assert err.value.location == "contribution sum 2"
+        # one unit-fraction search past the budget stops before it returns
+        monkeypatch.setattr(bounds, "MAX_CONFIGURATIONS", 100)
+        with pytest.raises(SearchBudgetError, match="reached 101 tuples") as err:
+            enumerate_configurations(inv, WEAK_NEF)
+        assert err.value.location == "5 slots, sum 1"
 
 
 class TestIndexBounds:
@@ -256,6 +366,24 @@ class TestPipeline:
             assert generating in report.configurations
             if mode == CANONICAL:
                 assert inv.cusp_count == cusps
+
+    def test_n1_once_per_distinct_index(self, monkeypatch):
+        # eight order-2 points: contribution sum 2, 168 configurations
+        data = [f.Terminal(f.CyclicType(2, 1))] * 8
+        samples = HilbertSamples({m: f.global_chi(2, 1, 1, data, m) for m in range(7)}, period_hint=2)
+        calls = []
+
+        def counting_n1(inv, i):
+            calls.append(i)
+            return compute_n1(inv, i)
+
+        monkeypatch.setattr(bounds, "compute_n1", counting_n1)
+        report = pipeline(samples, WEAK_NEF)
+        assert len(report.configurations) == 168
+        assert sorted(calls) == sorted(set(report.index_candidates))
+        assert len(calls) < len(report.configurations)
+        assert report.results == tuple(compute_n1(report.invariants, i) for i in report.index_candidates)
+        assert report.n1_worst == max(r.n1 for r in report.results)
 
     def test_unrealizable_sum_raises(self):
         # shifting every odd sample keeps the quasi-polynomial shape but moves

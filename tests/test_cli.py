@@ -5,6 +5,8 @@ import time
 
 import pytest
 
+import folcalc as f
+from folcalc import bounds
 from folcalc.cli import main
 
 
@@ -170,6 +172,20 @@ class TestFileCommands:
         code, _, err = run(capsys, "bounds", "--mode", "weak-nef", str(path))
         assert code == 1
         assert json.loads(err)["code"] == "inconsistent-samples"
+
+    def test_bounds_search_budget(self, capsys, tmp_path, monkeypatch):
+        # eight order-2 points: contribution sum 2, realized by 168 weak-nef configurations
+        data = [f.Terminal(f.CyclicType(2, 1))] * 8
+        values = {str(m): str(f.global_chi(4, 2, 1, data, m)) for m in range(7)}
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps({"values": values, "period_hint": 2}))
+        assert len(run_json(capsys, "bounds", "--mode", "weak-nef", str(path))["configurations"]) == 168
+        monkeypatch.setattr(bounds, "MAX_CONFIGURATIONS", 100)
+        code, out, err = run(capsys, "bounds", "--mode", "weak-nef", str(path))
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["code"] == "search-budget-exceeded"
+        assert "101" in error["message"]
 
     def test_relate(self, capsys, tmp_path):
         weak = tmp_path / "weak.json"
