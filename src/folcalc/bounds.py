@@ -4,11 +4,15 @@ The Euler characteristic of the m-th pluricanonical sheaf of a model is a
 quasi-polynomial in m: a fixed quadratic part (the searched-for invariants
 K^2, K.K_Y, chi(O)) plus the periodic local contributions of the singular
 points, plus (on canonical models) a constant -#cusps shift away from m = 0.
-Fitting exact quadratics through sample progressions recovers the invariants;
-the contribution sum at m = 1 then caps how many singular points can exist
-(each contributes at least 1/4), the possible configurations are enumerated
-as unit-fraction decompositions, every configuration yields a Cartier-index
-candidate, and the worst case over configurations feeds the explicit bound
+On one residue class mod the period L the local part is constant, so three
+samples P(x0), P(x0 + L), P(x0 + 2L) there give the quadratic by finite
+differences: the second difference is 2*L^2 times the leading coefficient.
+Without a hint the least period up to ``MAX_PERIOD`` that fits every sample
+is taken. The contribution sum at m = 1 then caps how many singular points
+can exist (each contributes at least 1/4), the possible configurations are
+enumerated as unit-fraction decompositions, every configuration yields a
+Cartier-index candidate, and the worst case over configurations feeds the
+explicit bound
 
     N1 = 4*i + ceil(gamma) + 1,   gamma = max(2*(K.K_Y)/K^2 + 3*i, 0),
 
@@ -37,12 +41,11 @@ from .errors import (
     SearchBudgetError,
     ValidationError,
 )
-from .linalg import solve_exact
 from .rationals import parse_integer, parse_rational
 
 WEAK_NEF = "weak-nef"
 CANONICAL = "canonical"
-DEFAULT_PERIOD_BOUND = 60
+MAX_PERIOD = 60  # longest quasi-period tried when the samples carry no hint
 MAX_CONFIGURATIONS = 500_000  # per search, and per unit-fraction call; weak-nef sum 3 has 298,165
 
 
@@ -76,6 +79,8 @@ class ModelInvariants:
 
     k2 = K^2, k_dot_ky = K.K_Y, chi_o = chi(O), contribution_sum = the total
     -sum a(y, K) over singular points, cusp_count only on canonical models.
+    Only the types are checked here: the rationals are stored as Fractions,
+    and bools and floats are rejected.
     """
 
     k2: Fraction
@@ -83,6 +88,13 @@ class ModelInvariants:
     chi_o: int
     contribution_sum: Fraction
     cusp_count: int | None = None
+
+    def __post_init__(self):
+        for name in ("k2", "k_dot_ky", "contribution_sum"):
+            object.__setattr__(self, name, parse_rational(getattr(self, name)))
+        for value in (self.chi_o, 0 if self.cusp_count is None else self.cusp_count):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError("chi_o and cusp_count must be integers")
 
 
 @dataclass(frozen=True)
@@ -141,14 +153,11 @@ class BoundReport:
     n1_worst: int
 
 
-def _fit_quadratic(points) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact (a, b, c) with a m^2 + b m + c through three distinct-abscissa points."""
-    rows = [[m * m, m, 1] for m, _ in points]
-    rhs = [v for _, v in points]
-    xs = solve_exact(rows, rhs)
-    if xs is None:
-        raise ValidationError("quadratic fit needs three distinct sample points")
-    return xs[0], xs[1], xs[2]
+def _quadratic_through(x0: int, step: int, v0, v1, v2) -> tuple[Fraction, Fraction, Fraction]:
+    """(a, b, c) with a m^2 + b m + c = v_k at m = x0 + k*step, by finite differences."""
+    a = (v2 - 2 * v1 + v0) / (2 * step * step)
+    b = (v1 - v0) / step - a * (2 * x0 + step)
+    return a, b, v0 - (a * x0 + b) * x0
 
 
 def _check_mode(mode: str) -> str:
@@ -173,11 +182,9 @@ def _try_period(values: Mapping[int, Fraction], mode: str, period: int) -> Model
     needed = {0, 1, period, 2 * period, 3 * period}
     if not needed.issubset(values):
         return f"period {period}"
-    if mode == CANONICAL:
-        pts = [(k * period, values[k * period]) for k in (1, 2, 3)]
-    else:
-        pts = [(k * period, values[k * period]) for k in (0, 1, 2)]
-    qa, qb, qc = _fit_quadratic(pts)
+    # canonical models fit at L, 2L, 3L, away from the cusp shift at m = 0
+    x0 = period if mode == CANONICAL else 0
+    qa, qb, qc = _quadratic_through(x0, period, *(values[x0 + k * period] for k in range(3)))
     k2 = 2 * qa
     k_dot_ky = -2 * qb
     chi_o_value = values[0]
@@ -211,16 +218,15 @@ def _try_period(values: Mapping[int, Fraction], mode: str, period: int) -> Model
     )
 
 
-def extract_invariants(
-    samples: HilbertSamples,
-    mode: str,
-    period_bound: int = DEFAULT_PERIOD_BOUND,
-) -> ModelInvariants:
+def extract_invariants(samples: HilbertSamples, mode: str) -> ModelInvariants:
     """Recover (K^2, K.K_Y, chi(O), contribution sum[, cusp count]) from samples.
 
-    The quasi-period is the hint when one is supplied (doubled on canonical
-    models when odd); otherwise the least period up to ``period_bound`` under
+    The quasi-period L is the hint when one is supplied (doubled on canonical
+    models when odd); otherwise the least period up to ``MAX_PERIOD`` under
     which every sample is consistent. Needs samples at 0, 1, L, 2L and 3L.
+    The quadratic part comes from the first and second differences of the
+    samples at 0, L, 2L (weak nef) or L, 2L, 3L (canonical); every other
+    sample must then differ from it by one constant per residue mod L.
     """
     _check_mode(mode)
     values = samples.values
@@ -237,12 +243,12 @@ def extract_invariants(
             )
         return inv
     start, step = (1, 1) if mode == WEAK_NEF else (2, 2)
-    for period in range(start, period_bound + 1, step):
+    for period in range(start, MAX_PERIOD + 1, step):
         inv = _try_period(values, mode, period)
         if isinstance(inv, ModelInvariants):
             return inv
     raise InconsistentSamplesError(
-        f"samples incompatible with quasi-polynomial of any period <= {period_bound}"
+        f"samples incompatible with quasi-polynomial of any period <= {MAX_PERIOD}"
     )
 
 
@@ -420,13 +426,9 @@ def index_bounds(configs, mode: str) -> IndexBoundsResult:
     configs = list(configs)
     if not configs:
         raise ValidationError("need at least one configuration")
-    orders = [n for cfg in configs for n in cfg.terminal_orders]
-    max_order = max(orders, default=1)
+    max_order = max((n for cfg in configs for n in cfg.terminal_orders), default=1)
     factor = 2 if mode == CANONICAL else 1
-    candidates = {
-        cfg: factor * math.lcm(*cfg.terminal_orders) if cfg.terminal_orders else factor
-        for cfg in configs
-    }
+    candidates = {cfg: factor * math.lcm(*cfg.terminal_orders) for cfg in configs}
     return IndexBoundsResult(max_terminal_order=max_order, index_candidates=candidates)
 
 
@@ -454,13 +456,9 @@ def compute_n1(inv: ModelInvariants, i: int) -> N1Result:
     )
 
 
-def pipeline(
-    samples: HilbertSamples,
-    mode: str,
-    period_bound: int = DEFAULT_PERIOD_BOUND,
-) -> BoundReport:
+def pipeline(samples: HilbertSamples, mode: str) -> BoundReport:
     """Samples -> invariants -> configurations -> indices -> worst-case N1."""
-    inv = extract_invariants(samples, mode, period_bound=period_bound)
+    inv = extract_invariants(samples, mode)
     configs = enumerate_configurations(inv, mode)
     if not configs:
         raise InconsistentSamplesError(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import bounds as bounds_mod
@@ -78,15 +77,7 @@ def _cmd_wunram(args):
 
 
 def _cmd_contrib(args):
-    if args.kind == "terminal":
-        value = contrib_mod.a_terminal(_cyclic_from_args(args), args.m)
-    elif args.kind == "dihedral":
-        value = contrib_mod.a_dihedral(args.m)
-    elif args.kind == "cusp":
-        value = contrib_mod.a_cusp(args.m)
-    else:
-        value = contrib_mod.contribution(_datum_from_kind(args), args.m)
-    return {"a": format_rational(value)}
+    return {"a": format_rational(contrib_mod.contribution(_datum_from_kind(args), args.m))}
 
 
 def _cmd_chi_local(args):
@@ -144,14 +135,9 @@ def _config_to_json(cfg: bounds_mod.SingularityConfiguration) -> dict:
 
 
 def _cmd_bounds(args):
-    raw_bound = os.environ.get("FOLCALC_LMAX", str(bounds_mod.DEFAULT_PERIOD_BOUND))
-    try:
-        period_bound = int(raw_bound)
-    except ValueError:
-        raise ValidationError(f"FOLCALC_LMAX must be an integer, got {raw_bound!r}") from None
     samples = _samples_from_json(_load_json(args.samples))
     mode = bounds_mod.WEAK_NEF if args.mode == "weak-nef" else bounds_mod.CANONICAL
-    report = bounds_mod.pipeline(samples, mode, period_bound=period_bound)
+    report = bounds_mod.pipeline(samples, mode)
     per_config = [
         {
             "index": report.index_candidates[k],

@@ -69,7 +69,11 @@ class DualGraph:
         index = {label: i for i, label in enumerate(labels)}
         rows: list[dict[int, int]] = [{i: c.self_intersection} for i, c in enumerate(curves)]
         for edge in edges:
-            a, b, mult = edge
+            try:
+                a, b, mult = edge
+            except (TypeError, ValueError):
+                message = f"edge {edge!r} is not a (label, label, multiplicity) triple"
+                raise ValidationError(message) from None
             if a not in index or b not in index:
                 raise ValidationError(f"edge {a!r}-{b!r} uses an unknown label")
             if a == b:
@@ -352,7 +356,7 @@ def hodge_inequality_check(d1: QDivisor, d2: QDivisor, grid: int) -> HodgeReport
     curve.
     """
     _require_same_graph(d1, d2)
-    if not isinstance(grid, int) or grid < 1:
+    if not _is_int(grid) or grid < 1:
         raise ValidationError("grid must be a positive integer")
     s11 = pair(d1, d1)
     s12 = pair(d1, d2)

@@ -33,6 +33,7 @@ from folcalc.errors import (
     SearchBudgetError,
     ValidationError,
 )
+from folcalc.linalg import solve_exact
 
 from conftest import brute_reciprocal_tuples, make_synthetic_model, model_samples
 
@@ -84,6 +85,24 @@ def reference_configurations(inv, mode):
     )
 
 
+def solver_fit(points):
+    """The Vandermonde solve that the difference formula replaced; the reference for it."""
+    return tuple(solve_exact([[m * m, m, 1] for m, _ in points], [v for _, v in points]))
+
+
+rationals = st.fractions(min_value=-(10**4), max_value=10**4, max_denominator=50)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rationals, rationals, rationals, st.integers(1, 60), st.booleans())
+def test_difference_fit_matches_solver(a, b, c, period, canonical):
+    x0 = period if canonical else 0
+    points = [(m, a * m * m + b * m + c) for m in (x0, x0 + period, x0 + 2 * period)]
+    fit = bounds._quadratic_through(x0, period, *(v for _, v in points))
+    assert fit == solver_fit(points) == (a, b, c)
+    assert all(type(x) is Fraction for x in fit)
+
+
 class TestExtractInvariants:
     def test_polynomial_model_any_period(self):
         # no singular points: chi is honestly quadratic and S = 0
@@ -132,7 +151,7 @@ class TestExtractInvariants:
         values = {m: Fraction(m * m + 2) for m in range(0, 8)}
         values[5] += 1
         with pytest.raises(InconsistentSamplesError):
-            extract_invariants(HilbertSamples(values), WEAK_NEF, period_bound=4)
+            extract_invariants(HilbertSamples(values), WEAK_NEF)
 
     def test_hinted_period_failure_names_first_breaking_multiple(self):
         values = {m: Fraction(m * m + 2) for m in range(0, 181)}
@@ -145,6 +164,15 @@ class TestExtractInvariants:
     def test_not_general_type_rejected(self):
         values = {m: Fraction(-m * m + m + 1) for m in range(0, 8)}
         with pytest.raises(NotGeneralTypeError):
+            extract_invariants(HilbertSamples(values), WEAK_NEF)
+
+    def test_period_scan_stops_at_max_period(self, monkeypatch):
+        # the samples at 0, 1, 3, 6, 9 pin the period to 3
+        data = [f.Terminal(f.CyclicType(3, 1))]
+        values = {m: f.global_chi(Fraction(4, 3), Fraction(2, 3), 0, data, m) for m in (0, 1, 3, 6, 9)}
+        assert extract_invariants(HilbertSamples(values), WEAK_NEF).k2 == Fraction(4, 3)
+        monkeypatch.setattr(bounds, "MAX_PERIOD", 2)
+        with pytest.raises(InconsistentSamplesError, match="any period <= 2$"):
             extract_invariants(HilbertSamples(values), WEAK_NEF)
 
     def test_missing_required_samples_with_hint(self):
@@ -299,6 +327,8 @@ class TestIndexBounds:
         result = index_bounds([SingularityConfiguration()], WEAK_NEF)
         assert result.max_terminal_order == 1
         assert list(result.index_candidates.values()) == [1]
+        result = index_bounds([SingularityConfiguration(dihedral_count=1)], CANONICAL)
+        assert list(result.index_candidates.values()) == [2]
 
     def test_canonical_doubles_lcm(self):
         result = index_bounds([SingularityConfiguration(terminal_orders=(3, 4))], CANONICAL)
@@ -335,6 +365,24 @@ class TestComputeN1:
     def test_invalid_index_rejected(self):
         with pytest.raises(ValidationError):
             compute_n1(invariants(2, 0, 1, 0), 0)
+
+    def test_integer_invariants_give_exact_gamma(self):
+        inv = ModelInvariants(2, 1, 1, 0)
+        assert all(type(x) is Fraction for x in (inv.k2, inv.k_dot_ky, inv.contribution_sum))
+        gamma = compute_n1(inv, 1).gamma
+        assert gamma == 4 and type(gamma) is Fraction
+
+
+class TestModelInvariantsContract:
+    # only types are checked on construction; the values keep their domain errors
+    def test_negative_sum_still_inconsistent_model(self):
+        with pytest.raises(InconsistentModelError):
+            enumerate_configurations(ModelInvariants(2, 0, 1, Fraction(-1, 4)), WEAK_NEF)
+
+    @pytest.mark.parametrize("k2", [0, -1, Fraction(-1, 2)])
+    def test_nonpositive_k2_still_not_general_type(self, k2):
+        with pytest.raises(NotGeneralTypeError):
+            compute_n1(ModelInvariants(k2, 0, 1, 0), 1)
 
 
 class TestPipeline:

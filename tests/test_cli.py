@@ -44,6 +44,13 @@ class TestBasicCommands:
         doc = run_json(capsys, "contrib", "--kind", "terminal", "--n", "5", "--q", "2", "--m", "3")
         assert doc == {"a": "-2/5"}
 
+    @pytest.mark.parametrize(
+        "kind, m, expected",
+        [("dihedral", "3", "-1/2"), ("dihedral", "4", "0"), ("cusp", "0", "0"), ("gorenstein", "5", "0")],
+    )
+    def test_contrib_other_kinds(self, capsys, kind, m, expected):
+        assert run_json(capsys, "contrib", "--kind", kind, "--m", m) == {"a": expected}
+
     def test_contrib_terminal_needs_type(self, capsys):
         code, _, err = run(capsys, "contrib", "--kind", "terminal", "--m", "3")
         assert code == 2
@@ -164,14 +171,16 @@ class TestFileCommands:
             {"terminal_orders": [], "dihedral_count": 0, "cusp_count": 0}
         ]
 
-    def test_bounds_respects_period_env(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("lmax", ["0", "x"])
+    def test_bounds_ignores_period_env(self, capsys, tmp_path, monkeypatch, lmax):
+        # the period scan is bounded by bounds.MAX_PERIOD alone; no variable moves it
         samples = {"values": {str(m): m * m + 1 for m in range(8)}}
         path = tmp_path / "samples.json"
         path.write_text(json.dumps(samples))
-        monkeypatch.setenv("FOLCALC_LMAX", "0")
-        code, _, err = run(capsys, "bounds", "--mode", "weak-nef", str(path))
-        assert code == 1
-        assert json.loads(err)["code"] == "inconsistent-samples"
+        expected = run(capsys, "bounds", "--mode", "weak-nef", str(path))
+        monkeypatch.setenv("FOLCALC_LMAX", lmax)
+        assert run(capsys, "bounds", "--mode", "weak-nef", str(path)) == expected
+        assert expected[0] == 0
 
     def test_bounds_search_budget(self, capsys, tmp_path, monkeypatch):
         # eight order-2 points: contribution sum 2, realized by 168 weak-nef configurations

@@ -28,9 +28,15 @@ from folcalc import (
     global_chi,
     pseudo_threshold,
 )
-from folcalc.bounds import HilbertSamples, bound_singularity_count, enumerate_reciprocal_tuples
+from folcalc.bounds import (
+    HilbertSamples,
+    ModelInvariants,
+    bound_singularity_count,
+    enumerate_reciprocal_tuples,
+)
 from folcalc.contributions import MAX_NUMERIC_TWO_N, _exact_root_sum, dual_generator
 from folcalc.errors import InconsistentModelError, ValidationError
+from folcalc.lattice import Curve, DualGraph, QDivisor, hodge_inequality_check
 
 from conftest import coprime_pairs
 from test_acceptance import _dihedral_tuples
@@ -308,6 +314,10 @@ class TestGlobalChi:
             global_chi(1, 0, 0, [], -1)
 
 
+def _divisor():
+    return QDivisor(DualGraph([Curve("C1", -2)]), {"C1": 1})
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -324,6 +334,13 @@ class TestGlobalChi:
         lambda: pseudo_threshold(0.1, 1, 0),
         lambda: pseudo_threshold(1, 0.1, 0),
         lambda: pseudo_threshold(1, 1, 0.5),
+        lambda: ModelInvariants(0.5, 0.25, 1, 0),
+        lambda: ModelInvariants(2, 0, 1, 0.5),
+        lambda: ModelInvariants(2, True, 1, 0),
+        lambda: ModelInvariants(2, 0, 1.0, 0),
+        lambda: ModelInvariants(2, 0, 1, 0, cusp_count=True),
+        lambda: ModelInvariants(2, 0, 1, 0, cusp_count=[1]),
+        lambda: hodge_inequality_check(_divisor(), _divisor(), True),
     ],
 )
 def test_public_entry_points_reject_floats_and_bools(call):

@@ -94,6 +94,11 @@ class TestGraphConstruction:
         with pytest.raises(ValidationError):
             DualGraph([Curve("A", -2), Curve("B", -2)], [("A", "B", mult)])
 
+    @pytest.mark.parametrize("edge", [("A", "B"), ("A", "B", 1, 0), "AB", 3])
+    def test_edge_that_is_not_a_triple_rejected(self, edge):
+        with pytest.raises(ValidationError, match="triple"):
+            DualGraph([Curve("A", -2), Curve("B", -2)], [edge])
+
     @pytest.mark.parametrize(
         "matrix", [[[True, 0], [0, -2]], [[-2, True], [True, -2]], [[-2, 1.0], [1.0, -2]]]
     )
