@@ -269,6 +269,17 @@ class TestChiFchain:
             value = chi_fchain(CyclicType(n, q), rng.randint(0, 3 * n))
             assert value.denominator == 1 and value >= 0
 
+    def test_matches_displayed_closed_form(self):
+        rng = random.Random(37)
+        for _ in range(200):
+            n = rng.randint(2, 90)
+            q = rng.choice([q for q in range(1, n) if gcd(n, q) == 1])
+            t, m = CyclicType(n, q), rng.randint(0, 3 * n)
+            mq, c = (m * q) % n, dual_generator(t)
+            remainders = sum((c * j) % n for j in range(mq))
+            expected = Fraction((m - mq) * (n - 1) + m * (m - 1) * q + 2 * remainders, 2 * n)
+            assert chi_fchain(t, m) == expected
+
     def test_negative_multiple_rejected(self):
         with pytest.raises(ValidationError):
             chi_fchain(CyclicType(3, 1), -1)
