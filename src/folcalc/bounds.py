@@ -79,8 +79,8 @@ class ModelInvariants:
 
     k2 = K^2, k_dot_ky = K.K_Y, chi_o = chi(O), contribution_sum = the total
     -sum a(y, K) over singular points, cusp_count only on canonical models.
-    Only the types are checked here: the rationals are stored as Fractions,
-    and bools and floats are rejected.
+    Only the types are checked here: the rationals must be ints or Fractions
+    and are stored as Fractions; bools, floats and strings are rejected.
     """
 
     k2: Fraction
@@ -91,7 +91,10 @@ class ModelInvariants:
 
     def __post_init__(self):
         for name in ("k2", "k_dot_ky", "contribution_sum"):
-            object.__setattr__(self, name, parse_rational(getattr(self, name)))
+            value = getattr(self, name)
+            if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an int or a Fraction")
+            object.__setattr__(self, name, Fraction(value))
         for value in (self.chi_o, 0 if self.cusp_count is None else self.cusp_count):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValidationError("chi_o and cusp_count must be integers")

@@ -24,7 +24,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import fsum, gcd, pi
 from typing import Union
 
@@ -117,50 +116,40 @@ class GorensteinCanonical:
 SingularityDatum = Union[Terminal, Dihedral, Cusp, GorensteinCanonical]
 
 
+def _floor_sum(count: int, mod: int, mult: int, add: int) -> int:
+    """sum_{j=0}^{count-1} (mult*j + add) // mod, all arguments nonnegative."""
+    total = 0
+    while True:
+        if mult >= mod:
+            total += (count - 1) * count // 2 * (mult // mod)
+            mult %= mod
+        if add >= mod:
+            total += count * (add // mod)
+            add %= mod
+        top = mult * count + add
+        if top < mod:
+            return total
+        count, add, mod, mult = top // mod, top % mod, mult, mod
+
+
+def _remainder_sum(i: int, n: int, c: int) -> int:
+    """sum_{j=0}^{i-1} ((c*j) mod n)."""
+    return c * i * (i - 1) // 2 - n * _floor_sum(i, n, c, 0)
+
+
 def dual_generator(t: CyclicType) -> int:
     """The representative c in [1, n] of -q^{-1} mod n."""
     c = (-pow(t.q, -1, t.n)) % t.n
     return c if c else t.n
 
 
-@lru_cache(maxsize=4096)
-def _sheaf_value(n: int, q: int, i: int) -> Fraction:
-    """a(i) at type (1/n)(1,q) for an index already checked to lie in [0, n-1].
-
-    The floors F = sum_{j<i} (c*j) // n are counted by the Euclid-like
-    reduction of sum_{j<count} (mult*j + add) // mod, which swaps the roles
-    of mult and mod at each step, so the work is logarithmic in n; the
-    remainder sum is then c*i*(i-1)/2 - n*F. Memoised on (n, q, i): the
-    terminal contribution is periodic in m, so tables over m and sums over
-    several points of one type ask for the same few values again.
-    """
-    c = -pow(q, -1, n) % n
-    floors, count, mod, mult, add = 0, i, n, c, 0
-    while True:
-        top = mult * count + add
-        if top < mod:
-            break
-        count = top // mod
-        add = top - count * mod
-        mod, mult = mult, mod
-        k = mult // mod
-        mult -= k * mod
-        floors += k * (count * (count - 1) // 2)
-        if add >= mod:
-            k = add // mod
-            add -= k * mod
-            floors += k * count
-    return Fraction(c * i * (i - 1) - 2 * n * floors - i * (n - 1), 2 * n)
-
-
 def a_cyclic_sheaf(t: CyclicType, i: int) -> Fraction:
     """Contribution of the i-th eigensheaf at a cyclic quotient point."""
     if not isinstance(i, int) or isinstance(i, bool):
         raise ValidationError("i must be an integer")
-    n = t.n
-    if not 0 <= i < n:
-        raise ValidationError(f"i out of range: need 0 <= i <= {n - 1}")
-    return _sheaf_value(n, t.q, i)
+    if not 0 <= i < t.n:
+        raise ValidationError(f"i out of range: need 0 <= i <= {t.n - 1}")
+    return Fraction(2 * _remainder_sum(i, t.n, dual_generator(t)) - i * (t.n - 1), 2 * t.n)
 
 
 def a_terminal(t: CyclicType, m: int) -> Fraction:
@@ -171,8 +160,7 @@ def a_terminal(t: CyclicType, m: int) -> Fraction:
     """
     if not isinstance(m, int) or isinstance(m, bool):
         raise ValidationError("m must be an integer")
-    n, q = t.n, t.q
-    return _sheaf_value(n, q, (m * q) % n)
+    return a_cyclic_sheaf(t, (m * t.q) % t.n)
 
 
 def a_dihedral(m: int) -> Fraction:
@@ -277,13 +265,15 @@ def chi_fchain(t: CyclicType, m: int) -> Fraction:
 
     Closed form
         (1/n) * ( (m - mq)*(n-1)/2 + m*(m-1)*q/2 + sum_{j<mq} ((c*j) mod n) )
-    with mq = (m*q) mod n, that is m*(n-1 + (m-1)*q)/(2n) + a(mq); the value
-    is a nonnegative integer and vanishes at m = 0 and m = 1.
+    with mq = (m*q) mod n; the value is a nonnegative integer and vanishes at
+    m = 0 and m = 1.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ValidationError("m must be a nonnegative integer")
     n, q = t.n, t.q
-    return Fraction(m * (n - 1 + (m - 1) * q), 2 * n) + _sheaf_value(n, q, (m * q) % n)
+    mq = (m * q) % n
+    num = (m - mq) * (n - 1) + m * (m - 1) * q + 2 * _remainder_sum(mq, n, dual_generator(t))
+    return Fraction(num, 2 * n)
 
 
 def chi_partial_crepant(datum: SingularityDatum, m: int) -> int:

@@ -30,15 +30,13 @@ class CyclicType:
 
     def __post_init__(self):
         n, q = self.n, self.q
-        if (type(n) is not int or type(q) is not int) and (
-            not isinstance(n, int) or not isinstance(q, int) or isinstance(n, bool) or isinstance(q, bool)
-        ):
+        if not isinstance(n, int) or not isinstance(q, int) or isinstance(n, bool) or isinstance(q, bool):
             raise ValidationError("n and q must be integers")
-        if n < 2:
+        if self.n < 2:
             raise ValidationError("n must be >= 2")
-        if not 1 <= q < n:
+        if not 1 <= self.q < self.n:
             raise ValidationError("q must satisfy 1 <= q < n")
-        if gcd(n, q) != 1:
+        if gcd(self.n, self.q) != 1:
             raise ValidationError("gcd(n,q) must be 1")
 
 
