@@ -121,10 +121,10 @@ class SingularityConfiguration:
 
 @dataclass(frozen=True)
 class IndexBoundsResult:
-    """Uniform order bound and per-configuration Cartier-index candidates."""
+    """Uniform order bound and one Cartier-index candidate per configuration, in input order."""
 
     max_terminal_order: int
-    index_candidates: dict[SingularityConfiguration, int]
+    index_candidates: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -431,7 +431,7 @@ def index_bounds(configs, mode: str) -> IndexBoundsResult:
         raise ValidationError("need at least one configuration")
     max_order = max((n for cfg in configs for n in cfg.terminal_orders), default=1)
     factor = 2 if mode == CANONICAL else 1
-    candidates = {cfg: factor * math.lcm(*cfg.terminal_orders) for cfg in configs}
+    candidates = tuple(factor * math.lcm(*cfg.terminal_orders) for cfg in configs)
     return IndexBoundsResult(max_terminal_order=max_order, index_candidates=candidates)
 
 
@@ -468,7 +468,7 @@ def pipeline(samples: HilbertSamples, mode: str) -> BoundReport:
             "no singularity configuration matches the contribution sum"
         )
     idx = index_bounds(configs, mode)
-    candidates = tuple(idx.index_candidates[cfg] for cfg in configs)
+    candidates = idx.index_candidates
     n1_by_index = {i: compute_n1(inv, i) for i in dict.fromkeys(candidates)}
     results = tuple(n1_by_index[i] for i in candidates)
     return BoundReport(

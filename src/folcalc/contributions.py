@@ -43,7 +43,6 @@ class Terminal:
     """Terminal foliation point over a cyclic quotient of the given type."""
 
     type: CyclicType
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,6 @@ class Dihedral:
     m_odd: int
     p: int
     variant: str = DIHEDRAL_E1
-    label: str = ""
 
     def __post_init__(self):
         for name in ("a_exp", "l", "m_odd", "p"):
@@ -93,24 +91,15 @@ class Dihedral:
     def two_n(self) -> int:
         return 2**self.a_exp * self.l * self.m_odd
 
-    @property
-    def half_order(self) -> int:
-        """n, a quarter of the group order."""
-        return self.two_n // 2
-
 
 @dataclass(frozen=True)
 class Cusp:
     """Point where the foliation canonical class is not Q-Cartier."""
 
-    label: str = ""
-
 
 @dataclass(frozen=True)
 class GorensteinCanonical:
     """Canonical, non-terminal point with Cartier canonical class."""
-
-    label: str = ""
 
 
 SingularityDatum = Union[Terminal, Dihedral, Cusp, GorensteinCanonical]

@@ -47,10 +47,6 @@ class HJExpansion:
     entries: tuple[int, ...]
 
     @property
-    def length(self) -> int:
-        return len(self.entries)
-
-    @property
     def self_intersections(self) -> tuple[int, ...]:
         return tuple(-b for b in self.entries)
 
@@ -87,11 +83,11 @@ def hj_expansion(t: CyclicType) -> HJExpansion:
     return HJExpansion(tuple(entries))
 
 
-def hj_string_graph(t: CyclicType, prefix: str = "C") -> DualGraph:
+def hj_string_graph(t: CyclicType) -> DualGraph:
     """The resolution string: curves C1..Cr, consecutive ones meeting once."""
     entries = hj_expansion(t).entries
-    curves = [Curve(f"{prefix}{j + 1}", -b) for j, b in enumerate(entries)]
-    edges = [(f"{prefix}{j}", f"{prefix}{j + 1}", 1) for j in range(1, len(entries))]
+    curves = [Curve(f"C{j + 1}", -b) for j, b in enumerate(entries)]
+    edges = [(f"C{j}", f"C{j + 1}", 1) for j in range(1, len(entries))]
     return DualGraph(curves, edges)
 
 
@@ -123,11 +119,10 @@ def wunram_degrees(t: CyclicType, i: int, reduce_mod_n: bool = False) -> WunramD
     return WunramDegrees(tuple(s), tuple(digits), tuple(remainders))
 
 
-def fchain_profile(t: CyclicType, prefix: str = "C") -> IntersectionProfile:
+def fchain_profile(t: CyclicType) -> IntersectionProfile:
     """Degrees (-1, 0, ..., 0) on the resolution string of t.
 
     Solving the pull-back system for this profile produces the numerical
     class of the foliation canonical divisor on the string.
     """
-    graph = hj_string_graph(t, prefix=prefix)
-    return IntersectionProfile(graph, {f"{prefix}1": Fraction(-1)})
+    return IntersectionProfile(hj_string_graph(t), {"C1": Fraction(-1)})

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .errors import ValidationError
 
 QUOTIENT_TERMINAL_POINTS = 3
+MAX_DMAX = 10_000  # the report holds d_max - 1 entries and renders them all at once
 
 
 @dataclass(frozen=True)
@@ -51,10 +52,10 @@ def accumulation_report(d_max: int) -> AccumulationReport:
 
     The gap identity 1 - volume(d) = 3d/(d^2+d+1) is asserted for every d and
     the convergence witness is the strict comparison of the final gap with
-    3/d_max.
+    3/d_max. d_max above MAX_DMAX is refused.
     """
-    if not isinstance(d_max, int) or isinstance(d_max, bool) or d_max < 2:
-        raise ValidationError("d_max must be an integer >= 2")
+    if not isinstance(d_max, int) or isinstance(d_max, bool) or not 2 <= d_max <= MAX_DMAX:
+        raise ValidationError(f"d_max must be an integer in [2, {MAX_DMAX}]")
     entries = tuple(jouanolou_entry(d) for d in range(2, d_max + 1))
     volumes = [e.volume for e in entries]
     gap_identity = all(

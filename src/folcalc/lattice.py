@@ -31,17 +31,10 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class Curve:
-    """One vertex of a dual graph.
-
-    ``is_nodal`` records that the curve carries a node; the pairing ignores
-    the flag, it is bookkeeping for cycle-degenerations modelled as a single
-    vertex.
-    """
+    """One vertex of a dual graph."""
 
     label: str
     self_intersection: int
-    is_exceptional: bool = True
-    is_nodal: bool = False
 
     def __post_init__(self):
         if not _is_int(self.self_intersection):
@@ -56,10 +49,10 @@ class DualGraph:
     unique. Arbitrary configurations are allowed, including cycles and
     non-definite lattices. ``sparse_rows`` holds the pairing: per curve, the
     nonzero entries of its matrix row as a ``{curve index: entry}`` dict, not
-    to be modified. ``matrix``, the dense form, is built on first use.
+    to be modified. ``intersection_matrix`` builds the dense form.
     """
 
-    __slots__ = ("curves", "labels", "sparse_rows", "_index", "_matrix")
+    __slots__ = ("curves", "labels", "sparse_rows", "_index")
 
     def __init__(self, curves: Iterable[Curve], edges: Iterable[Sequence] = ()):
         curves = tuple(curves)
@@ -86,19 +79,6 @@ class DualGraph:
         self.labels = labels
         self.sparse_rows = tuple({j: v for j, v in row.items() if v} for row in rows)
         self._index = index
-        self._matrix = None
-
-    @property
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        """The full symmetric pairing matrix as a tuple of row tuples."""
-        if self._matrix is None:
-            n = len(self.curves)
-            dense = [[0] * n for _ in range(n)]
-            for i, row in enumerate(self.sparse_rows):
-                for j, v in row.items():
-                    dense[i][j] = v
-            self._matrix = tuple(tuple(row) for row in dense)
-        return self._matrix
 
     @classmethod
     def from_matrix(cls, labels: Sequence[str], matrix: Sequence[Sequence[int]]) -> "DualGraph":
@@ -246,7 +226,12 @@ def _require_same_graph(a, b) -> None:
 
 def intersection_matrix(graph: DualGraph) -> list[list[int]]:
     """The full symmetric pairing matrix, diagonal included."""
-    return [list(row) for row in graph.matrix]
+    n = len(graph.curves)
+    dense = [[0] * n for _ in range(n)]
+    for i, row in enumerate(graph.sparse_rows):
+        for j, v in row.items():
+            dense[i][j] = v
+    return dense
 
 
 def is_negative_definite(graph: DualGraph, support: Iterable[str]) -> bool:
@@ -292,15 +277,7 @@ def solve_pullback(graph: DualGraph, profile: IntersectionProfile) -> QDivisor:
 def pair(d1: QDivisor, d2: QDivisor) -> Fraction:
     """Bilinear symmetric intersection number of two divisors."""
     _require_same_graph(d1, d2)
-    graph = d1.graph
-    total = Fraction(0)
-    for la, a in d1.coefficients.items():
-        row = graph.sparse_rows[graph.index_of(la)]
-        for lb, b in d2.coefficients.items():
-            entry = row.get(graph.index_of(lb))
-            if entry:
-                total += a * b * entry
-    return total
+    return sum((a * degree_against_curve(d2, la) for la, a in d1.coefficients.items()), Fraction(0))
 
 
 def degree_against_curve(d: QDivisor, label: str) -> Fraction:
@@ -313,6 +290,9 @@ def degree_against_curve(d: QDivisor, label: str) -> Fraction:
         if entry:
             total += a * entry
     return total
+
+
+MAX_HODGE_GRID = 100  # the witness scan visits up to (2*grid + 1)^2 points
 
 
 @dataclass(frozen=True)
@@ -351,16 +331,20 @@ def hodge_inequality_check(d1: QDivisor, d2: QDivisor, grid: int) -> HodgeReport
     """Check d1^2 d2^2 <= (d1 . d2)^2 under the positivity hypothesis.
 
     The hypothesis "(a1 d1 + a2 d2)^2 > 0 for some reals" is witnessed over the
-    integer grid [-grid, grid]^2 \\ {0}; when equality holds the check also
-    searches for an exact rational combination pairing to zero with every
-    curve.
+    integer grid [-grid, grid]^2 \\ {0}, for grid at most MAX_HODGE_GRID; a
+    negative semidefinite form has no witness and skips the scan. When
+    equality holds the check also searches for an exact rational combination
+    pairing to zero with every curve.
     """
     _require_same_graph(d1, d2)
-    if not _is_int(grid) or grid < 1:
-        raise ValidationError("grid must be a positive integer")
+    if not _is_int(grid) or not 1 <= grid <= MAX_HODGE_GRID:
+        raise ValidationError(f"grid must be an integer in [1, {MAX_HODGE_GRID}]")
     s11 = pair(d1, d1)
     s12 = pair(d1, d2)
     s22 = pair(d2, d2)
+    products = (s11, s12, s22)
+    if s11 <= 0 and s22 <= 0 and s11 * s22 >= s12 * s12:
+        return HodgeReport(False, None, None, None, None, products)
     witness = None
     for a1 in range(-grid, grid + 1):
         for a2 in range(-grid, grid + 1):
@@ -371,7 +355,6 @@ def hodge_inequality_check(d1: QDivisor, d2: QDivisor, grid: int) -> HodgeReport
                 break
         if witness:
             break
-    products = (s11, s12, s22)
     if witness is None:
         return HodgeReport(False, None, None, None, None, products)
     inequality = s11 * s22 <= s12 * s12
@@ -414,14 +397,7 @@ def graph_from_json(obj) -> DualGraph:
             raise ValidationError('each curve needs "label" and "self" fields')
         if not isinstance(entry["self"], int) or isinstance(entry["self"], bool):
             raise ValidationError(f'curve {entry.get("label")!r}: "self" must be an integer')
-        curves.append(
-            Curve(
-                label=str(entry["label"]),
-                self_intersection=entry["self"],
-                is_exceptional=bool(entry.get("exceptional", True)),
-                is_nodal=bool(entry.get("node", False)),
-            )
-        )
+        curves.append(Curve(str(entry["label"]), entry["self"]))
     edges = []
     for edge in obj.get("edges", ()):
         if not isinstance(edge, (list, tuple)) or len(edge) != 3:

@@ -50,13 +50,14 @@ def exhaustive_zariski(graph, d):
     negative part and nefness of the remainder.
     """
     valid = []
+    matrix = f.intersection_matrix(graph)
     for r in range(len(graph.labels) + 1):
         for subset in combinations(graph.labels, r):
             if subset and not f.is_negative_definite(graph, subset):
                 continue
             if subset:
                 idxs = [graph.index_of(label) for label in subset]
-                sub = [[graph.matrix[i][j] for j in idxs] for i in idxs]
+                sub = [[matrix[i][j] for j in idxs] for i in idxs]
                 rhs = [degree_against_curve(d, label) for label in subset]
                 xs = solve_exact(sub, rhs)
                 if xs is None:

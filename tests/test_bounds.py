@@ -321,22 +321,28 @@ class TestIndexBounds:
     def test_single_half_point(self):
         result = index_bounds([SingularityConfiguration(terminal_orders=(2,))], WEAK_NEF)
         assert result.max_terminal_order == 2
-        assert list(result.index_candidates.values()) == [2]
+        assert list(result.index_candidates) == [2]
 
     def test_smooth_configuration(self):
         result = index_bounds([SingularityConfiguration()], WEAK_NEF)
         assert result.max_terminal_order == 1
-        assert list(result.index_candidates.values()) == [1]
+        assert list(result.index_candidates) == [1]
         result = index_bounds([SingularityConfiguration(dihedral_count=1)], CANONICAL)
-        assert list(result.index_candidates.values()) == [2]
+        assert list(result.index_candidates) == [2]
 
     def test_canonical_doubles_lcm(self):
         result = index_bounds([SingularityConfiguration(terminal_orders=(3, 4))], CANONICAL)
-        assert list(result.index_candidates.values()) == [24]
+        assert list(result.index_candidates) == [24]
 
     def test_empty_configuration_list_rejected(self):
         with pytest.raises(ValidationError):
             index_bounds([], WEAK_NEF)
+
+    def test_one_candidate_per_input_in_order(self):
+        a = SingularityConfiguration(terminal_orders=(3,))
+        b = SingularityConfiguration(terminal_orders=(2, 5))
+        result = index_bounds([a, b, a, SingularityConfiguration(terminal_orders=(3,))], WEAK_NEF)
+        assert result.index_candidates == (3, 10, 3, 3)
 
 
 class TestComputeN1:

@@ -109,6 +109,11 @@ class TestBasicCommands:
         assert json.loads(err)["code"] == "invalid-input"
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
+    def test_jouanolou_dmax_above_cap_refused(self, capsys):
+        code, out, err = run(capsys, "jouanolou", "--dmax", "10001")
+        assert code == 2 and out == ""
+        assert json.loads(err)["code"] == "invalid-input"
+
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 2

@@ -60,7 +60,7 @@ def dihedral_exponents(datum):
 def dihedral_sum_by_counting(datum):
     """The defining sum, pairing the counted exponents; oracle for the closed form."""
     two_n = datum.two_n
-    pole = datum.half_order if datum.variant == "e1" else 0
+    pole = two_n // 2 if datum.variant == "e1" else 0
     counts = Counter(dihedral_exponents(datum))
     assert not counts.get(pole)
     total = Fraction(0)

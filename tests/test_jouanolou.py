@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from folcalc import accumulation_report, jouanolou_entry
+from folcalc import accumulation_report, jouanolou, jouanolou_entry
 from folcalc.errors import ValidationError
 
 
@@ -52,3 +52,12 @@ class TestAccumulationReport:
     def test_aut_orders_divisible_by_three(self):
         report = accumulation_report(30)
         assert all(e.aut_order % 3 == 0 for e in report.entries)
+
+    def test_dmax_above_cap_rejected(self):
+        with pytest.raises(ValidationError):
+            accumulation_report(jouanolou.MAX_DMAX + 1)
+
+    def test_dmax_at_cap_accepted(self):
+        report = accumulation_report(jouanolou.MAX_DMAX)
+        assert len(report.entries) == jouanolou.MAX_DMAX - 1
+        assert report.converges

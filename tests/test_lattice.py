@@ -111,8 +111,20 @@ class TestGraphConstruction:
             [Curve("A", -2), Curve("B", 0), Curve("Z", -3)],
             [("A", "B", 1), ("B", "A", 2), ("A", "Z", 0)],
         )
-        assert g.matrix == ((-2, 3, 0), (3, 0, 0), (0, 0, -3))
+        assert intersection_matrix(g) == [[-2, 3, 0], [3, 0, 0], [0, 0, -3]]
         assert g.sparse_rows == ({0: -2, 1: 3}, {0: 3}, {2: -3})
+
+    def test_json_curve_flags_do_not_change_the_graph(self):
+        plain = {"curves": [{"label": "A", "self": -2}, {"label": "B", "self": -1}], "edges": [["A", "B", 1]]}
+        flagged = {
+            "curves": [
+                {"label": "A", "self": -2, "exceptional": False},
+                {"label": "B", "self": -1, "node": True},
+            ],
+            "edges": [["A", "B", 1]],
+        }
+        assert graph_from_json(flagged) == graph_from_json(plain)
+        assert hash(graph_from_json(flagged)) == hash(graph_from_json(plain))
 
     def test_equality_hash_and_json_ignore_edge_order(self):
         curves = [Curve("A", -2), Curve("B", -3), Curve("C", -2)]
@@ -190,10 +202,11 @@ class TestNegativeDefinite:
             graphs.append(random_graph(rng, max_curves=8, self_range=(-3, 1)))
         for g in graphs:
             labels = g.labels
+            matrix = intersection_matrix(g)
             for r in range(1, len(labels) + 1):
                 for subset in combinations(labels, r):
                     idxs = [g.index_of(l) for l in subset]
-                    sub = [[g.matrix[i][j] for j in idxs] for i in idxs]
+                    sub = [[matrix[i][j] for j in idxs] for i in idxs]
                     assert is_negative_definite(g, subset) == naive_negative_definite(sub)
 
 
@@ -284,6 +297,19 @@ class TestPair:
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
+    def test_matches_dense_bilinear_form(self, data):
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        g = random_graph(rng, max_curves=6, self_range=(-5, 2))
+        d1 = random_divisor(rng, g)
+        d2 = random_divisor(rng, g)
+        m = intersection_matrix(g)
+        x = [d1.coefficient(l) for l in g.labels]
+        y = [d2.coefficient(l) for l in g.labels]
+        expected = sum(x[i] * m[i][j] * y[j] for i in range(len(x)) for j in range(len(y)))
+        assert pair(d1, d2) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
     def test_bilinear_and_symmetric(self, data):
         rng = random.Random(data.draw(st.integers(0, 10**6)))
         g = random_graph(rng, max_curves=5, self_range=(-5, 2))
@@ -359,6 +385,29 @@ class TestHodgeInequality:
                 witnessed += 1
                 assert report.inequality_holds
         assert witnessed > 50
+
+
+    def test_grid_above_cap_rejected(self):
+        d = QDivisor(DualGraph([Curve("H", 1)]), {"H": 1})
+        with pytest.raises(ValidationError):
+            hodge_inequality_check(d, d, grid=f.lattice.MAX_HODGE_GRID + 1)
+
+    @pytest.mark.parametrize(
+        "matrix, c1, c2",
+        [
+            ([[-1]], {"E": 1}, {"E": 2}),  # proportional, negative definite
+            ([[-2, 0], [0, 0]], {"E": 1}, {"F": 1}),  # s22 = 0: semidefinite, not definite
+            ([[-1, 0], [0, -1]], {"E": 1, "F": 1}, {"E": 1, "F": -1}),
+        ],
+    )
+    def test_semidefinite_pair_at_cap_has_no_witness(self, matrix, c1, c2):
+        g = DualGraph.from_matrix(["E", "F"][: len(matrix)], matrix)
+        report = hodge_inequality_check(QDivisor(g, c1), QDivisor(g, c2), grid=f.lattice.MAX_HODGE_GRID)
+        assert not report.hypothesis_holds
+        assert report.witness is None
+        assert report.inequality_holds is None
+        assert report.equality_with_trivial_combination is None
+        assert report.trivial_combination is None
 
 
 class TestChiAdditivity:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from folcalc.lattice import intersection_matrix
 from folcalc.linalg import eliminate, is_negative_definite_matrix, solve_exact
 
 from conftest import random_graph
@@ -222,7 +223,7 @@ def test_criterion_five_generator():
     rng = random.Random(2024)
     for _ in range(300):
         graph = random_graph(rng, max_curves=6)
-        matrix = [list(row) for row in graph.matrix]
+        matrix = intersection_matrix(graph)
         rhs = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in matrix]
         check_against_references(matrix, rhs)
 
