@@ -8,22 +8,31 @@ On one residue class mod the period L the local part is constant, so three
 samples P(x0), P(x0 + L), P(x0 + 2L) there give the quadratic by finite
 differences: the second difference is 2*L^2 times the leading coefficient.
 Without a hint the least period up to ``MAX_PERIOD`` that fits every sample
-is taken. The contribution sum at m = 1 then caps how many singular points
-can exist (each contributes at least 1/4), the possible configurations are
-enumerated as unit-fraction decompositions, every configuration yields a
-Cartier-index candidate, and the worst case over configurations feeds the
-explicit bound
+is taken. The check that every sample sits on the quadratic up to one
+constant per residue runs on integers: the quadratic's coefficients are put
+over one common denominator once per period, each residue's constant is
+kept as an unreduced integer pair and pairs are compared by
+cross-multiplication. The contribution sum at m = 1 then caps how many
+singular points can exist (each contributes at least 1/4), the possible
+configurations are enumerated as unit-fraction decompositions, every
+configuration yields a Cartier-index candidate, and the worst case over
+configurations feeds the explicit bound
 
     N1 = 4*i + ceil(gamma) + 1,   gamma = max(2*(K.K_Y)/K^2 + 3*i, 0),
 
-past which every pluricanonical system is birational.
+past which every pluricanonical system is birational. N1 and its threshold
+checks are evaluated on the numerators and denominators of K^2 and K.K_Y;
+only the reported gamma is built as a Fraction.
 
 The unit-fraction search runs on integers: the remaining target is a reduced
 pair p/q, and taking 1/n off it leaves (p*n - q)/(q*n) over their gcd. The
 last two slots need no scan, since 1/a + 1/b = p/q exactly when
 (p*a - q)(p*b - q) = q^2, so the pairs come from the divisors of q^2
 (Curtiss 1922). The search stops with ``SearchBudgetError`` past
-``MAX_CONFIGURATIONS`` configurations.
+``MAX_CONFIGURATIONS`` configurations, and a unit-fraction search for one
+number of points stops once its two-slot levels have examined more than
+``MAX_SEARCH_STEPS`` divisors, so the budget bounds the work and not only
+the output.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     InconsistentModelError,
@@ -47,6 +56,7 @@ WEAK_NEF = "weak-nef"
 CANONICAL = "canonical"
 MAX_PERIOD = 60  # longest quasi-period tried when the samples carry no hint
 MAX_CONFIGURATIONS = 500_000  # per search, and per unit-fraction call; weak-nef sum 3 has 298,165
+MAX_SEARCH_STEPS = 5_000_000  # divisors examined per unit-fraction call; weak-nef sum 3 needs 2,749,054
 
 
 @dataclass(frozen=True)
@@ -176,11 +186,21 @@ def _resolved_hint(hint: int, mode: str) -> int:
     return hint
 
 
-def _try_period(values: Mapping[int, Fraction], mode: str, period: int) -> ModelInvariants | str:
+def _try_period(
+    values: Mapping[int, Fraction], mode: str, period: int, table: list[tuple[int, int, int]]
+) -> ModelInvariants | str:
     """Extraction attempt at one period.
 
+    ``table`` holds the samples as (m, numerator, denominator) in ascending m.
     When the samples refuse the period, the result is where: "period L", or
     "period L, m = M" for the first multiple M whose sample breaks it.
+
+    The residue check runs on integers. With the quadratic's coefficients
+    over their least common denominator, qa = a/D and qb = b/D, the constant
+    left by a sample num/den at m is (num*D - den*(a*m + b)*m) / (den*D);
+    every constant shares the factor 1/D, so each is kept as the unreduced
+    pair (num*D - den*(a*m + b)*m, den) and two pairs are compared by
+    cross-multiplying.
     """
     needed = {0, 1, period, 2 * period, 3 * period}
     if not needed.issubset(values):
@@ -201,13 +221,16 @@ def _try_period(values: Mapping[int, Fraction], mode: str, period: int) -> Model
             return f"period {period}, m = 0"
         cusp_count = int(b4)
     # every sample must sit on the same quadratic up to a constant per residue
-    constants: dict[int, Fraction] = {}
-    for m, v in values.items():
+    lcd = math.lcm(qa.denominator, qb.denominator)
+    a = qa.numerator * (lcd // qa.denominator)
+    b = qb.numerator * (lcd // qb.denominator)
+    constants: dict[int, tuple[int, int]] = {}
+    for m, num, den in table:
         if mode == CANONICAL and m == 0:
             continue  # the cusp shift breaks periodicity only at m = 0
-        r = m % period
-        c = v - (qa * m * m + qb * m)
-        if constants.setdefault(r, c) != c:
+        c = num * lcd - den * (a * m + b) * m
+        c0, den0 = constants.setdefault(m % period, (c, den))
+        if c0 * den != c * den0:
             return f"period {period}, m = {m}"
     if k2 <= 0:
         raise NotGeneralTypeError("not general type: extracted K^2 is not positive")
@@ -229,29 +252,36 @@ def extract_invariants(samples: HilbertSamples, mode: str) -> ModelInvariants:
     which every sample is consistent. Needs samples at 0, 1, L, 2L and 3L.
     The quadratic part comes from the first and second differences of the
     samples at 0, L, 2L (weak nef) or L, 2L, 3L (canonical); every other
-    sample must then differ from it by one constant per residue mod L.
+    sample must then differ from it by one constant per residue mod L. When
+    no period fits, ``location`` names the closest refusal: the one whose
+    breaking multiple m is largest (refusals without one rank lowest, ties
+    go to the smaller period).
     """
     _check_mode(mode)
     values = samples.values
+    table = [(m, v.numerator, v.denominator) for m, v in values.items()]
     if samples.period_hint is not None:
         period = _resolved_hint(samples.period_hint, mode)
         needed = sorted({0, 1, period, 2 * period, 3 * period})
         missing = [m for m in needed if m not in values]
         if missing:
             raise ValidationError(f"samples must include m = {needed}; missing {missing}")
-        inv = _try_period(values, mode, period)
+        inv = _try_period(values, mode, period, table)
         if isinstance(inv, str):
             raise InconsistentSamplesError(
                 f"samples incompatible with quasi-polynomial of period {period}", location=inv
             )
         return inv
     start, step = (1, 1) if mode == WEAK_NEF else (2, 2)
+    refusals = []
     for period in range(start, MAX_PERIOD + 1, step):
-        inv = _try_period(values, mode, period)
+        inv = _try_period(values, mode, period, table)
         if isinstance(inv, ModelInvariants):
             return inv
+        refusals.append(inv)
     raise InconsistentSamplesError(
-        f"samples incompatible with quasi-polynomial of any period <= {MAX_PERIOD}"
+        f"samples incompatible with quasi-polynomial of any period <= {MAX_PERIOD}",
+        location=max(refusals, key=lambda r: int(r.partition(", m = ")[2] or -1), default=None),
     )
 
 
@@ -283,13 +313,15 @@ def _prime_powers(q: int) -> list[tuple[int, int]]:
     return out
 
 
-def _two_slot_divisors(p: int, q: int, low: int) -> list[int]:
+def _two_slot_divisors(p: int, q: int, low: int, spend: Callable[[int], None]) -> list[int]:
     """The divisors d of q^2 with low <= d <= q and d = -q mod p, ascending.
 
     The prime powers of q^2 are dealt into two halves of about equal divisor
     counts; the divisors of one half are filed by residue mod p, and each
     divisor of the other looks up the residue that completes -q (p is prime
-    to q, so every divisor of q^2 is invertible mod p).
+    to q, so every divisor of q^2 is invertible mod p). Every divisor built
+    for the two halves, and every product tested against the range, is
+    reported to ``spend``.
     """
     halves: tuple[list[int], list[int]] = ([1], [1])
     for f, e in _prime_powers(q):
@@ -300,15 +332,14 @@ def _two_slot_divisors(p: int, q: int, low: int) -> list[int]:
     for d in right:
         by_residue.setdefault(d % p, []).append(d)
     r = -q % p
-    return sorted(
-        d
-        for a in left
-        for b in by_residue.get(r * pow(a, -1, p) % p, ())
-        if low <= (d := a * b) <= q
-    )
+    products = [a * b for a in left for b in by_residue.get(r * pow(a, -1, p) % p, ())]
+    spend(len(left) + len(right) + len(products))
+    return sorted(d for d in products if low <= d <= q)
 
 
-def _reciprocal_tuples(slots: int, p: int, q: int, lo: int) -> Iterator[tuple[int, ...]]:
+def _reciprocal_tuples(
+    slots: int, p: int, q: int, lo: int, spend: Callable[[int], None]
+) -> Iterator[tuple[int, ...]]:
     """Nondecreasing slot-tuples with entries >= lo whose reciprocals add up to p/q.
 
     p/q is reduced, p >= 0. Tuples come out in lexicographic order. The first
@@ -318,7 +349,8 @@ def _reciprocal_tuples(slots: int, p: int, q: int, lo: int) -> Iterator[tuple[in
     scan: for a <= b, 1/a + 1/b = p/q exactly when (p*a - q)(p*b - q) = q^2,
     so d = p*a - q is a divisor d <= q of q^2 with d = -q mod p (then so is
     e = q^2/d, as q is prime to p), a = (d + q)/p, b = (e + q)/p, and
-    ascending d gives ascending a.
+    ascending d gives ascending a. ``spend`` is told how many divisors each
+    two-slot level examines.
     """
     if slots == 0 or p == 0:
         if slots == p == 0:
@@ -330,14 +362,14 @@ def _reciprocal_tuples(slots: int, p: int, q: int, lo: int) -> Iterator[tuple[in
         return
     if slots == 2:
         qq = q * q
-        for d in _two_slot_divisors(p, q, p * lo - q):  # a >= lo
+        for d in _two_slot_divisors(p, q, p * lo - q, spend):  # a >= lo
             yield ((d + q) // p, (qq // d + q) // p)
         return
     for n in range(max(lo, -(-q // p)), slots * q // p + 1):
         num = p * n - q
         den = q * n
         g = math.gcd(num, den)
-        for tail in _reciprocal_tuples(slots - 1, num // g, den // g, n):
+        for tail in _reciprocal_tuples(slots - 1, num // g, den // g, n, spend):
             yield (n,) + tail
 
 
@@ -347,7 +379,9 @@ def enumerate_reciprocal_tuples(k: int, c, n_min: int = 2) -> list[tuple[int, ..
     The smallest entry of any solution is at most k/c, so the recursion is
     finite; tuples come out in lexicographic order. More than
     MAX_CONFIGURATIONS tuples raise SearchBudgetError, since each of them
-    would be a configuration.
+    would be a configuration, and so does a search that examines more than
+    MAX_SEARCH_STEPS divisors in its two-slot levels, however few tuples it
+    has found.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValidationError("k must be a nonnegative integer")
@@ -356,13 +390,26 @@ def enumerate_reciprocal_tuples(k: int, c, n_min: int = 2) -> list[tuple[int, ..
     c = parse_rational(c)
     if c < 0:
         raise ValidationError("c must be nonnegative")
-    search = _reciprocal_tuples(k, c.numerator, c.denominator, n_min)
+    location = f"{k} slots, sum {c}"
+    steps = 0
+
+    def spend(n: int) -> None:
+        nonlocal steps
+        steps += n
+        if steps > MAX_SEARCH_STEPS:
+            raise SearchBudgetError(
+                f"unit-fraction search examined {steps} divisors, "
+                f"over the budget of {MAX_SEARCH_STEPS}",
+                location=location,
+            )
+
+    search = _reciprocal_tuples(k, c.numerator, c.denominator, n_min, spend)
     tuples = list(itertools.islice(search, MAX_CONFIGURATIONS + 1))
     if len(tuples) > MAX_CONFIGURATIONS:
         raise SearchBudgetError(
             f"unit-fraction search reached {len(tuples)} tuples, "
             f"over the budget of {MAX_CONFIGURATIONS}",
-            location=f"{k} slots, sum {c}",
+            location=location,
         )
     return tuples
 
@@ -441,21 +488,24 @@ def compute_n1(inv: ModelInvariants, i: int) -> N1Result:
     gamma = max(2*(K.K_Y)/K^2 + 3i, 0) and N1 = 4i + ceil(gamma) + 1. The two
     threshold facts the bound rests on are re-checked numerically: the square
     bound (4i)^2 K^2 >= 16 (equivalently i^2 K^2 >= 1) and the per-curve
-    margin (4i+1)/i > 4, which holds identically for i >= 1.
+    margin (4i+1)/i > 4, which holds identically for i >= 1. All of it runs
+    on integers: gamma before clamping is num/den with
+    den = denominator(K.K_Y) * numerator(K^2) > 0 and
+    num = 2 * numerator(K.K_Y) * denominator(K^2) + 3i * den, and only the
+    reported gamma is built as a Fraction.
     """
     if not isinstance(i, int) or isinstance(i, bool) or i < 1:
         raise ValidationError("index must be a positive integer")
-    if inv.k2 <= 0:
+    k2, kky = inv.k2, inv.k_dot_ky
+    if k2.numerator <= 0:
         raise NotGeneralTypeError("not general type: K^2 must be positive")
-    gamma = max(2 * inv.k_dot_ky / inv.k2 + 3 * i, Fraction(0))
-    n1 = 4 * i + math.ceil(gamma) + 1
-    square_ok = i * i * inv.k2 >= 1
-    curve_ok = Fraction(4 * i + 1, i) > 4
+    den = kky.denominator * k2.numerator
+    num = 2 * kky.numerator * k2.denominator + 3 * i * den
     return N1Result(
-        gamma=gamma,
-        n1=n1,
-        square_threshold_holds=bool(square_ok),
-        curve_threshold_holds=bool(curve_ok),
+        gamma=Fraction(num, den) if num > 0 else Fraction(0),
+        n1=4 * i + max(-(-num // den), 0) + 1,
+        square_threshold_holds=i * i * k2.numerator >= k2.denominator,
+        curve_threshold_holds=4 * i + 1 > 4 * i,
     )
 
 

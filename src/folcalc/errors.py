@@ -51,6 +51,6 @@ class InconsistentModelError(FolcalcError):
 
 
 class SearchBudgetError(FolcalcError):
-    """The configuration search outgrew ``bounds.MAX_CONFIGURATIONS``."""
+    """The configuration search outgrew ``bounds.MAX_CONFIGURATIONS`` or ``bounds.MAX_SEARCH_STEPS``."""
 
     code = "search-budget-exceeded"

@@ -2,6 +2,11 @@
 
 Rationals travel through JSON as lowest-terms strings ("p/q", plain "p" for
 integers); floats are rejected everywhere so no value is ever rounded.
+Strings in decimal or exponent form ("0.25", "6.1e-16") are read exactly,
+but an exponent above ``MAX_EXPONENT`` in magnitude is refused before any
+work is done: "1e999999999" would otherwise build a number of about 415 MB.
+The cap is Python's default digit limit for integer strings, so no rational
+string expands past what an integer string may have.
 """
 
 from __future__ import annotations
@@ -10,6 +15,8 @@ from fractions import Fraction
 
 from .errors import ValidationError
 
+MAX_EXPONENT = 4300
+
 
 def format_rational(value) -> str:
     """Canonical lowest-terms string, e.g. ``-2/5`` or ``-1``."""
@@ -17,14 +24,23 @@ def format_rational(value) -> str:
 
 
 def parse_rational(value) -> Fraction:
-    """Parse an int or a "p/q" string; anything else (floats included) is rejected."""
+    """Parse an int or a "p/q" string; anything else (floats included) is rejected.
+
+    A decimal or exponent string is read exactly; an exponent above
+    ``MAX_EXPONENT`` in magnitude is refused before it is expanded.
+    """
     if isinstance(value, bool):
         raise ValidationError(f"not an exact rational: {value!r}")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        if "e" in text or "E" in text:
+            digits = text.lower().rpartition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+            if digits.isdecimal() and (len(digits) > 4 or int(digits) > MAX_EXPONENT):
+                raise ValidationError(f"exponent above {MAX_EXPONENT} in magnitude: {value!r}")
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"not an exact rational: {value!r}") from exc
     raise ValidationError(f"not an exact rational: {value!r}")

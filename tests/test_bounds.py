@@ -85,6 +85,64 @@ def reference_configurations(inv, mode):
     )
 
 
+def fraction_try_period(values, mode, period):
+    """The Fraction residue check that the integer one replaced; the reference for it."""
+    needed = {0, 1, period, 2 * period, 3 * period}
+    if not needed.issubset(values):
+        return f"period {period}"
+    x0 = period if mode == CANONICAL else 0
+    qa, qb, qc = bounds._quadratic_through(x0, period, *(values[x0 + k * period] for k in range(3)))
+    k2 = 2 * qa
+    k_dot_ky = -2 * qb
+    chi_o_value = values[0]
+    if chi_o_value.denominator != 1:
+        raise InconsistentSamplesError("chi(O) sample at m = 0 must be an integer")
+    chi_o = int(chi_o_value)
+    cusp_count = None
+    if mode == CANONICAL:
+        b4 = chi_o - qc
+        if b4.denominator != 1 or b4 < 0:
+            return f"period {period}, m = 0"
+        cusp_count = int(b4)
+    constants = {}
+    for m, v in values.items():
+        if mode == CANONICAL and m == 0:
+            continue
+        c = v - (qa * m * m + qb * m)
+        if constants.setdefault(m % period, c) != c:
+            return f"period {period}, m = {m}"
+    if k2 <= 0:
+        raise NotGeneralTypeError("not general type: extracted K^2 is not positive")
+    s = -values[1] + (k2 - k_dot_ky) / 2 + chi_o
+    return ModelInvariants(k2, k_dot_ky, chi_o, s, cusp_count)
+
+
+def fraction_compute_n1(inv, i):
+    """The Fraction evaluation of N1 that the integer one replaced; the reference for it."""
+    if inv.k2 <= 0:
+        raise NotGeneralTypeError("not general type: K^2 must be positive")
+    gamma = max(2 * inv.k_dot_ky / inv.k2 + 3 * i, Fraction(0))
+    return bounds.N1Result(
+        gamma=gamma,
+        n1=4 * i + math.ceil(gamma) + 1,
+        square_threshold_holds=i * i * inv.k2 >= 1,
+        curve_threshold_holds=Fraction(4 * i + 1, i) > 4,
+    )
+
+
+def outcome(call, *args):
+    """The result of a call, or the type and message of the FolcalcError it raised."""
+    try:
+        return call(*args)
+    except (InconsistentSamplesError, NotGeneralTypeError) as err:
+        return type(err), err.message
+
+
+def integer_try_period(values, mode, period):
+    table = [(m, v.numerator, v.denominator) for m, v in values.items()]
+    return bounds._try_period(values, mode, period, table)
+
+
 def solver_fit(points):
     """The Vandermonde solve that the difference formula replaced; the reference for it."""
     return tuple(solve_exact([[m * m, m, 1] for m, _ in points], [v for _, v in points]))
@@ -101,6 +159,54 @@ def test_difference_fit_matches_solver(a, b, c, period, canonical):
     fit = bounds._quadratic_through(x0, period, *(v for _, v in points))
     assert fit == solver_fit(points) == (a, b, c)
     assert all(type(x) is Fraction for x in fit)
+
+
+@st.composite
+def quasi_polynomial_tables(draw):
+    """A rational quadratic plus one rational constant per residue, sampled with faults.
+
+    Some tables get one sample moved, a shift at m = 0 (the canonical cusp
+    shift, integral or not) or samples dropped.
+    """
+    fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    period = draw(st.integers(1, 8))
+    qa, qb = draw(fractions), draw(fractions)
+    constants = draw(st.lists(fractions, min_size=period, max_size=period))
+    values = {
+        m: qa * m * m + qb * m + constants[m % period] for m in range(draw(st.integers(3, 4 * period + 6)))
+    }
+    values[0] = Fraction(math.floor(values[0]))  # chi(O) is an integer
+    if draw(st.booleans()):
+        m = draw(st.sampled_from(sorted(values)))
+        values[m] += draw(fractions.filter(bool))
+    if draw(st.booleans()):
+        values[0] += draw(st.sampled_from([1, 2, 3, -1, Fraction(1, 2)]))
+    for m in draw(st.lists(st.sampled_from(sorted(values)), max_size=3)):
+        values.pop(m, None)
+    return HilbertSamples(values).values
+
+
+@settings(max_examples=300, deadline=None)
+@given(quasi_polynomial_tables(), st.sampled_from([WEAK_NEF, CANONICAL]), st.integers(1, 12))
+def test_integer_residue_check_matches_fractions(values, mode, period):
+    expected = outcome(fraction_try_period, values, mode, period)
+    assert outcome(integer_try_period, values, mode, period) == expected
+
+
+def test_integer_residue_check_on_model_tables():
+    # geometric tables fit at their period; one moved sample breaks it at its m
+    rng = random.Random(909)
+    for trial in range(60):
+        mode = WEAK_NEF if trial % 2 == 0 else CANONICAL
+        k2, k_dot_ky, chi_o, data, *_, period = make_synthetic_model(rng, mode)
+        values = HilbertSamples(model_samples(k2, k_dot_ky, chi_o, data, 4 * period)).values
+        moved = dict(values)
+        moved[rng.randrange(1, 4 * period + 1)] += Fraction(1, rng.randint(1, 7))
+        for table in (values, moved):
+            for trial_period in range(1, 2 * period + 1):
+                expected = outcome(fraction_try_period, table, mode, trial_period)
+                assert outcome(integer_try_period, table, mode, trial_period) == expected
+        assert isinstance(integer_try_period(values, mode, period), ModelInvariants)
 
 
 class TestExtractInvariants:
@@ -174,6 +280,39 @@ class TestExtractInvariants:
         monkeypatch.setattr(bounds, "MAX_PERIOD", 2)
         with pytest.raises(InconsistentSamplesError, match="any period <= 2$"):
             extract_invariants(HilbertSamples(values), WEAK_NEF)
+
+    def test_scan_location_names_closest_refusal(self):
+        # the benchmark's inconsistent tables: the value at m = 91 moved by one
+        data = [f.Terminal(f.CyclicType(3, 1))]
+        values = {m: f.global_chi(Fraction(4, 3), Fraction(2, 3), 0, data, m) for m in range(0, 181)}
+        values[91] += 1
+        for mode, location in ((WEAK_NEF, "period 3, m = 91"), (CANONICAL, "period 6, m = 91")):
+            with pytest.raises(InconsistentSamplesError, match="any period <= 60$") as err:
+                extract_invariants(HilbertSamples(values), mode)
+            assert err.value.location == location
+
+    def test_scan_location_ranking(self, monkeypatch):
+        # periods 1 and 2 both break at m = 5 and period 3 lacks m = 9: the tie goes to period 1
+        values = {m: Fraction(m * m + 2) for m in range(0, 9)}
+        values[5] += 1
+        monkeypatch.setattr(bounds, "MAX_PERIOD", 3)
+        refusals = [integer_try_period(values, WEAK_NEF, period) for period in (1, 2, 3)]
+        assert refusals == ["period 1, m = 5", "period 2, m = 5", "period 3"]
+        with pytest.raises(InconsistentSamplesError) as err:
+            extract_invariants(HilbertSamples(values), WEAK_NEF)
+        assert err.value.location == "period 1, m = 5"
+        # refusals without a multiple rank lowest, so the cusp shift's m = 0 wins
+        values = {0: Fraction(1), 1: Fraction(2), 2: Fraction(7), 4: Fraction(17), 6: Fraction(37)}
+        monkeypatch.setattr(bounds, "MAX_PERIOD", 6)
+        refusals = [integer_try_period(values, CANONICAL, period) for period in (2, 4, 6)]
+        assert refusals == ["period 2, m = 0", "period 4", "period 6"]
+        with pytest.raises(InconsistentSamplesError) as err:
+            extract_invariants(HilbertSamples(values), CANONICAL)
+        assert err.value.location == "period 2, m = 0"
+        # with no multiple at all, the smallest period is named
+        with pytest.raises(InconsistentSamplesError) as err:
+            extract_invariants(HilbertSamples({0: 1, 1: 2}), WEAK_NEF)
+        assert err.value.location == "period 1"
 
     def test_missing_required_samples_with_hint(self):
         values = {0: 1, 1: 2, 2: 5}
@@ -316,6 +455,20 @@ class TestEnumerateConfigurations:
             enumerate_configurations(inv, WEAK_NEF)
         assert err.value.location == "5 slots, sum 1"
 
+    def test_search_step_budget(self, monkeypatch):
+        # weak-nef sum 2: the 5-slot search for 1 examines the most divisors, 758
+        inv = invariants(2, 0, 1, 2)
+        monkeypatch.setattr(bounds, "MAX_SEARCH_STEPS", 758)
+        assert len(enumerate_configurations(inv, WEAK_NEF)) == 168
+        monkeypatch.setattr(bounds, "MAX_SEARCH_STEPS", 757)
+        with pytest.raises(SearchBudgetError, match="divisors, over the budget of 757$") as err:
+            enumerate_configurations(inv, WEAK_NEF)
+        assert err.value.code == "search-budget-exceeded"
+        assert err.value.location == "5 slots, sum 1"
+        # the count is per unit-fraction call: the 3-slot search for 1 fits in 14
+        monkeypatch.setattr(bounds, "MAX_SEARCH_STEPS", 14)
+        assert enumerate_reciprocal_tuples(3, 1) == [(2, 3, 6), (2, 4, 4), (3, 3, 3)]
+
 
 class TestIndexBounds:
     def test_single_half_point(self):
@@ -371,6 +524,41 @@ class TestComputeN1:
     def test_invalid_index_rejected(self):
         with pytest.raises(ValidationError):
             compute_n1(invariants(2, 0, 1, 0), 0)
+
+    @pytest.mark.parametrize(
+        "k2, k_dot_ky, i",
+        [
+            (2, -3, 1),  # gamma exactly 0
+            (Fraction(4, 3), -2, 1),  # gamma exactly 0 from fractions
+            (2, -4, 1),  # clamped from -1
+            (Fraction(7, 5), Fraction(-7, 2), 2),  # 2*(K.K_Y)/K^2 = -5, so gamma = 1
+            (2, 1, 1),  # gamma an integer: 4
+            (3, Fraction(3, 2), 7),  # gamma an integer: 22
+            (Fraction(10**6 + 1, 10**6), 1, 1),  # gamma just below 5
+            (Fraction(10**6 - 1, 10**6), 1, 1),  # gamma just above 5
+            (Fraction(1, 10**12), 0, 10**6),  # i^2 K^2 = 1: the square bound holds
+            (Fraction(1, 10**12 + 1), 0, 10**6),  # i^2 K^2 < 1
+            (Fraction(3, 7), Fraction(-9 * 10**6, 7), 10**6),  # gamma exactly 0 at i = 10^6
+            (Fraction(3, 7), Fraction(-9 * 10**6 + 1, 7), 10**6),
+            (Fraction(3, 7), Fraction(-9 * 10**6 - 1, 7), 10**6),
+        ],
+    )
+    def test_integer_evaluation_matches_fractions_at_edges(self, k2, k_dot_ky, i):
+        inv = ModelInvariants(k2, k_dot_ky, 1, 0)
+        assert compute_n1(inv, i) == fraction_compute_n1(inv, i)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000),
+        st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=1000),
+        st.integers(1, 10**6),
+    )
+    def test_integer_evaluation_matches_fractions(self, k2, k_dot_ky, i):
+        inv = ModelInvariants(k2, k_dot_ky, 1, 0)
+        result = compute_n1(inv, i)
+        assert result == fraction_compute_n1(inv, i)
+        assert type(result.gamma) is Fraction
+        assert type(result.square_threshold_holds) is type(result.curve_threshold_holds) is bool
 
     def test_integer_invariants_give_exact_gamma(self):
         inv = ModelInvariants(2, 1, 1, 0)
