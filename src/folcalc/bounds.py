@@ -30,9 +30,9 @@ last two slots need no scan, since 1/a + 1/b = p/q exactly when
 (p*a - q)(p*b - q) = q^2, so the pairs come from the divisors of q^2
 (Curtiss 1922). The search stops with ``SearchBudgetError`` past
 ``MAX_CONFIGURATIONS`` configurations, and a unit-fraction search for one
-number of points stops once its two-slot levels have examined more than
-``MAX_SEARCH_STEPS`` divisors, so the budget bounds the work and not only
-the output.
+number of points stops once its two-slot levels would examine more than
+``MAX_SEARCH_STEPS`` divisors, counted before they are built or tested, so
+the budget bounds the work and not only the output.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ WEAK_NEF = "weak-nef"
 CANONICAL = "canonical"
 MAX_PERIOD = 60  # longest quasi-period tried when the samples carry no hint
 MAX_CONFIGURATIONS = 500_000  # per search, and per unit-fraction call; weak-nef sum 3 has 298,165
-MAX_SEARCH_STEPS = 5_000_000  # divisors examined per unit-fraction call; weak-nef sum 3 needs 2,749,054
+MAX_SEARCH_STEPS = 5_000_000  # divisors examined per unit-fraction call; weak-nef sum 3 needs 3,460,420
 
 
 @dataclass(frozen=True)
@@ -188,12 +188,13 @@ def _resolved_hint(hint: int, mode: str) -> int:
 
 def _try_period(
     values: Mapping[int, Fraction], mode: str, period: int, table: list[tuple[int, int, int]]
-) -> ModelInvariants | str:
+) -> ModelInvariants | tuple[int, str]:
     """Extraction attempt at one period.
 
     ``table`` holds the samples as (m, numerator, denominator) in ascending m.
-    When the samples refuse the period, the result is where: "period L", or
-    "period L, m = M" for the first multiple M whose sample breaks it.
+    When the samples refuse the period, the result is the first multiple M
+    whose sample breaks it (-1 when a needed sample is missing) and the
+    location "period L, m = M" (or "period L").
 
     The residue check runs on integers. With the quadratic's coefficients
     over their least common denominator, qa = a/D and qb = b/D, the constant
@@ -204,7 +205,7 @@ def _try_period(
     """
     needed = {0, 1, period, 2 * period, 3 * period}
     if not needed.issubset(values):
-        return f"period {period}"
+        return -1, f"period {period}"
     # canonical models fit at L, 2L, 3L, away from the cusp shift at m = 0
     x0 = period if mode == CANONICAL else 0
     qa, qb, qc = _quadratic_through(x0, period, *(values[x0 + k * period] for k in range(3)))
@@ -218,7 +219,7 @@ def _try_period(
     if mode == CANONICAL:
         b4 = chi_o - qc
         if b4.denominator != 1 or b4 < 0:
-            return f"period {period}, m = 0"
+            return 0, f"period {period}, m = 0"
         cusp_count = int(b4)
     # every sample must sit on the same quadratic up to a constant per residue
     lcd = math.lcm(qa.denominator, qb.denominator)
@@ -231,7 +232,7 @@ def _try_period(
         c = num * lcd - den * (a * m + b) * m
         c0, den0 = constants.setdefault(m % period, (c, den))
         if c0 * den != c * den0:
-            return f"period {period}, m = {m}"
+            return m, f"period {period}, m = {m}"
     if k2 <= 0:
         raise NotGeneralTypeError("not general type: extracted K^2 is not positive")
     s = -values[1] + (k2 - k_dot_ky) / 2 + chi_o
@@ -267,9 +268,9 @@ def extract_invariants(samples: HilbertSamples, mode: str) -> ModelInvariants:
         if missing:
             raise ValidationError(f"samples must include m = {needed}; missing {missing}")
         inv = _try_period(values, mode, period, table)
-        if isinstance(inv, str):
+        if not isinstance(inv, ModelInvariants):
             raise InconsistentSamplesError(
-                f"samples incompatible with quasi-polynomial of period {period}", location=inv
+                f"samples incompatible with quasi-polynomial of period {period}", location=inv[1]
             )
         return inv
     start, step = (1, 1) if mode == WEAK_NEF else (2, 2)
@@ -281,7 +282,8 @@ def extract_invariants(samples: HilbertSamples, mode: str) -> ModelInvariants:
         refusals.append(inv)
     raise InconsistentSamplesError(
         f"samples incompatible with quasi-polynomial of any period <= {MAX_PERIOD}",
-        location=max(refusals, key=lambda r: int(r.partition(", m = ")[2] or -1), default=None),
+        # max keeps the first of equal multiples, which is the smaller period
+        location=max(refusals, key=lambda r: r[0], default=(-1, None))[1],
     )
 
 
@@ -319,22 +321,24 @@ def _two_slot_divisors(p: int, q: int, low: int, spend: Callable[[int], None]) -
     The prime powers of q^2 are dealt into two halves of about equal divisor
     counts; the divisors of one half are filed by residue mod p, and each
     divisor of the other looks up the residue that completes -q (p is prime
-    to q, so every divisor of q^2 is invertible mod p). Every divisor built
-    for the two halves, and every product tested against the range, is
-    reported to ``spend``.
+    to q, so every divisor of q^2 is invertible mod p). Work is reported to
+    ``spend`` before it is done: each list of divisors before a half is
+    built, and the number of products before any is tested against the
+    range.
     """
     halves: tuple[list[int], list[int]] = ([1], [1])
     for f, e in _prime_powers(q):
         half = min(halves, key=len)
+        spend(len(half) * (2 * e + 1))
         half[:] = [d * f**j for d in half for j in range(2 * e + 1)]
     left, right = halves
     by_residue: dict[int, list[int]] = {}
     for d in right:
         by_residue.setdefault(d % p, []).append(d)
     r = -q % p
-    products = [a * b for a in left for b in by_residue.get(r * pow(a, -1, p) % p, ())]
-    spend(len(left) + len(right) + len(products))
-    return sorted(d for d in products if low <= d <= q)
+    matches = [(a, by_residue.get(r * pow(a, -1, p) % p, ())) for a in left]
+    spend(sum(len(bs) for _, bs in matches))
+    return sorted(d for a, bs in matches for b in bs if low <= (d := a * b) <= q)
 
 
 def _reciprocal_tuples(

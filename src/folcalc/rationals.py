@@ -3,10 +3,13 @@
 Rationals travel through JSON as lowest-terms strings ("p/q", plain "p" for
 integers); floats are rejected everywhere so no value is ever rounded.
 Strings in decimal or exponent form ("0.25", "6.1e-16") are read exactly,
-but an exponent above ``MAX_EXPONENT`` in magnitude is refused before any
-work is done: "1e999999999" would otherwise build a number of about 415 MB.
-The cap is Python's default digit limit for integer strings, so no rational
-string expands past what an integer string may have.
+but one whose digits before the exponent plus the exponent's magnitude
+exceed ``MAX_DIGITS`` is refused before any work is done: "1e999999999"
+would otherwise build a number of about 415 MB. A string of d such
+characters (the decimal point counts, a leading sign does not) with
+exponent e expands to a numerator and a denominator of at most d + |e|
+digits, and ``MAX_DIGITS`` is Python's default digit limit for integer
+strings, so every parsed value can be printed again.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 
-MAX_EXPONENT = 4300
+MAX_DIGITS = 4300
 
 
 def format_rational(value) -> str:
@@ -26,8 +29,8 @@ def format_rational(value) -> str:
 def parse_rational(value) -> Fraction:
     """Parse an int or a "p/q" string; anything else (floats included) is rejected.
 
-    A decimal or exponent string is read exactly; an exponent above
-    ``MAX_EXPONENT`` in magnitude is refused before it is expanded.
+    A decimal or exponent string is read exactly; one that would expand past
+    ``MAX_DIGITS`` digits is refused before it is expanded.
     """
     if isinstance(value, bool):
         raise ValidationError(f"not an exact rational: {value!r}")
@@ -35,10 +38,13 @@ def parse_rational(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
-        if "e" in text or "E" in text:
-            digits = text.lower().rpartition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
-            if digits.isdecimal() and (len(digits) > 4 or int(digits) > MAX_EXPONENT):
-                raise ValidationError(f"exponent above {MAX_EXPONENT} in magnitude: {value!r}")
+        if "e" in text or "E" in text or (len(text) > MAX_DIGITS and "." in text):
+            mantissa, _, exponent = text.lower().partition("e")
+            exponent = exponent.lstrip("+-").replace("_", "").lstrip("0") or "0"
+            if exponent.isdecimal() and (
+                len(exponent) > 4 or len(mantissa.lstrip("+-")) + int(exponent) > MAX_DIGITS
+            ):
+                raise ValidationError(f"expands past {MAX_DIGITS} digits: {value!r}")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:

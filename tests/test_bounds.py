@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -139,8 +140,10 @@ def outcome(call, *args):
 
 
 def integer_try_period(values, mode, period):
+    """The integer residue check, its refusal reduced to the location string."""
     table = [(m, v.numerator, v.denominator) for m, v in values.items()]
-    return bounds._try_period(values, mode, period, table)
+    result = bounds._try_period(values, mode, period, table)
+    return result if isinstance(result, ModelInvariants) else result[1]
 
 
 def solver_fit(points):
@@ -292,20 +295,24 @@ class TestExtractInvariants:
             assert err.value.location == location
 
     def test_scan_location_ranking(self, monkeypatch):
+        def refusal(values, mode, period):
+            table = [(m, v.numerator, v.denominator) for m, v in values.items()]
+            return bounds._try_period(values, mode, period, table)
+
         # periods 1 and 2 both break at m = 5 and period 3 lacks m = 9: the tie goes to period 1
         values = {m: Fraction(m * m + 2) for m in range(0, 9)}
         values[5] += 1
         monkeypatch.setattr(bounds, "MAX_PERIOD", 3)
-        refusals = [integer_try_period(values, WEAK_NEF, period) for period in (1, 2, 3)]
-        assert refusals == ["period 1, m = 5", "period 2, m = 5", "period 3"]
+        refusals = [refusal(values, WEAK_NEF, period) for period in (1, 2, 3)]
+        assert refusals == [(5, "period 1, m = 5"), (5, "period 2, m = 5"), (-1, "period 3")]
         with pytest.raises(InconsistentSamplesError) as err:
             extract_invariants(HilbertSamples(values), WEAK_NEF)
         assert err.value.location == "period 1, m = 5"
         # refusals without a multiple rank lowest, so the cusp shift's m = 0 wins
         values = {0: Fraction(1), 1: Fraction(2), 2: Fraction(7), 4: Fraction(17), 6: Fraction(37)}
         monkeypatch.setattr(bounds, "MAX_PERIOD", 6)
-        refusals = [integer_try_period(values, CANONICAL, period) for period in (2, 4, 6)]
-        assert refusals == ["period 2, m = 0", "period 4", "period 6"]
+        refusals = [refusal(values, CANONICAL, period) for period in (2, 4, 6)]
+        assert refusals == [(0, "period 2, m = 0"), (-1, "period 4"), (-1, "period 6")]
         with pytest.raises(InconsistentSamplesError) as err:
             extract_invariants(HilbertSamples(values), CANONICAL)
         assert err.value.location == "period 2, m = 0"
@@ -456,18 +463,36 @@ class TestEnumerateConfigurations:
         assert err.value.location == "5 slots, sum 1"
 
     def test_search_step_budget(self, monkeypatch):
-        # weak-nef sum 2: the 5-slot search for 1 examines the most divisors, 758
+        # weak-nef sum 2: the 5-slot search for 1 examines the most divisors, 771
         inv = invariants(2, 0, 1, 2)
-        monkeypatch.setattr(bounds, "MAX_SEARCH_STEPS", 758)
+        monkeypatch.setattr(bounds, "MAX_SEARCH_STEPS", 771)
         assert len(enumerate_configurations(inv, WEAK_NEF)) == 168
-        monkeypatch.setattr(bounds, "MAX_SEARCH_STEPS", 757)
-        with pytest.raises(SearchBudgetError, match="divisors, over the budget of 757$") as err:
+        monkeypatch.setattr(bounds, "MAX_SEARCH_STEPS", 770)
+        with pytest.raises(SearchBudgetError, match="divisors, over the budget of 770$") as err:
             enumerate_configurations(inv, WEAK_NEF)
         assert err.value.code == "search-budget-exceeded"
         assert err.value.location == "5 slots, sum 1"
-        # the count is per unit-fraction call: the 3-slot search for 1 fits in 14
-        monkeypatch.setattr(bounds, "MAX_SEARCH_STEPS", 14)
+        # the count is per unit-fraction call: the 3-slot search for 1 fits in 12
+        monkeypatch.setattr(bounds, "MAX_SEARCH_STEPS", 12)
         assert enumerate_reciprocal_tuples(3, 1) == [(2, 3, 6), (2, 4, 4), (3, 3, 3)]
+
+    @pytest.mark.parametrize("prime_count", [15, 40])
+    def test_search_step_budget_before_the_work(self, monkeypatch, prime_count):
+        # 1/Q, Q the product of the first primes, has a divisor pair for every
+        # product of the two halves (3^15 of them for 15 primes, 3^40 for 40);
+        # the budget stops the search before the products, or the halves, are built
+        primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))][:prime_count]
+        target = Fraction(1, math.prod(primes))
+        monkeypatch.setattr(bounds, "MAX_SEARCH_STEPS", 10_000)
+        start = time.perf_counter()
+        with pytest.raises(SearchBudgetError, match="over the budget of 10000$") as err:
+            enumerate_reciprocal_tuples(2, target)
+        assert time.perf_counter() - start < 1.0
+        assert err.value.location == f"2 slots, sum {target}"
+        # the same target reached from a contribution sum (k = 2, s = 1 - 1/(2Q))
+        with pytest.raises(SearchBudgetError) as err:
+            enumerate_configurations(invariants(2, 0, 1, 1 - target / 2), WEAK_NEF)
+        assert err.value.location == f"2 slots, sum {target}"
 
 
 class TestIndexBounds:

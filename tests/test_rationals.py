@@ -1,4 +1,4 @@
-"""Parsing exact rationals: accepted forms and the exponent cap."""
+"""Parsing exact rationals: accepted forms and the digit cap on expansions."""
 
 import json
 import time
@@ -9,7 +9,7 @@ import pytest
 from folcalc import HilbertSamples
 from folcalc.cli import main
 from folcalc.errors import ValidationError
-from folcalc.rationals import MAX_EXPONENT, parse_rational
+from folcalc.rationals import MAX_DIGITS, format_rational, parse_rational
 
 
 @pytest.mark.parametrize(
@@ -19,25 +19,42 @@ from folcalc.rationals import MAX_EXPONENT, parse_rational
         (" -4 ", Fraction(-4)),
         ("0.25", Fraction(1, 4)),
         ("6.106226635438361e-16", Fraction(6106226635438361, 10**31)),
-        ("1e4300", Fraction(10**4300)),
-        ("-2E-4300", Fraction(-2, 10**4300)),
-        ("1e+0004300", Fraction(10**4300)),
+        ("1e4299", Fraction(10**4299)),
+        ("-2E-4299", Fraction(-2, 10**4299)),
+        ("1e+0004299", Fraction(10**4299)),
+        ("9.9e4297", Fraction(99 * 10**4296)),
     ],
 )
 def test_accepted_strings(text, expected):
     assert parse_rational(text) == expected
 
 
-@pytest.mark.parametrize("text", ["1e4301", "1E-4301", "-3.5e+99999", "1e0000099999", "1e999999999"])
-def test_exponent_above_cap_refused(text):
+def test_strings_at_the_cap_print_again():
+    # every numerator and denominator stays within Python's integer-string limit
+    for text in ["1e4299", "-1E-4299", "+9.9e4297", ".1e-4298", "12e-4298", "." + "9" * 4299, "9" * 4299 + "."]:
+        value = parse_rational(text)
+        assert parse_rational(format_rational(value)) == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e4300", "1E-4300", "12e4299", "9.9e4298", "-3.5e+99999", "1e0000099999", "1e999999999"],
+)
+def test_expansion_past_cap_refused(text):
     start = time.perf_counter()
-    with pytest.raises(ValidationError, match=f"exponent above {MAX_EXPONENT}"):
+    with pytest.raises(ValidationError, match=f"expands past {MAX_DIGITS} digits"):
         parse_rational(text)
     assert time.perf_counter() - start < 0.1
 
 
+def test_long_decimal_refused():
+    assert parse_rational("." + "0" * 4298 + "1") == Fraction(1, 10**4299)
+    with pytest.raises(ValidationError, match=f"expands past {MAX_DIGITS} digits"):
+        parse_rational("." + "0" * 4299 + "1")
+
+
 def test_exponent_cap_reaches_sample_tables():
-    with pytest.raises(ValidationError, match="exponent"):
+    with pytest.raises(ValidationError, match="digits"):
         HilbertSamples({0: 1, 1: "1e999999999"})
 
 
@@ -51,3 +68,13 @@ def test_cli_refuses_huge_exponent_quickly(capsys, tmp_path):
     assert (code, captured.out) == (2, "")
     assert json.loads(captured.err)["code"] == "invalid-input"
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("chi_o, code", [("1e4299", 0), ("1e4300", 2)])
+def test_cli_chi_o_at_the_cap(capsys, tmp_path, chi_o, code):
+    # chi(O) = 10^4299 is read, carried through and printed; one more digit is invalid input
+    values = {str(m): str(10**4299 + m * m - m) for m in range(1, 8)}
+    values["0"] = chi_o
+    path = tmp_path / "samples.json"
+    path.write_text(json.dumps({"values": values}))
+    assert main(["bounds", "--mode", "weak-nef", str(path)]) == code
