@@ -31,8 +31,9 @@ last two slots need no scan, since 1/a + 1/b = p/q exactly when
 (Curtiss 1922). The search stops with ``SearchBudgetError`` past
 ``MAX_CONFIGURATIONS`` configurations, and a unit-fraction search for one
 number of points stops once its two-slot levels would examine more than
-``MAX_SEARCH_STEPS`` divisors, counted before they are built or tested, so
-the budget bounds the work and not only the output.
+``MAX_SEARCH_STEPS`` divisors. The divisors of q^2 are counted before they
+are built or tested, and the trial divisors that factor q in batches of 1024
+as they are tried, so the budget bounds the work and not only the output.
 """
 
 from __future__ import annotations
@@ -50,13 +51,13 @@ from .errors import (
     SearchBudgetError,
     ValidationError,
 )
-from .rationals import parse_integer, parse_rational
+from .rationals import exact_int, parse_integer, parse_rational
 
 WEAK_NEF = "weak-nef"
 CANONICAL = "canonical"
 MAX_PERIOD = 60  # longest quasi-period tried when the samples carry no hint
 MAX_CONFIGURATIONS = 500_000  # per search, and per unit-fraction call; weak-nef sum 3 has 298,165
-MAX_SEARCH_STEPS = 5_000_000  # divisors examined per unit-fraction call; weak-nef sum 3 needs 3,460,420
+MAX_SEARCH_STEPS = 5_000_000  # divisors examined per unit-fraction call; weak-nef sum 3 needs 3,968,180
 
 
 @dataclass(frozen=True)
@@ -72,15 +73,11 @@ class HilbertSamples:
     period_hint: int | None = None
 
     def __post_init__(self):
-        clean: dict[int, Fraction] = {}
-        for m, v in dict(self.values).items():
-            if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-                raise ValidationError("sample keys must be nonnegative integers")
-            clean[m] = parse_rational(v)
+        items = dict(self.values).items()
+        clean = {exact_int(m, "sample key", 0): parse_rational(v) for m, v in items}
         object.__setattr__(self, "values", dict(sorted(clean.items())))
-        hint = self.period_hint
-        if hint is not None and (not isinstance(hint, int) or isinstance(hint, bool) or hint < 1):
-            raise ValidationError("period hint must be a positive integer")
+        if self.period_hint is not None:
+            exact_int(self.period_hint, "period hint", 1)
 
 
 @dataclass(frozen=True)
@@ -105,9 +102,9 @@ class ModelInvariants:
             if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
                 raise ValidationError(f"{name} must be an int or a Fraction")
             object.__setattr__(self, name, Fraction(value))
-        for value in (self.chi_o, 0 if self.cusp_count is None else self.cusp_count):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValidationError("chi_o and cusp_count must be integers")
+        exact_int(self.chi_o, "chi_o")
+        if self.cusp_count is not None:
+            exact_int(self.cusp_count, "cusp_count")
 
 
 @dataclass(frozen=True)
@@ -298,10 +295,16 @@ def bound_singularity_count(s) -> int:
     return math.floor(4 * s)
 
 
-def _prime_powers(q: int) -> list[tuple[int, int]]:
-    """(prime, exponent) pairs of q by trial division."""
+def _prime_powers(q: int, spend: Callable[[int], None]) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of q by trial division.
+
+    The trial divisors are reported to ``spend`` in batches of 1024 as they
+    are tried, and the rest at the end, so a large prime factor runs into the
+    step budget instead of being tried up to its square root.
+    """
     out = []
     f = 2
+    tried = 0
     while f * f <= q:
         if q % f == 0:
             e = 0
@@ -310,6 +313,11 @@ def _prime_powers(q: int) -> list[tuple[int, int]]:
                 e += 1
             out.append((f, e))
         f += 1 if f == 2 else 2
+        tried += 1
+        if tried == 1024:
+            spend(tried)
+            tried = 0
+    spend(tried)
     if q > 1:
         out.append((q, 1))
     return out
@@ -327,7 +335,7 @@ def _two_slot_divisors(p: int, q: int, low: int, spend: Callable[[int], None]) -
     range.
     """
     halves: tuple[list[int], list[int]] = ([1], [1])
-    for f, e in _prime_powers(q):
+    for f, e in _prime_powers(q, spend):
         half = min(halves, key=len)
         spend(len(half) * (2 * e + 1))
         half[:] = [d * f**j for d in half for j in range(2 * e + 1)]
@@ -354,7 +362,7 @@ def _reciprocal_tuples(
     so d = p*a - q is a divisor d <= q of q^2 with d = -q mod p (then so is
     e = q^2/d, as q is prime to p), a = (d + q)/p, b = (e + q)/p, and
     ascending d gives ascending a. ``spend`` is told how many divisors each
-    two-slot level examines.
+    two-slot level examines, trial divisors included.
     """
     if slots == 0 or p == 0:
         if slots == p == 0:
@@ -384,13 +392,11 @@ def enumerate_reciprocal_tuples(k: int, c, n_min: int = 2) -> list[tuple[int, ..
     finite; tuples come out in lexicographic order. More than
     MAX_CONFIGURATIONS tuples raise SearchBudgetError, since each of them
     would be a configuration, and so does a search that examines more than
-    MAX_SEARCH_STEPS divisors in its two-slot levels, however few tuples it
-    has found.
+    MAX_SEARCH_STEPS divisors in its two-slot levels (trial divisors
+    included), however few tuples it has found.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValidationError("k must be a nonnegative integer")
-    if not isinstance(n_min, int) or isinstance(n_min, bool) or n_min < 1:
-        raise ValidationError("n_min must be a positive integer")
+    exact_int(k, "k", 0)
+    exact_int(n_min, "n_min", 1)
     c = parse_rational(c)
     if c < 0:
         raise ValidationError("c must be nonnegative")
@@ -498,8 +504,7 @@ def compute_n1(inv: ModelInvariants, i: int) -> N1Result:
     num = 2 * numerator(K.K_Y) * denominator(K^2) + 3i * den, and only the
     reported gamma is built as a Fraction.
     """
-    if not isinstance(i, int) or isinstance(i, bool) or i < 1:
-        raise ValidationError("index must be a positive integer")
+    exact_int(i, "index", 1)
     k2, kky = inv.k2, inv.k_dot_ky
     if k2.numerator <= 0:
         raise NotGeneralTypeError("not general type: K^2 must be positive")
@@ -543,8 +548,7 @@ def relate_models(weak_nef_chi: Mapping[int, int], canonical_chi: Mapping[int, i
     m = 0 and agree everywhere else. Keys are ints or decimal-integer
     strings; bools, floats and other strings are rejected.
     """
-    if not isinstance(cusps, int) or isinstance(cusps, bool) or cusps < 0:
-        raise ValidationError("cusp count must be a nonnegative integer")
+    exact_int(cusps, "cusp count", 0)
     weak = {parse_integer(k): parse_rational(v) for k, v in dict(weak_nef_chi).items()}
     canon = {parse_integer(k): parse_rational(v) for k, v in dict(canonical_chi).items()}
     if set(weak) != set(canon):

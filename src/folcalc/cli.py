@@ -21,7 +21,7 @@ from . import lattice as lattice_mod
 from . import zariski as zariski_mod
 from .cyclic import CyclicType, hj_expansion, wunram_degrees
 from .errors import FolcalcError, ValidationError
-from .rationals import format_rational, parse_integer, parse_rational
+from .rationals import format_rational, parse_integer
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,7 +109,7 @@ def _cmd_zariski(args):
 def _samples_from_json(obj) -> bounds_mod.HilbertSamples:
     if not isinstance(obj, dict) or "values" not in obj or not isinstance(obj["values"], dict):
         raise ValidationError('samples JSON must be an object with a "values" map')
-    values = {parse_integer(k): parse_rational(v) for k, v in obj["values"].items()}
+    values = {parse_integer(k): v for k, v in obj["values"].items()}
     hint = obj.get("period_hint")
     if hint is not None:
         hint = parse_integer(hint)
@@ -200,7 +200,7 @@ def _cmd_relate(args):
         obj = _load_json(path)
         if not isinstance(obj, dict):
             raise ValidationError("chi table JSON must map multiples to integers", location=path)
-        return {parse_integer(k): parse_rational(v) for k, v in obj.items()}
+        return obj
 
     match = bounds_mod.relate_models(table(args.weak), table(args.canonical), args.cusps)
     return {"match": match}

@@ -29,7 +29,7 @@ from typing import Union
 
 from .cyclic import CyclicType
 from .errors import InconsistentModelError, ValidationError
-from .rationals import parse_integer, parse_rational
+from .rationals import exact_int, parse_integer, parse_rational
 
 DIHEDRAL_E1 = "e1"
 DIHEDRAL_E2 = "e2"
@@ -63,9 +63,7 @@ class Dihedral:
 
     def __post_init__(self):
         for name in ("a_exp", "l", "m_odd", "p"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ValidationError(f"invalid dihedral datum: {name} must be a positive integer")
+            exact_int(getattr(self, name), f"invalid dihedral datum: {name}", 1)
         if self.variant not in (DIHEDRAL_E1, DIHEDRAL_E2):
             raise ValidationError(f"invalid dihedral datum: unknown variant {self.variant!r}")
         if self.l % 2 == 0 or self.m_odd % 2 == 0:
@@ -86,10 +84,6 @@ class Dihedral:
                 raise ValidationError("invalid dihedral datum: need p = 1 (mod l)")
             if (self.p + 1) % self.m_odd:
                 raise ValidationError("invalid dihedral datum: need p = -1 (mod m_odd)")
-
-    @property
-    def two_n(self) -> int:
-        return 2**self.a_exp * self.l * self.m_odd
 
 
 @dataclass(frozen=True)
@@ -134,10 +128,7 @@ def dual_generator(t: CyclicType) -> int:
 
 def a_cyclic_sheaf(t: CyclicType, i: int) -> Fraction:
     """Contribution of the i-th eigensheaf at a cyclic quotient point."""
-    if not isinstance(i, int) or isinstance(i, bool):
-        raise ValidationError("i must be an integer")
-    if not 0 <= i < t.n:
-        raise ValidationError(f"i out of range: need 0 <= i <= {t.n - 1}")
+    exact_int(i, "i", 0, t.n - 1)
     return Fraction(2 * _remainder_sum(i, t.n, dual_generator(t)) - i * (t.n - 1), 2 * t.n)
 
 
@@ -147,22 +138,19 @@ def a_terminal(t: CyclicType, m: int) -> Fraction:
     The m-th multiple is the eigensheaf indexed by (m*q) mod n, so the value
     is periodic in m with period n.
     """
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ValidationError("m must be an integer")
+    exact_int(m, "m")
     return a_cyclic_sheaf(t, (m * t.q) % t.n)
 
 
 def a_dihedral(m: int) -> Fraction:
     """0 for even multiples, -1/2 for odd ones."""
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ValidationError("m must be an integer")
+    exact_int(m, "m")
     return Fraction(0) if m % 2 == 0 else Fraction(-1, 2)
 
 
 def a_cusp(m: int) -> Fraction:
     """0 at m = 0, -1 for every other multiple."""
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ValidationError("m must be an integer")
+    exact_int(m, "m")
     return Fraction(0) if m == 0 else Fraction(-1)
 
 
@@ -226,9 +214,11 @@ def dihedral_sum_verify(datum: Dihedral) -> DihedralSumReport:
     reported alongside (it must be -1/2). 2n above MAX_NUMERIC_TWO_N is refused,
     through a_exp first, so a huge 2^a_exp is never built.
     """
-    if datum.a_exp >= MAX_NUMERIC_TWO_N.bit_length() or datum.two_n > MAX_NUMERIC_TWO_N:
+    if (
+        datum.a_exp >= MAX_NUMERIC_TWO_N.bit_length()
+        or (two_n := (datum.l * datum.m_odd) << datum.a_exp) > MAX_NUMERIC_TWO_N
+    ):
         raise ValidationError(f"dihedral certificate: 2n must be at most {MAX_NUMERIC_TWO_N}")
-    two_n = datum.two_n
     n = two_n // 2
     plus_sign = datum.variant == DIHEDRAL_E1
     step = (datum.p + 1) % two_n
@@ -257,8 +247,7 @@ def chi_fchain(t: CyclicType, m: int) -> Fraction:
     with mq = (m*q) mod n; the value is a nonnegative integer and vanishes at
     m = 0 and m = 1.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise ValidationError("m must be a nonnegative integer")
+    exact_int(m, "m", 0)
     n, q = t.n, t.q
     mq = (m * q) % n
     num = (m - mq) * (n - 1) + m * (m - 1) * q + 2 * _remainder_sum(mq, n, dual_generator(t))
@@ -272,8 +261,7 @@ def chi_partial_crepant(datum: SingularityDatum, m: int) -> int:
     The dihedral 0 is recomputed from the primitive contributions, as the
     cancellation a(y) - a(x1) - a(x2) = -1/2 + 1/4 + 1/4, never hard-coded.
     """
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ValidationError("m must be an integer")
+    exact_int(m, "m")
     if isinstance(datum, Cusp):
         return 1 if m == 0 else 0
     if isinstance(datum, Dihedral):
@@ -302,8 +290,7 @@ def global_chi(
     yields an integer; pass ``require_integer=True`` to enforce that and
     reject inconsistent models.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise ValidationError("m must be a nonnegative integer")
+    exact_int(m, "m", 0)
     chi_o = parse_integer(chi_o)
     k2 = parse_rational(k2)
     k_dot_ky = parse_rational(k_dot_ky)

@@ -19,6 +19,7 @@ from math import gcd
 
 from .errors import ValidationError
 from .lattice import Curve, DualGraph, IntersectionProfile
+from .rationals import exact_int
 
 
 @dataclass(frozen=True)
@@ -29,14 +30,9 @@ class CyclicType:
     q: int
 
     def __post_init__(self):
-        n, q = self.n, self.q
-        if not isinstance(n, int) or not isinstance(q, int) or isinstance(n, bool) or isinstance(q, bool):
-            raise ValidationError("n and q must be integers")
-        if self.n < 2:
-            raise ValidationError("n must be >= 2")
-        if not 1 <= self.q < self.n:
-            raise ValidationError("q must satisfy 1 <= q < n")
-        if gcd(self.n, self.q) != 1:
+        n = exact_int(self.n, "n", 2)
+        q = exact_int(self.q, "q", 1, n - 1)
+        if gcd(n, q) != 1:
             raise ValidationError("gcd(n,q) must be 1")
 
 
@@ -97,12 +93,7 @@ def wunram_degrees(t: CyclicType, i: int, reduce_mod_n: bool = False) -> WunramD
     The index must lie in [0, n-1]; pass ``reduce_mod_n=True`` to reduce on
     entry instead of range-checking.
     """
-    if not isinstance(i, int) or isinstance(i, bool):
-        raise ValidationError("i must be an integer")
-    if reduce_mod_n:
-        i %= t.n
-    if not 0 <= i < t.n:
-        raise ValidationError(f"i out of range: need 0 <= i <= {t.n - 1}")
+    i = exact_int(i, "i") % t.n if reduce_mod_n else exact_int(i, "i", 0, t.n - 1)
     entries = hj_expansion(t).entries
     s = [t.n, t.q]
     for j in range(2, len(entries) + 1):

@@ -21,12 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DegenerateConfigurationError, ValidationError
 from .linalg import eliminate
-from .rationals import format_rational, parse_rational
-
-
-def _is_int(value) -> bool:
-    """True for ints proper; bools and floats are not intersection numbers."""
-    return isinstance(value, int) and not isinstance(value, bool)
+from .rationals import exact_int, format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -37,8 +32,7 @@ class Curve:
     self_intersection: int
 
     def __post_init__(self):
-        if not _is_int(self.self_intersection):
-            raise ValidationError(f"self-intersection of {self.label!r} must be an integer")
+        exact_int(self.self_intersection, "self-intersection")
 
 
 class DualGraph:
@@ -71,8 +65,7 @@ class DualGraph:
                 raise ValidationError(f"edge {a!r}-{b!r} uses an unknown label")
             if a == b:
                 raise ValidationError(f"edge {a!r}-{b!r} is a loop; use the self-intersection instead")
-            if not _is_int(mult) or mult < 0:
-                raise ValidationError(f"edge {a!r}-{b!r} multiplicity must be a nonnegative integer")
+            exact_int(mult, "edge multiplicity", 0)
             i, j = index[a], index[b]
             rows[i][j] = rows[j][i] = rows[i].get(j, 0) + mult
         self.curves = curves
@@ -88,8 +81,7 @@ class DualGraph:
             raise ValidationError("matrix shape does not match the label count")
         for i in range(n):
             for j in range(n):
-                if not _is_int(matrix[i][j]):
-                    raise ValidationError("matrix entries must be integers")
+                exact_int(matrix[i][j], "matrix entry")
                 if matrix[i][j] != matrix[j][i]:
                     raise ValidationError("matrix must be symmetric")
                 if i != j and matrix[i][j] < 0:
@@ -274,21 +266,38 @@ def solve_pullback(graph: DualGraph, profile: IntersectionProfile) -> QDivisor:
     return QDivisor(graph, dict(zip(graph.labels, xs)))
 
 
+def degree_vector(graph: DualGraph, coefficients: Mapping[int, Fraction]) -> list[Fraction]:
+    """Z . C_j for every curve j of the graph, Z given as {curve index: coefficient}.
+
+    One pass over the sparse rows of Z's curves, so linear in their entries.
+    """
+    out = [Fraction(0)] * len(graph)
+    for i, x in coefficients.items():
+        for j, v in graph.sparse_rows[i].items():
+            out[j] += x * v
+    return out
+
+
+def _by_index(d: QDivisor) -> dict[int, Fraction]:
+    return {d.graph.index_of(label): x for label, x in d.coefficients.items()}
+
+
 def pair(d1: QDivisor, d2: QDivisor) -> Fraction:
     """Bilinear symmetric intersection number of two divisors."""
     _require_same_graph(d1, d2)
-    return sum((a * degree_against_curve(d2, la) for la, a in d1.coefficients.items()), Fraction(0))
+    degrees = degree_vector(d2.graph, _by_index(d2))
+    return sum((x * degrees[i] for i, x in _by_index(d1).items()), Fraction(0))
 
 
 def degree_against_curve(d: QDivisor, label: str) -> Fraction:
-    """d . C for a single curve C of the graph."""
+    """d . C for a single curve C of the graph: d's coefficients dotted with C's row."""
     graph = d.graph
-    row = graph.sparse_rows[graph.index_of(label)]
+    coefficients = d.coefficients
     total = Fraction(0)
-    for la, a in d.coefficients.items():
-        entry = row.get(graph.index_of(la))
-        if entry:
-            total += a * entry
+    for j, v in graph.sparse_rows[graph.index_of(label)].items():
+        x = coefficients.get(graph.labels[j])
+        if x is not None:
+            total += x * v
     return total
 
 
@@ -313,9 +322,8 @@ class HodgeReport:
 
 def _trivial_combination(d1: QDivisor, d2: QDivisor) -> tuple[Fraction, Fraction] | None:
     """Nonzero (b1, b2) with (b1*d1 + b2*d2) . C = 0 for every curve, if one exists."""
-    graph = d1.graph
-    v1 = [degree_against_curve(d1, label) for label in graph.labels]
-    v2 = [degree_against_curve(d2, label) for label in graph.labels]
+    v1 = degree_vector(d1.graph, _by_index(d1))
+    v2 = degree_vector(d2.graph, _by_index(d2))
     if not any(v1):
         return (Fraction(1), Fraction(0))
     if not any(v2):
@@ -337,8 +345,7 @@ def hodge_inequality_check(d1: QDivisor, d2: QDivisor, grid: int) -> HodgeReport
     pairing to zero with every curve.
     """
     _require_same_graph(d1, d2)
-    if not _is_int(grid) or not 1 <= grid <= MAX_HODGE_GRID:
-        raise ValidationError(f"grid must be an integer in [1, {MAX_HODGE_GRID}]")
+    exact_int(grid, "grid", 1, MAX_HODGE_GRID)
     s11 = pair(d1, d1)
     s12 = pair(d1, d2)
     s22 = pair(d2, d2)
@@ -374,8 +381,7 @@ def chi_additivity_check(triples: Iterable[Sequence[int]]) -> bool:
     for triple in triples:
         f, g, composite = triple
         for v in (f, g, composite):
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ValidationError("modified Euler characteristics are nonnegative integers")
+            exact_int(v, "modified Euler characteristic", 0)
         if composite != f + g:
             ok = False
     return ok
@@ -395,8 +401,6 @@ def graph_from_json(obj) -> DualGraph:
     for entry in obj["curves"]:
         if not isinstance(entry, dict) or "label" not in entry or "self" not in entry:
             raise ValidationError('each curve needs "label" and "self" fields')
-        if not isinstance(entry["self"], int) or isinstance(entry["self"], bool):
-            raise ValidationError(f'curve {entry.get("label")!r}: "self" must be an integer')
         curves.append(Curve(str(entry["label"]), entry["self"]))
     edges = []
     for edge in obj.get("edges", ()):

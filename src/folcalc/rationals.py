@@ -1,4 +1,14 @@
-"""Exact rational scalars and their canonical string form.
+"""Exact scalars: the integer contract, rationals and their canonical string form.
+
+``exact_int`` is the one integer check of the package. Every public entry
+point that takes an integer (a multiple m, an order n, an index, a grid, a
+self-intersection, a count) passes it through here: the test is
+``type(value) is int``, so bools, floats, strings and int subclasses are
+refused, as is a value outside the allowed range, each with a
+``ValidationError`` naming the argument and the range. ``parse_integer``
+applies the same check to anything that is not a string. The two places
+that take an int or a Fraction (the rationals of ``ModelInvariants`` and
+the scalar of a divisor) test for that pair themselves.
 
 Rationals travel through JSON as lowest-terms strings ("p/q", plain "p" for
 integers); floats are rejected everywhere so no value is ever rounded.
@@ -52,15 +62,25 @@ def parse_rational(value) -> Fraction:
     raise ValidationError(f"not an exact rational: {value!r}")
 
 
-def parse_integer(value) -> int:
-    """Parse an int (given directly or as a string); floats are rejected."""
-    if isinstance(value, bool):
-        raise ValidationError(f"not an integer: {value!r}")
-    if isinstance(value, int):
+def exact_int(value, what: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` itself when it is an int with low <= value <= high (either end optional).
+
+    Anything else raises ``ValidationError`` naming ``what`` and the range;
+    every caller that passes ``high`` passes ``low`` too.
+    """
+    if type(value) is int and (low is None or low <= value) and (high is None or value <= high):
         return value
+    span = "" if low is None else f" >= {low}" if high is None else f" in [{low}, {high}]"
+    if type(value) is int:
+        raise ValidationError(f"{what} out of range: must be an integer{span}")
+    raise ValidationError(f"{what} must be an integer{span}, not {type(value).__name__}")
+
+
+def parse_integer(value) -> int:
+    """Parse an int (given directly or as a decimal string); floats are rejected."""
     if isinstance(value, str):
         try:
             return int(value.strip())
         except ValueError as exc:
             raise ValidationError(f"not an integer: {value!r}") from exc
-    raise ValidationError(f"not an integer: {value!r}")
+    return exact_int(value, "value")

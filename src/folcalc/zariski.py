@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotPseudoeffectiveError, ValidationError
-from .lattice import DualGraph, QDivisor, principal_rows
+from .lattice import DualGraph, QDivisor, degree_vector, principal_rows
 from .linalg import eliminate
 from .rationals import parse_rational
 
@@ -31,15 +31,6 @@ class ZariskiResult:
     positive: QDivisor
     negative: QDivisor
     support: tuple[str, ...]
-
-
-def _degrees(graph: DualGraph, coefficients) -> list[Fraction]:
-    """Z . C_j for every curve j of the graph, Z given as {curve index: coefficient}."""
-    out = [Fraction(0)] * len(graph)
-    for i, x in coefficients.items():
-        for j, v in graph.sparse_rows[i].items():
-            out[j] += x * v
-    return out
 
 
 def zariski_decompose(graph: DualGraph, d: QDivisor) -> ZariskiResult:
@@ -54,7 +45,7 @@ def zariski_decompose(graph: DualGraph, d: QDivisor) -> ZariskiResult:
     if d.graph != graph:
         raise ValidationError("divisor belongs to a different graph")
     labels = graph.labels
-    target = _degrees(graph, {graph.index_of(label): x for label, x in d.coefficients.items()})
+    target = degree_vector(graph, {graph.index_of(label): x for label, x in d.coefficients.items()})
     support: list[int] = []
     coeffs: dict[int, Fraction] = {}
     adopted: list[int] = []
@@ -72,7 +63,7 @@ def zariski_decompose(graph: DualGraph, d: QDivisor) -> ZariskiResult:
                     location=", ".join(labels[i] for i in adopted),
                 )
             coeffs = dict(zip(support, xs))
-        n_degrees = _degrees(graph, coeffs)
+        n_degrees = degree_vector(graph, coeffs)
         adopted = [
             j for j in range(len(labels)) if j not in coeffs and target[j] < n_degrees[j]
         ]

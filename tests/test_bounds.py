@@ -463,12 +463,13 @@ class TestEnumerateConfigurations:
         assert err.value.location == "5 slots, sum 1"
 
     def test_search_step_budget(self, monkeypatch):
-        # weak-nef sum 2: the 5-slot search for 1 examines the most divisors, 771
+        # weak-nef sum 2: the 5-slot search for 1 examines the most divisors, 842
+        # (771 from the two-slot levels, 71 trial divisors factoring their targets)
         inv = invariants(2, 0, 1, 2)
-        monkeypatch.setattr(bounds, "MAX_SEARCH_STEPS", 771)
+        monkeypatch.setattr(bounds, "MAX_SEARCH_STEPS", 842)
         assert len(enumerate_configurations(inv, WEAK_NEF)) == 168
-        monkeypatch.setattr(bounds, "MAX_SEARCH_STEPS", 770)
-        with pytest.raises(SearchBudgetError, match="divisors, over the budget of 770$") as err:
+        monkeypatch.setattr(bounds, "MAX_SEARCH_STEPS", 841)
+        with pytest.raises(SearchBudgetError, match="divisors, over the budget of 841$") as err:
             enumerate_configurations(inv, WEAK_NEF)
         assert err.value.code == "search-budget-exceeded"
         assert err.value.location == "5 slots, sum 1"
@@ -493,6 +494,18 @@ class TestEnumerateConfigurations:
         with pytest.raises(SearchBudgetError) as err:
             enumerate_configurations(invariants(2, 0, 1, 1 - target / 2), WEAK_NEF)
         assert err.value.location == f"2 slots, sum {target}"
+
+    def test_trial_division_counts_against_the_budget(self, monkeypatch):
+        # 3/4 + 1/p, p = 10^14 + 31 prime: its two-slot targets have p in the
+        # denominator, whose trial division runs to sqrt(p) = 10^7 unless charged
+        p = 10**14 + 31
+        monkeypatch.setattr(bounds, "MAX_SEARCH_STEPS", 100_000)
+        start = time.perf_counter()
+        with pytest.raises(SearchBudgetError) as err:
+            enumerate_configurations(invariants(2, 0, 1, Fraction(3, 4) + Fraction(1, p)), WEAK_NEF)
+        assert time.perf_counter() - start < 1.0
+        assert err.value.code == "search-budget-exceeded"
+        assert err.value.location.startswith("2 slots, sum ")
 
 
 class TestIndexBounds:

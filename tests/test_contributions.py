@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -32,11 +33,24 @@ from folcalc.bounds import (
     HilbertSamples,
     ModelInvariants,
     bound_singularity_count,
+    compute_n1,
     enumerate_reciprocal_tuples,
+    relate_models,
 )
 from folcalc.contributions import MAX_NUMERIC_TWO_N, _exact_root_sum, dual_generator
+from folcalc.cyclic import wunram_degrees
 from folcalc.errors import InconsistentModelError, ValidationError
-from folcalc.lattice import Curve, DualGraph, QDivisor, hodge_inequality_check
+from folcalc.jouanolou import MAX_DMAX, accumulation_report, jouanolou_entry
+from folcalc.lattice import (
+    MAX_HODGE_GRID,
+    Curve,
+    DualGraph,
+    QDivisor,
+    chi_additivity_check,
+    graph_from_json,
+    hodge_inequality_check,
+)
+from folcalc.rationals import parse_integer
 
 from conftest import coprime_pairs
 from test_acceptance import _dihedral_tuples
@@ -49,9 +63,14 @@ def a_cyclic_by_direct_sum(t, i):
     return Fraction(total, t.n) - Fraction(i * (t.n - 1), 2 * t.n)
 
 
+def dihedral_two_n(datum):
+    """2n = 2^a_exp * l * m_odd, built here since the library never builds it unguarded."""
+    return 2**datum.a_exp * datum.l * datum.m_odd
+
+
 def dihedral_exponents(datum):
     """Every exponent u_j with the j-th term equal to 1/(1 +- eps^(u_j)), listed."""
-    two_n = datum.two_n
+    two_n = dihedral_two_n(datum)
     step = (datum.p + 1) % two_n
     offset = 0 if datum.variant == "e1" else (datum.m_odd * datum.l) % two_n
     return [(step * j + offset) % two_n for j in range(two_n)]
@@ -59,7 +78,7 @@ def dihedral_exponents(datum):
 
 def dihedral_sum_by_counting(datum):
     """The defining sum, pairing the counted exponents; oracle for the closed form."""
-    two_n = datum.two_n
+    two_n = dihedral_two_n(datum)
     pole = two_n // 2 if datum.variant == "e1" else 0
     counts = Counter(dihedral_exponents(datum))
     assert not counts.get(pole)
@@ -194,7 +213,8 @@ class TestDihedralVerify:
     def test_closed_form_matches_counting_on_every_tuple(self):
         count = 0
         for datum in _dihedral_tuples(200):
-            two_n, g = datum.two_n, gcd(datum.p + 1, datum.two_n)
+            two_n = dihedral_two_n(datum)
+            g = gcd(datum.p + 1, two_n)
             counts = Counter(dihedral_exponents(datum))
             assert set(counts.values()) == {g}, datum
             assert len(counts) == two_n // g, datum
@@ -205,7 +225,7 @@ class TestDihedralVerify:
     def test_numeric_route_at_the_cap(self):
         # p = 1 forces a_exp = m_odd = 1, so 2n = 2l; l = 2047 is the largest under the cap
         datum = Dihedral(a_exp=1, l=2047, m_odd=1, p=1)
-        assert datum.two_n <= MAX_NUMERIC_TWO_N < datum.two_n + 4
+        assert dihedral_two_n(datum) <= MAX_NUMERIC_TWO_N < dihedral_two_n(datum) + 4
         report = dihedral_sum_verify(datum)
         assert abs(report.sum_value - 2047) < 1e-10
         assert report.sum_value.imag == 0
@@ -219,6 +239,15 @@ class TestDihedralVerify:
             dihedral_sum_verify(Dihedral(a_exp=10**9, l=1, m_odd=1, p=1, variant="e2"))
         with pytest.raises(ValidationError, match="2n must be at most"):
             dihedral_sum_verify(Dihedral(a_exp=40, l=1, m_odd=1, p=2**40 - 1))
+
+    def test_huge_group_goes_through_contribution_quickly(self):
+        # nothing on the way builds 2^a_exp: the datum, its contribution, the refusal
+        start = time.perf_counter()
+        datum = Dihedral(a_exp=10**9, l=1, m_odd=1, p=1, variant="e2")
+        assert contribution(datum, 3) == Fraction(-1, 2)
+        with pytest.raises(ValidationError, match="2n must be at most"):
+            dihedral_sum_verify(datum)
+        assert time.perf_counter() - start < 1.0
 
     def test_certificate_checks(self):
         # 2n = 8: the odd coset 1 + 2Z misses both poles 0 and 4 and pairs up
@@ -342,6 +371,96 @@ def _divisor():
         lambda: ModelInvariants(2, 0, 1, 0, cusp_count=[1]),
         lambda: hodge_inequality_check(_divisor(), _divisor(), True),
         lambda: ModelInvariants("1/2", 0, 1, 0),
+        # every site of the integer contract: a bool, a float, a digit string
+        # and an out-of-range int wherever the site has a range
+        lambda: HilbertSamples({True: 1}),
+        lambda: HilbertSamples({1.0: 1}),
+        lambda: HilbertSamples({"1": 1}),
+        lambda: HilbertSamples({-1: 1}),
+        lambda: HilbertSamples({0: 1}, period_hint=2.0),
+        lambda: HilbertSamples({0: 1}, period_hint="2"),
+        lambda: HilbertSamples({0: 1}, period_hint=0),
+        lambda: ModelInvariants(2, 0, True, 0),
+        lambda: ModelInvariants(2, 0, "1", 0),
+        lambda: ModelInvariants(2, 0, 1, 0, cusp_count=1.0),
+        lambda: ModelInvariants(2, 0, 1, 0, cusp_count="1"),
+        lambda: enumerate_reciprocal_tuples(True, 1),
+        lambda: enumerate_reciprocal_tuples(2.0, 1),
+        lambda: enumerate_reciprocal_tuples("2", 1),
+        lambda: enumerate_reciprocal_tuples(-1, 1),
+        lambda: enumerate_reciprocal_tuples(2, 1, 2.0),
+        lambda: enumerate_reciprocal_tuples(2, 1, "2"),
+        lambda: enumerate_reciprocal_tuples(2, 1, 0),
+        lambda: compute_n1(ModelInvariants(2, 0, 1, 0), True),
+        lambda: compute_n1(ModelInvariants(2, 0, 1, 0), 1.0),
+        lambda: compute_n1(ModelInvariants(2, 0, 1, 0), "1"),
+        lambda: compute_n1(ModelInvariants(2, 0, 1, 0), 0),
+        lambda: relate_models({0: 1}, {0: 1}, True),
+        lambda: relate_models({0: 1}, {0: 1}, 0.0),
+        lambda: relate_models({0: 1}, {0: 1}, "0"),
+        lambda: relate_models({0: 1}, {0: 1}, -1),
+        lambda: Dihedral(True, 1, 1, 1),
+        lambda: Dihedral(1.0, 1, 1, 1),
+        lambda: Dihedral(1, "1", 1, 1),
+        lambda: Dihedral(1, 1, 1, 0),
+        lambda: a_cyclic_sheaf(CyclicType(5, 2), True),
+        lambda: a_cyclic_sheaf(CyclicType(5, 2), 1.0),
+        lambda: a_cyclic_sheaf(CyclicType(5, 2), "1"),
+        lambda: a_cyclic_sheaf(CyclicType(5, 2), 5),
+        lambda: a_terminal(CyclicType(5, 2), True),
+        lambda: a_terminal(CyclicType(5, 2), 1.0),
+        lambda: a_terminal(CyclicType(5, 2), "1"),
+        lambda: a_dihedral(True),
+        lambda: a_dihedral(1.0),
+        lambda: a_dihedral("1"),
+        lambda: a_cusp(True),
+        lambda: a_cusp(1.0),
+        lambda: a_cusp("1"),
+        lambda: chi_fchain(CyclicType(5, 2), True),
+        lambda: chi_fchain(CyclicType(5, 2), 2.0),
+        lambda: chi_fchain(CyclicType(5, 2), "2"),
+        lambda: chi_fchain(CyclicType(5, 2), -1),
+        lambda: chi_partial_crepant(Cusp(), True),
+        lambda: chi_partial_crepant(Cusp(), 0.0),
+        lambda: chi_partial_crepant(Cusp(), "0"),
+        lambda: global_chi(1, 0, 1, [], True),
+        lambda: global_chi(1, 0, 1, [], 2.0),
+        lambda: global_chi(1, 0, 1, [], "2"),
+        lambda: CyclicType(5.0, 2),
+        lambda: CyclicType("5", 2),
+        lambda: CyclicType(1, 1),
+        lambda: CyclicType(5, 2.0),
+        lambda: CyclicType(5, "2"),
+        lambda: CyclicType(5, 5),
+        lambda: wunram_degrees(CyclicType(5, 2), True),
+        lambda: wunram_degrees(CyclicType(5, 2), 1.0),
+        lambda: wunram_degrees(CyclicType(5, 2), "1"),
+        lambda: wunram_degrees(CyclicType(5, 2), 1.0, reduce_mod_n=True),
+        lambda: jouanolou_entry(True),
+        lambda: jouanolou_entry(2.0),
+        lambda: jouanolou_entry("2"),
+        lambda: jouanolou_entry(1),
+        lambda: accumulation_report(True),
+        lambda: accumulation_report(3.0),
+        lambda: accumulation_report("3"),
+        lambda: accumulation_report(1),
+        lambda: accumulation_report(MAX_DMAX + 1),
+        lambda: DualGraph([Curve("A", -2), Curve("B", -2)], [("A", "B", "1")]),
+        lambda: DualGraph([Curve("A", -2), Curve("B", -2)], [("A", "B", -1)]),
+        lambda: DualGraph.from_matrix(["A"], [["-2"]]),
+        lambda: hodge_inequality_check(_divisor(), _divisor(), 1.0),
+        lambda: hodge_inequality_check(_divisor(), _divisor(), "1"),
+        lambda: hodge_inequality_check(_divisor(), _divisor(), 0),
+        lambda: hodge_inequality_check(_divisor(), _divisor(), MAX_HODGE_GRID + 1),
+        lambda: chi_additivity_check([(True, 0, 1)]),
+        lambda: chi_additivity_check([(0, 1.0, 1)]),
+        lambda: chi_additivity_check([(0, 1, "1")]),
+        lambda: chi_additivity_check([(0, -1, -1)]),
+        lambda: graph_from_json({"curves": [{"label": "A", "self": True}]}),
+        lambda: graph_from_json({"curves": [{"label": "A", "self": -2.0}]}),
+        lambda: graph_from_json({"curves": [{"label": "A", "self": "-2"}]}),
+        lambda: parse_integer(True),
+        lambda: parse_integer(1.0),
     ],
 )
 def test_public_entry_points_reject_floats_and_bools(call):

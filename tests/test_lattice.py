@@ -283,7 +283,7 @@ class TestPair:
 
     def test_fchain_class_self_intersection(self):
         # Z . C1 = -1 and Z supported on the string give Z^2 = -q/n
-        for n, q in [(3, 1), (5, 2), (12, 5), (11, 7)]:
+        for n, q in [(3, 1), (5, 2), (12, 5), (11, 7), (1000, 999)]:
             t = f.CyclicType(n, q)
             g = f.hj_string_graph(t)
             z = solve_pullback(g, f.fchain_profile(t))
