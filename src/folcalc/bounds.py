@@ -183,6 +183,11 @@ def _resolved_hint(hint: int, mode: str) -> int:
     return hint
 
 
+def _needed_samples(period: int) -> list[int]:
+    """The multiples a fit at period L reads: 0, 1, L, 2L and 3L, ascending."""
+    return sorted({0, 1, period, 2 * period, 3 * period})
+
+
 def _try_period(
     values: Mapping[int, Fraction], mode: str, period: int, table: list[tuple[int, int, int]]
 ) -> ModelInvariants | tuple[int, str]:
@@ -200,8 +205,7 @@ def _try_period(
     pair (num*D - den*(a*m + b)*m, den) and two pairs are compared by
     cross-multiplying.
     """
-    needed = {0, 1, period, 2 * period, 3 * period}
-    if not needed.issubset(values):
+    if any(m not in values for m in _needed_samples(period)):
         return -1, f"period {period}"
     # canonical models fit at L, 2L, 3L, away from the cusp shift at m = 0
     x0 = period if mode == CANONICAL else 0
@@ -258,29 +262,27 @@ def extract_invariants(samples: HilbertSamples, mode: str) -> ModelInvariants:
     _check_mode(mode)
     values = samples.values
     table = [(m, v.numerator, v.denominator) for m, v in values.items()]
-    if samples.period_hint is not None:
-        period = _resolved_hint(samples.period_hint, mode)
-        needed = sorted({0, 1, period, 2 * period, 3 * period})
+    if samples.period_hint is None:
+        start, step = (1, 1) if mode == WEAK_NEF else (2, 2)
+        periods = range(start, MAX_PERIOD + 1, step)
+        scope = f"any period <= {MAX_PERIOD}"
+    else:
+        periods = [_resolved_hint(samples.period_hint, mode)]
+        scope = f"period {periods[0]}"
+        needed = _needed_samples(periods[0])
         missing = [m for m in needed if m not in values]
         if missing:
             raise ValidationError(f"samples must include m = {needed}; missing {missing}")
-        inv = _try_period(values, mode, period, table)
-        if not isinstance(inv, ModelInvariants):
-            raise InconsistentSamplesError(
-                f"samples incompatible with quasi-polynomial of period {period}", location=inv[1]
-            )
-        return inv
-    start, step = (1, 1) if mode == WEAK_NEF else (2, 2)
     refusals = []
-    for period in range(start, MAX_PERIOD + 1, step):
+    for period in periods:
         inv = _try_period(values, mode, period, table)
         if isinstance(inv, ModelInvariants):
             return inv
         refusals.append(inv)
     raise InconsistentSamplesError(
-        f"samples incompatible with quasi-polynomial of any period <= {MAX_PERIOD}",
+        f"samples incompatible with quasi-polynomial of {scope}",
         # max keeps the first of equal multiples, which is the smaller period
-        location=max(refusals, key=lambda r: r[0], default=(-1, None))[1],
+        location=max(refusals, key=lambda r: r[0])[1],
     )
 
 
@@ -452,10 +454,8 @@ def enumerate_configurations(inv: ModelInvariants, mode: str) -> list[Singularit
     def terminal_multisets(target: Fraction) -> Iterable[tuple[int, ...]]:
         # k points contribute k/2 - (1/2) sum 1/n, so sum 1/n = k - 2*target;
         # each one adds between 1/4 and 1/2, boxing k into [2*target, 4*target]
-        for k in range(0, math.floor(4 * target) + 1):
-            reciprocal_target = k - 2 * target
-            if reciprocal_target >= 0:
-                yield from enumerate_reciprocal_tuples(k, reciprocal_target)
+        for k in range(math.ceil(2 * target), bound_singularity_count(target) + 1):
+            yield from enumerate_reciprocal_tuples(k, k - 2 * target)
 
     if mode == WEAK_NEF:
         for orders in terminal_multisets(s):

@@ -11,6 +11,7 @@ object on stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -49,17 +50,13 @@ def _cyclic_from_args(args) -> CyclicType:
     return CyclicType(args.n, args.q)
 
 
-def _datum_from_kind(args) -> contrib_mod.SingularityDatum:
-    kind = args.kind
-    if kind == "terminal":
-        return contrib_mod.Terminal(_cyclic_from_args(args))
-    if kind == "dihedral":
-        return contrib_mod.Dihedral(a_exp=1, l=1, m_odd=1, p=1)
-    if kind == "cusp":
-        return contrib_mod.Cusp()
-    if kind == "gorenstein":
-        return contrib_mod.GorensteinCanonical()
-    raise ValidationError(f"unknown singularity kind {kind!r}")
+# --kind choices, each with the datum it builds from the parsed arguments
+_KINDS = {
+    "terminal": lambda args: contrib_mod.Terminal(_cyclic_from_args(args)),
+    "dihedral": lambda args: contrib_mod.Dihedral(a_exp=1, l=1, m_odd=1, p=1),
+    "cusp": lambda args: contrib_mod.Cusp(),
+    "gorenstein": lambda args: contrib_mod.GorensteinCanonical(),
+}
 
 
 # --- handlers ---------------------------------------------------------------
@@ -71,20 +68,21 @@ def _cmd_hj(args):
 
 
 def _cmd_wunram(args):
-    data = wunram_degrees(CyclicType(args.n, args.q), args.i, reduce_mod_n=args.reduce)
-    expansion = hj_expansion(CyclicType(args.n, args.q))
+    t = CyclicType(args.n, args.q)
+    data = wunram_degrees(t, args.i, reduce_mod_n=args.reduce)
+    expansion = hj_expansion(t)
     return {"b": list(expansion.entries), "s": list(data.s), "d": list(data.d)}
 
 
 def _cmd_contrib(args):
-    return {"a": format_rational(contrib_mod.contribution(_datum_from_kind(args), args.m))}
+    return {"a": format_rational(contrib_mod.contribution(_KINDS[args.kind](args), args.m))}
 
 
 def _cmd_chi_local(args):
     if args.kind is None:
         value = contrib_mod.chi_fchain(_cyclic_from_args(args), args.m)
-        return {"chi": format_rational(value)}
-    value = contrib_mod.chi_partial_crepant(_datum_from_kind(args), args.m)
+    else:
+        value = contrib_mod.chi_partial_crepant(_KINDS[args.kind](args), args.m)
     return {"chi": format_rational(value)}
 
 
@@ -136,8 +134,7 @@ def _config_to_json(cfg: bounds_mod.SingularityConfiguration) -> dict:
 
 def _cmd_bounds(args):
     samples = _samples_from_json(_load_json(args.samples))
-    mode = bounds_mod.WEAK_NEF if args.mode == "weak-nef" else bounds_mod.CANONICAL
-    report = bounds_mod.pipeline(samples, mode)
+    report = bounds_mod.pipeline(samples, args.mode)
     per_config = [
         {
             "index": report.index_candidates[k],
@@ -209,8 +206,12 @@ def _cmd_relate(args):
 # --- rendering --------------------------------------------------------------
 
 
-def _render_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def _render_json(doc) -> None:
+    # batched: one string would peak at several times a 104 MB report, a write per chunk is slow
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
+    while batch := "".join(itertools.islice(chunks, 65536)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def _rows_to_table(rows: list[dict], columns: list[str]) -> list[str]:
@@ -223,7 +224,7 @@ def _rows_to_table(rows: list[dict], columns: list[str]) -> list[str]:
     return lines
 
 
-def _render_table(command: str, doc) -> str:
+def _render_table(command: str, doc) -> None:
     lines: list[str] = []
     if command == "jouanolou":
         lines += _rows_to_table(doc["entries"], ["d", "volume", "aut_order", "one_minus_volume"])
@@ -258,7 +259,7 @@ def _render_table(command: str, doc) -> str:
                 lines.append(f"{key} = {{{body}}}")
             else:
                 lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _describe_config(cfg: dict) -> str:
@@ -294,7 +295,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_wunram)
 
     p = sub.add_parser("contrib", parents=[common], help="local contribution a(y, mK)")
-    p.add_argument("--kind", required=True, choices=("terminal", "dihedral", "cusp", "gorenstein"))
+    p.add_argument("--kind", required=True, choices=tuple(_KINDS))
     p.add_argument("--m", required=True, type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--q", type=int)
@@ -306,7 +307,7 @@ def build_parser() -> _Parser:
     p.add_argument("--q", type=int)
     p.add_argument(
         "--kind",
-        choices=("terminal", "dihedral", "cusp", "gorenstein"),
+        choices=tuple(_KINDS),
         help="partial-crepant table instead of the contracted-string value",
     )
     p.set_defaults(handler=_cmd_chi_local)
@@ -322,7 +323,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_zariski)
 
     p = sub.add_parser("bounds", parents=[common], help="pluricanonical bound from Hilbert samples")
-    p.add_argument("--mode", required=True, choices=("weak-nef", "canonical"))
+    p.add_argument("--mode", required=True, choices=(bounds_mod.WEAK_NEF, bounds_mod.CANONICAL))
     p.add_argument("samples")
     p.set_defaults(handler=_cmd_bounds)
 
@@ -364,9 +365,9 @@ def main(argv=None) -> int:
         _emit_error(err)
         return 1
     if args.format == "table":
-        sys.stdout.write(_render_table(args.command, doc))
+        _render_table(args.command, doc)
     else:
-        sys.stdout.write(_render_json(doc))
+        _render_json(doc)
     return 0
 
 

@@ -75,7 +75,7 @@ class DualGraph:
 
     @classmethod
     def from_matrix(cls, labels: Sequence[str], matrix: Sequence[Sequence[int]]) -> "DualGraph":
-        """Build a graph from a full symmetric integer matrix."""
+        """Build a graph from a full symmetric integer matrix; off-diagonal entries are edges."""
         n = len(labels)
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValidationError("matrix shape does not match the label count")
@@ -84,8 +84,6 @@ class DualGraph:
                 exact_int(matrix[i][j], "matrix entry")
                 if matrix[i][j] != matrix[j][i]:
                     raise ValidationError("matrix must be symmetric")
-                if i != j and matrix[i][j] < 0:
-                    raise ValidationError("off-diagonal intersection numbers must be nonnegative")
         curves = [Curve(label, matrix[i][i]) for i, label in enumerate(labels)]
         edges = [
             (labels[i], labels[j], matrix[i][j])
@@ -105,14 +103,15 @@ class DualGraph:
         return len(self.curves)
 
     def __eq__(self, other) -> bool:
+        # a self-intersection is its row's diagonal entry (absent when 0)
         return (
             isinstance(other, DualGraph)
-            and self.curves == other.curves
+            and self.labels == other.labels
             and self.sparse_rows == other.sparse_rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.curves, tuple(tuple(sorted(row.items())) for row in self.sparse_rows)))
+        return hash((self.labels, tuple(tuple(sorted(row.items())) for row in self.sparse_rows)))
 
     def __repr__(self) -> str:
         return f"DualGraph({list(self.labels)!r})"
@@ -158,7 +157,7 @@ class QDivisor:
         return tuple(label for label in self.graph.labels if label in self.coefficients)
 
     def __add__(self, other: "QDivisor") -> "QDivisor":
-        _require_same_graph(self, other)
+        _require_graph(self.graph, other)
         merged = dict(self.coefficients)
         for label, v in other.coefficients.items():
             merged[label] = merged.get(label, Fraction(0)) + v
@@ -211,9 +210,10 @@ class IntersectionProfile:
         )
 
 
-def _require_same_graph(a, b) -> None:
-    if a.graph != b.graph:
-        raise ValidationError("divisors live on different graphs")
+def _require_graph(graph: DualGraph, part) -> None:
+    """Refuse a divisor or profile that lives on another graph than ``graph``."""
+    if part.graph != graph:
+        raise ValidationError("divisor or profile belongs to a different graph")
 
 
 def intersection_matrix(graph: DualGraph) -> list[list[int]]:
@@ -257,8 +257,7 @@ def solve_pullback(graph: DualGraph, profile: IntersectionProfile) -> QDivisor:
     (cusp cycles, for instance); such configurations need the local
     contribution tables instead of a solve.
     """
-    if profile.graph != graph:
-        raise ValidationError("profile belongs to a different graph")
+    _require_graph(graph, profile)
     rhs = [profile.degree(label) for label in graph.labels]
     xs = eliminate(graph.sparse_rows, rhs)[1]
     if xs is None:
@@ -284,7 +283,7 @@ def _by_index(d: QDivisor) -> dict[int, Fraction]:
 
 def pair(d1: QDivisor, d2: QDivisor) -> Fraction:
     """Bilinear symmetric intersection number of two divisors."""
-    _require_same_graph(d1, d2)
+    _require_graph(d1.graph, d2)
     degrees = degree_vector(d2.graph, _by_index(d2))
     return sum((x * degrees[i] for i, x in _by_index(d1).items()), Fraction(0))
 
@@ -344,7 +343,7 @@ def hodge_inequality_check(d1: QDivisor, d2: QDivisor, grid: int) -> HodgeReport
     equality holds the check also searches for an exact rational combination
     pairing to zero with every curve.
     """
-    _require_same_graph(d1, d2)
+    _require_graph(d1.graph, d2)
     exact_int(grid, "grid", 1, MAX_HODGE_GRID)
     s11 = pair(d1, d1)
     s12 = pair(d1, d2)

@@ -8,9 +8,15 @@ pass only adds curves, so the loop ends within one pass per curve. Ties (two
 or more curves turning negative in the same pass) are adopted simultaneously,
 which keeps the outcome independent of any curve ordering.
 
+N stays effective with no check. Each pass adds to N the y with M_S y = r:
+M_S is the pairing on the new support, r is 0 on the old support and
+(D - N) . C_j < 0 on each adopted curve C_j, and M_S^-1 <= 0 entrywise since
+-M_S is a nonsingular M-matrix, positive definite with nonpositive off-diagonal
+entries (Berman-Plemmons 1979, *Nonnegative Matrices in the Mathematical Sciences*).
+
 "Pseudoeffective relative to the configuration" means exactly that this
-procedure succeeds with N >= 0; cone membership on an actual surface is not
-decidable from the finite data here.
+procedure succeeds; cone membership on an actual surface is not decidable
+from the finite data here.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotPseudoeffectiveError, ValidationError
-from .lattice import DualGraph, QDivisor, degree_vector, principal_rows
+from .lattice import DualGraph, QDivisor, _by_index, _require_graph, degree_vector, principal_rows
 from .linalg import eliminate
 from .rationals import parse_rational
 
@@ -36,16 +42,14 @@ class ZariskiResult:
 def zariski_decompose(graph: DualGraph, d: QDivisor) -> ZariskiResult:
     """Split d into its nef and contractible parts relative to the graph.
 
-    Raises NotPseudoeffectiveError when the accumulated support stops being
-    negative definite (``location`` names the curves adopted in that pass)
-    or the solved negative part picks up a negative coefficient
-    (``location`` names the first such curve in graph order). Each pass makes
-    one elimination call, which tests definiteness and solves together.
+    Its one failure is NotPseudoeffectiveError when the accumulated support
+    stops being negative definite (``location`` names the curves adopted in
+    that pass); N >= 0 needs no check (see the module docstring). Each pass
+    makes one elimination call, which tests definiteness and solves together.
     """
-    if d.graph != graph:
-        raise ValidationError("divisor belongs to a different graph")
+    _require_graph(graph, d)
     labels = graph.labels
-    target = degree_vector(graph, {graph.index_of(label): x for label, x in d.coefficients.items()})
+    target = degree_vector(graph, _by_index(d))
     support: list[int] = []
     coeffs: dict[int, Fraction] = {}
     adopted: list[int] = []
@@ -71,12 +75,6 @@ def zariski_decompose(graph: DualGraph, d: QDivisor) -> ZariskiResult:
             break
         support = sorted(support + adopted)
     negative = QDivisor(graph, {labels[i]: x for i, x in coeffs.items()})
-    for i in sorted(coeffs):
-        if coeffs[i] < 0:
-            raise NotPseudoeffectiveError(
-                "not pseudoeffective relative to configuration: negative part is not effective",
-                location=labels[i],
-            )
     return ZariskiResult(positive=d - negative, negative=negative, support=negative.support)
 
 

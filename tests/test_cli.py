@@ -7,7 +7,7 @@ import pytest
 
 import folcalc as f
 from folcalc import bounds
-from folcalc.cli import main
+from folcalc.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -221,6 +221,21 @@ class TestOutputDiscipline:
             assert code == 0
             outputs.add(out)
         assert len(outputs) == 1
+
+    def test_batched_json_matches_one_string(self, capsys, tmp_path):
+        # ten order-2 points: weak-nef sum 5/2, 3,648 configurations; the
+        # document encodes to more than two batches of 65,536 chunks
+        data = [f.Terminal(f.CyclicType(2, 1))] * 10
+        values = {str(m): str(f.global_chi(2, 1, 1, data, m)) for m in range(7)}
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps({"values": values, "period_hint": 2}))
+        argv = ["bounds", "--mode", "weak-nef", str(path)]
+        args = build_parser().parse_args(argv)
+        doc = args.handler(args)
+        assert sum(1 for _ in json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)) > 2 * 65536
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def test_table_format(self, capsys):
         code, out, _ = run(capsys, "jouanolou", "--dmax", "4", "--format", "table")

@@ -136,6 +136,13 @@ class TestGraphConstruction:
         assert graph_to_json(g1)["edges"] == graph_to_json(g2)["edges"] == expected
         assert graph_from_json(graph_to_json(g2)) == g1
 
+    def test_self_intersection_zero_differs_from_minus_one(self):
+        # a 0 diagonal entry is dropped from its sparse row; equality still sees it
+        g0 = DualGraph([Curve("A", 0), Curve("B", -2)], [("A", "B", 1)])
+        g1 = DualGraph([Curve("A", -1), Curve("B", -2)], [("A", "B", 1)])
+        assert g0 != g1 and g1 != g0
+        assert g0 == DualGraph([Curve("A", 0), Curve("B", -2)], [("A", "B", 1)])
+
 
 class TestDivisorScaling:
     def test_exact_scalars(self):

@@ -73,18 +73,6 @@ class TestDecompose:
             zariski_decompose(g, QDivisor(g, {"A": -1, "B": -1}))
         assert info.value.location == "A, B"
 
-    def test_location_names_the_first_negative_coefficient(self):
-        # With nonnegative off-diagonal entries a negative definite support
-        # always gives N >= 0 (minus its matrix is an M-matrix), so a validated
-        # graph never reaches this error; a negative off-diagonal entry does.
-        g = DualGraph([Curve("A", -2), Curve("B", -2)], [("A", "B", 1)])
-        g.sparse_rows = ({0: -2, 1: -1}, {0: -1, 1: -2})
-        d = QDivisor(g, {"A": Fraction(-2, 3), "B": Fraction(7, 3)})  # D.A = -1, D.B = -4
-        with pytest.raises(NotPseudoeffectiveError) as info:
-            zariski_decompose(g, d)
-        assert "not effective" in info.value.message
-        assert info.value.location == "A"
-
     def test_mismatched_graph_rejected(self):
         g1 = f.hj_string_graph(f.CyclicType(3, 1))
         g2 = f.hj_string_graph(f.CyclicType(3, 2))
