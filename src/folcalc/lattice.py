@@ -9,14 +9,19 @@ unknown combination against every curve is an exact linear solve against the
 pairing matrix; it has a unique solution exactly when the matrix is
 invertible (negative definiteness suffices).
 
-Everything here is pure and exact: scalars are ``fractions.Fraction``, there
-is no floating point, and all functions are safe to call concurrently.
+Everything here is pure and exact: public scalars are ``fractions.Fraction``,
+there is no floating point, and all functions are safe to call concurrently.
+Inside, Z . C sums run on integers: a divisor's coefficients become integer
+numerators over one positive common denominator (``_by_index``), and
+``degree_vector`` maps those to integer numerators of Z . C_j over the same
+denominator; a Fraction is built only for a result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DegenerateConfigurationError, ValidationError
@@ -258,34 +263,42 @@ def solve_pullback(graph: DualGraph, profile: IntersectionProfile) -> QDivisor:
     contribution tables instead of a solve.
     """
     _require_graph(graph, profile)
-    rhs = [profile.degree(label) for label in graph.labels]
+    rhs = [profile.degrees.get(label, 0) for label in graph.labels]
     xs = eliminate(graph.sparse_rows, rhs)[1]
     if xs is None:
         raise DegenerateConfigurationError("degenerate configuration: pairing matrix is singular")
     return QDivisor(graph, dict(zip(graph.labels, xs)))
 
 
-def degree_vector(graph: DualGraph, coefficients: Mapping[int, Fraction]) -> list[Fraction]:
-    """Z . C_j for every curve j of the graph, Z given as {curve index: coefficient}.
+def degree_vector(graph: DualGraph, coefficients: Mapping[int, int]) -> list[int]:
+    """Z . C_j for every curve j of the graph, Z given as {curve index: integer coefficient}.
 
+    Integers go in and integers come out: for Z's numerators over a common
+    denominator, entry j is the numerator of Z . C_j over that denominator.
     One pass over the sparse rows of Z's curves, so linear in their entries.
     """
-    out = [Fraction(0)] * len(graph)
+    out = [0] * len(graph)
     for i, x in coefficients.items():
         for j, v in graph.sparse_rows[i].items():
             out[j] += x * v
     return out
 
 
-def _by_index(d: QDivisor) -> dict[int, Fraction]:
-    return {d.graph.index_of(label): x for label, x in d.coefficients.items()}
+def _by_index(d: QDivisor) -> tuple[dict[int, int], int]:
+    """d's coefficients as ({curve index: numerator}, den), den > 0 their common denominator."""
+    coefficients = d.coefficients
+    den = lcm(*(x.denominator for x in coefficients.values()))
+    index = d.graph._index
+    return {index[label]: x.numerator * (den // x.denominator) for label, x in coefficients.items()}, den
 
 
 def pair(d1: QDivisor, d2: QDivisor) -> Fraction:
     """Bilinear symmetric intersection number of two divisors."""
     _require_graph(d1.graph, d2)
-    degrees = degree_vector(d2.graph, _by_index(d2))
-    return sum((x * degrees[i] for i, x in _by_index(d1).items()), Fraction(0))
+    coefficients2, den2 = _by_index(d2)
+    degrees = degree_vector(d2.graph, coefficients2)
+    coefficients1, den1 = _by_index(d1)
+    return Fraction(sum(x * degrees[i] for i, x in coefficients1.items()), den1 * den2)
 
 
 def degree_against_curve(d: QDivisor, label: str) -> Fraction:
@@ -321,16 +334,18 @@ class HodgeReport:
 
 def _trivial_combination(d1: QDivisor, d2: QDivisor) -> tuple[Fraction, Fraction] | None:
     """Nonzero (b1, b2) with (b1*d1 + b2*d2) . C = 0 for every curve, if one exists."""
-    v1 = degree_vector(d1.graph, _by_index(d1))
-    v2 = degree_vector(d2.graph, _by_index(d2))
+    coefficients1, den1 = _by_index(d1)
+    coefficients2, den2 = _by_index(d2)
+    v1 = degree_vector(d1.graph, coefficients1)
+    v2 = degree_vector(d2.graph, coefficients2)
     if not any(v1):
         return (Fraction(1), Fraction(0))
     if not any(v2):
         return (Fraction(0), Fraction(1))
     j0 = next(j for j, v in enumerate(v1) if v)
-    lam = v2[j0] / v1[j0]
-    if all(v2[j] == lam * v1[j] for j in range(len(v1))):
-        return (lam, Fraction(-1))
+    # v2 / den2 = lam * v1 / den1 entrywise, tested by cross-multiplication
+    if all(v2[j] * v1[j0] == v2[j0] * v1[j] for j in range(len(v1))):
+        return (Fraction(v2[j0] * den1, v1[j0] * den2), Fraction(-1))
     return None
 
 

@@ -33,7 +33,8 @@ MAX_DIGITS = 4300
 
 def format_rational(value) -> str:
     """Canonical lowest-terms string, e.g. ``-2/5`` or ``-1``."""
-    return str(Fraction(value))
+    # a Fraction is already in lowest terms; Fraction(Fraction) costs an ABC check
+    return str(value) if type(value) is Fraction else str(Fraction(value))
 
 
 def parse_rational(value) -> Fraction:

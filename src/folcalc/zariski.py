@@ -14,6 +14,13 @@ M_S is the pairing on the new support, r is 0 on the old support and
 -M_S is a nonsingular M-matrix, positive definite with nonpositive off-diagonal
 entries (Berman-Plemmons 1979, *Nonnegative Matrices in the Mathematical Sciences*).
 
+The pass loop runs on integers. Let den be the common denominator of D's
+coefficients. Then ``target[j]``, the numerator of D . C_j over den, is the
+rhs of each solve, so the solution is den * N. Each pass writes it as integer
+numerators over its own lcm ``scale``, so N and N . C_j become numerators
+over den * scale, and curve j is adopted when ``target[j] * scale <
+n_degrees[j]``. Only the final N and P = D - N are built as Fractions.
+
 "Pseudoeffective relative to the configuration" means exactly that this
 procedure succeeds; cone membership on an actual surface is not decidable
 from the finite data here.
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import NotPseudoeffectiveError, ValidationError
 from .lattice import DualGraph, QDivisor, _by_index, _require_graph, degree_vector, principal_rows
@@ -49,9 +57,11 @@ def zariski_decompose(graph: DualGraph, d: QDivisor) -> ZariskiResult:
     """
     _require_graph(graph, d)
     labels = graph.labels
-    target = degree_vector(graph, _by_index(d))
+    d_coefficients, den = _by_index(d)
+    target = degree_vector(graph, d_coefficients)
     support: list[int] = []
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, int] = {}
+    scale = 1
     adopted: list[int] = []
     for _ in range(len(labels) + 1):
         if support:
@@ -66,15 +76,16 @@ def zariski_decompose(graph: DualGraph, d: QDivisor) -> ZariskiResult:
                     "support is not negative definite",
                     location=", ".join(labels[i] for i in adopted),
                 )
-            coeffs = dict(zip(support, xs))
+            scale = lcm(*(x.denominator for x in xs))
+            coeffs = {i: x.numerator * (scale // x.denominator) for i, x in zip(support, xs)}
         n_degrees = degree_vector(graph, coeffs)
         adopted = [
-            j for j in range(len(labels)) if j not in coeffs and target[j] < n_degrees[j]
+            j for j in range(len(labels)) if j not in coeffs and target[j] * scale < n_degrees[j]
         ]
         if not adopted:
             break
         support = sorted(support + adopted)
-    negative = QDivisor(graph, {labels[i]: x for i, x in coeffs.items()})
+    negative = QDivisor(graph, {labels[i]: Fraction(x, den * scale) for i, x in coeffs.items()})
     return ZariskiResult(positive=d - negative, negative=negative, support=negative.support)
 
 

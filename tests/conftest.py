@@ -8,7 +8,7 @@ from math import gcd, lcm
 
 import folcalc as f
 from folcalc.errors import NotPseudoeffectiveError
-from folcalc.lattice import degree_against_curve
+from folcalc.lattice import degree_against_curve, divisor_from_json
 from folcalc.linalg import solve_exact
 
 
@@ -72,6 +72,54 @@ def exhaustive_zariski(graph, d):
             if all(degree_against_curve(positive, label) >= 0 for label in graph.labels):
                 valid.append((subset, positive, negative))
     return valid
+
+
+def fraction_degree_vector(graph, coefficients):
+    """Z . C_j summed in Fraction arithmetic, Z as {curve index: Fraction}.
+
+    The reference for the integer sums of ``lattice.degree_vector``: the same
+    pass over the sparse rows, with no common denominator.
+    """
+    out = [Fraction(0)] * len(graph)
+    for i, x in coefficients.items():
+        for j, v in graph.sparse_rows[i].items():
+            out[j] += x * v
+    return out
+
+
+def fraction_by_index(d):
+    """d's coefficients as {curve index: Fraction}."""
+    return {d.graph.index_of(label): x for label, x in d.coefficients.items()}
+
+
+def first_primes(count):
+    primes = []
+    n = 2
+    while len(primes) < count:
+        if all(n % p for p in primes if p * p <= n):
+            primes.append(n)
+        n += 1
+    return primes
+
+
+def prime_denominator_divisor(rng, graph):
+    """A divisor whose coefficients have pairwise distinct prime denominators."""
+    primes = rng.sample(first_primes(25), len(graph.labels))
+    return f.QDivisor(
+        graph,
+        {label: Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), p) for label, p in zip(graph.labels, primes)},
+    )
+
+
+def exponent_divisor(rng, graph):
+    """A divisor read from decimal strings as float reprs write them, many in
+    exponent form such as "6.106226635438361e-16"."""
+
+    def text():
+        mantissa = f"{rng.choice(['', '-'])}{rng.randint(1, 9)}.{rng.randint(0, 10**15 - 1):015d}"
+        return f"{mantissa}e-{rng.randint(0, 17)}" if rng.random() < 0.7 else mantissa
+
+    return divisor_from_json(graph, {label: text() for label in graph.labels})
 
 
 def decompose_or_none(graph, d):

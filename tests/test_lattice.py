@@ -23,9 +23,17 @@ from folcalc import (
     solve_pullback,
 )
 from folcalc.errors import DegenerateConfigurationError, ValidationError
-from folcalc.lattice import graph_from_json, graph_to_json
+from folcalc.lattice import _by_index, _trivial_combination, degree_vector, graph_from_json, graph_to_json
 
-from conftest import random_divisor, random_graph, x1_closed_form
+from conftest import (
+    exponent_divisor,
+    fraction_by_index,
+    fraction_degree_vector,
+    prime_denominator_divisor,
+    random_divisor,
+    random_graph,
+    x1_closed_form,
+)
 
 
 def hj_graph(n, q):
@@ -51,6 +59,27 @@ def naive_det(matrix):
         minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
         total += (-1) ** j * matrix[0][j] * naive_det(minor)
     return total
+
+
+def fraction_trivial_combination(d1, d2):
+    """Proportionality of the Fraction degree vectors; the reference for the
+    cross-multiplied integer test."""
+    v1 = fraction_degree_vector(d1.graph, fraction_by_index(d1))
+    v2 = fraction_degree_vector(d2.graph, fraction_by_index(d2))
+    if not any(v1):
+        return (Fraction(1), Fraction(0))
+    if not any(v2):
+        return (Fraction(0), Fraction(1))
+    j0 = next(j for j, v in enumerate(v1) if v)
+    lam = v2[j0] / v1[j0]
+    if all(v2[j] == lam * v1[j] for j in range(len(v1))):
+        return (lam, Fraction(-1))
+    return None
+
+
+def some_divisors(rng, graph):
+    """Divisors with small, pairwise distinct prime and exponent-form denominators."""
+    return [random_divisor(rng, graph), prime_denominator_divisor(rng, graph), exponent_divisor(rng, graph)]
 
 
 def naive_negative_definite(matrix):
@@ -415,6 +444,57 @@ class TestHodgeInequality:
         assert report.inequality_holds is None
         assert report.equality_with_trivial_combination is None
         assert report.trivial_combination is None
+
+
+class TestIntegerDegrees:
+    """Z . C on numerators over one common denominator against the Fraction sums."""
+
+    def test_degree_vector_matches_fraction_reference(self):
+        rng = random.Random(59)
+        for _ in range(150):
+            g = random_graph(rng, max_curves=6, self_range=(-5, 2))
+            for d in some_divisors(rng, g) + [QDivisor(g)]:
+                numerators, den = _by_index(d)
+                assert den > 0 and all(type(x) is int for x in numerators.values())
+                degrees = degree_vector(g, numerators)
+                assert all(type(v) is int for v in degrees)
+                expected = fraction_degree_vector(g, fraction_by_index(d))
+                assert [Fraction(v, den) for v in degrees] == expected
+
+    def test_pair_matches_fraction_reference(self):
+        rng = random.Random(61)
+        for _ in range(150):
+            g = random_graph(rng, max_curves=6, self_range=(-5, 2))
+            divisors = some_divisors(rng, g)
+            for d1 in divisors:
+                for d2 in divisors:
+                    degrees = fraction_degree_vector(g, fraction_by_index(d2))
+                    expected = sum((x * degrees[i] for i, x in fraction_by_index(d1).items()), Fraction(0))
+                    value = pair(d1, d2)
+                    assert type(value) is Fraction and value == expected
+
+    def test_trivial_combination_matches_fraction_reference(self):
+        rng = random.Random(67)
+        cycle = cusp_cycle()
+        kernel = QDivisor(cycle, {"A": 1, "B": 1, "Z": 1})  # pairs to 0 with every curve
+        cases = [
+            (kernel, QDivisor(cycle, {"A": Fraction(1, 3)})),
+            (QDivisor(cycle, {"B": Fraction(-2, 7)}), Fraction(5, 11) * kernel),
+        ]
+        for _ in range(100):
+            g = random_graph(rng, max_curves=5, self_range=(-5, 2))
+            d1, d2, d3 = some_divisors(rng, g)
+            s = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7]))
+            cases += [(d1, d2), (d2, d3), (d1, s * d1), (s * d2, d2), (d3, s * d3), (QDivisor(g), d2)]
+        claimed = 0
+        for d1, d2 in cases:
+            expected = fraction_trivial_combination(d1, d2)
+            assert _trivial_combination(d1, d2) == expected
+            report = hodge_inequality_check(d1, d2, grid=3)
+            if report.equality_with_trivial_combination is not None:
+                assert report.trivial_combination == expected
+                claimed += report.equality_with_trivial_combination
+        assert claimed >= 50
 
 
 class TestChiAdditivity:

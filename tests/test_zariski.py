@@ -8,9 +8,20 @@ import pytest
 import folcalc as f
 from folcalc import Curve, DualGraph, QDivisor, pseudo_threshold, zariski_decompose
 from folcalc.errors import NotPseudoeffectiveError, ValidationError
-from folcalc.lattice import degree_against_curve
+from folcalc.lattice import degree_against_curve, principal_rows
+from folcalc.linalg import eliminate
 
-from conftest import decompose_or_none, exhaustive_zariski, random_divisor, random_graph
+from conftest import (
+    decompose_or_none,
+    exhaustive_zariski,
+    exponent_divisor,
+    first_primes,
+    fraction_by_index,
+    fraction_degree_vector,
+    prime_denominator_divisor,
+    random_divisor,
+    random_graph,
+)
 
 
 def check_invariants(graph, d, result):
@@ -23,6 +34,29 @@ def check_invariants(graph, d, result):
     for label in result.support:
         assert degree_against_curve(result.positive, label) == 0
     assert result.positive + result.negative == d
+
+
+def fraction_zariski(graph, d):
+    """The pass loop with D . C and N . C in Fraction arithmetic; the reference
+    for the integer loop. Returns N, or None when the support stops being
+    negative definite."""
+    labels = graph.labels
+    target = fraction_degree_vector(graph, fraction_by_index(d))
+    support, coeffs = [], {}
+    for _ in range(len(labels) + 1):
+        if support:
+            definite, xs = eliminate(
+                principal_rows(graph, support), [target[i] for i in support], require_definite=True
+            )
+            if not definite:
+                return None
+            coeffs = dict(zip(support, xs))
+        n_degrees = fraction_degree_vector(graph, coeffs)
+        adopted = [j for j in range(len(labels)) if j not in coeffs and target[j] < n_degrees[j]]
+        if not adopted:
+            break
+        support = sorted(support + adopted)
+    return QDivisor(graph, {labels[i]: x for i, x in coeffs.items()})
 
 
 class TestDecompose:
@@ -128,6 +162,44 @@ class TestDecompose:
             if not n.is_zero():
                 assert f.pair(n, n) < 0
             done += 1
+
+
+class TestIntegerPassLoop:
+    """The pass loop on numerators over den * scale against the exhaustive
+    search and the Fraction reference."""
+
+    @pytest.mark.parametrize("make_divisor", [prime_denominator_divisor, exponent_divisor])
+    def test_matches_exhaustive_enumeration(self, make_divisor):
+        rng = random.Random(53)
+        agreements = failures = 0
+        for _ in range(150):
+            g = random_graph(rng, max_curves=6)
+            d = make_divisor(rng, g)
+            result = decompose_or_none(g, d)
+            valid = exhaustive_zariski(g, d)
+            if result is None:
+                assert valid == [] and fraction_zariski(g, d) is None
+                failures += 1
+            else:
+                assert len(valid) == 1
+                subset, positive, negative = valid[0]
+                assert set(subset) == set(result.support)
+                assert positive == result.positive and negative == result.negative
+                assert fraction_zariski(g, d) == result.negative
+                check_invariants(g, d, result)
+                agreements += 1
+        assert agreements >= 50 and failures >= 5
+
+    def test_prime_chain_matches_fraction_reference(self):
+        # (-2)-chain of 200 curves with coefficients 1/p over the first 200
+        # primes: D's common denominator is their product, about 10^550
+        labels = [f"C{i}" for i in range(200)]
+        g = DualGraph([Curve(label, -2) for label in labels], [(a, b, 1) for a, b in zip(labels, labels[1:])])
+        d = QDivisor(g, {label: Fraction(1, p) for label, p in zip(labels, first_primes(200))})
+        result = zariski_decompose(g, d)
+        assert result.support
+        assert result.negative == fraction_zariski(g, d)
+        assert result.positive + result.negative == d
 
 
 class TestPseudoThreshold:
