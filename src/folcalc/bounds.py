@@ -122,7 +122,7 @@ class SingularityConfiguration:
     def contribution_sum(self) -> Fraction:
         total = Fraction(self.dihedral_count, 2) + self.cusp_count
         for n in self.terminal_orders:
-            total += Fraction(n - 1, 2 * n)
+            total += Fraction(exact_int(n, "terminal order", 2) - 1, 2 * n)
         return total
 
 
@@ -486,7 +486,8 @@ def index_bounds(configs, mode: str) -> IndexBoundsResult:
     configs = list(configs)
     if not configs:
         raise ValidationError("need at least one configuration")
-    max_order = max((n for cfg in configs for n in cfg.terminal_orders), default=1)
+    orders = [exact_int(n, "terminal order", 2) for cfg in configs for n in cfg.terminal_orders]
+    max_order = max(orders, default=1)
     factor = 2 if mode == CANONICAL else 1
     candidates = tuple(factor * math.lcm(*cfg.terminal_orders) for cfg in configs)
     return IndexBoundsResult(max_terminal_order=max_order, index_candidates=candidates)

@@ -264,10 +264,11 @@ def solve_pullback(graph: DualGraph, profile: IntersectionProfile) -> QDivisor:
     """
     _require_graph(graph, profile)
     rhs = [profile.degrees.get(label, 0) for label in graph.labels]
-    xs = eliminate(graph.sparse_rows, rhs)[1]
-    if xs is None:
+    solution = eliminate(graph.sparse_rows, rhs)[1]
+    if solution is None:
         raise DegenerateConfigurationError("degenerate configuration: pairing matrix is singular")
-    return QDivisor(graph, dict(zip(graph.labels, xs)))
+    xs, den = solution
+    return QDivisor(graph, {label: Fraction(x, den) for label, x in zip(graph.labels, xs)})
 
 
 def degree_vector(graph: DualGraph, coefficients: Mapping[int, int]) -> list[int]:

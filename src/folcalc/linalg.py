@@ -5,9 +5,9 @@ it is negative definite, and the solution of a system against it.
 ``eliminate`` computes both in a single pass; ``solve_exact`` and
 ``is_negative_definite_matrix`` are its dense-matrix front ends.
 
-Rows. Each row is a sparse ``{column: entry}`` dict of ints or Fractions,
-scaled by the lcm of its denominators to an integer row. Scaling a row by a
-positive constant changes neither the solution nor the sign of any pivot.
+Rows. Each row is a sparse ``{column: entry}`` dict of its nonzero integer
+entries. The rhs, ints or Fractions, is put over its least common denominator
+once per call, and its numerators become one more column of the rows.
 
 Order. Columns are eliminated in index order. On a string whose curves are
 numbered along the path, as resolution strings are, the pivot row of column
@@ -41,37 +41,33 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-
-def _integer_row(row, b, rhs_column: int) -> dict[int, int]:
-    """The nonzero entries of ``[row | b]`` as integers, the rhs at ``rhs_column``."""
-    out = {j: v for j, v in row.items() if v}
-    if b:
-        out[rhs_column] = b
-    den = lcm(*(v.denominator for v in out.values()))
-    return {j: v.numerator * (den // v.denominator) for j, v in out.items()}
+from .rationals import exact_int
 
 
 def eliminate(rows, rhs=None, *, require_definite: bool = False):
     """Negative-definiteness verdict and exact solution of ``rows @ x = rhs``.
 
-    ``rows`` gives the nonzero entries of a square matrix, one ``{column:
-    entry}`` mapping per row, with int or Fraction entries; it is not
-    modified. Returns ``(definite, xs)``. ``definite`` says whether the
-    matrix is negative definite; it is meaningful for symmetric matrices.
-    ``xs`` is the solution as a list of Fractions, or None when the matrix is
-    singular or ``rhs`` is None. Without ``rhs``, or with
-    ``require_definite``, elimination stops at the first pivot that rules
-    definiteness out and returns ``(False, None)``.
+    ``rows`` gives the nonzero entries of a square integer matrix, one
+    ``{column: int}`` mapping per row; it is not modified. ``rhs`` holds ints
+    or Fractions. Returns ``(definite, solution)``. ``definite`` says whether
+    the matrix is negative definite; it is meaningful for symmetric matrices.
+    ``solution`` is ``(numerators, den)`` with x_i = numerators[i] / den and
+    den > 0 least, so gcd(den, *numerators) == 1, or None when the matrix is
+    singular or ``rhs`` is None. Without ``rhs``, or with ``require_definite``,
+    elimination stops at the first pivot that rules definiteness out and
+    returns ``(False, None)``.
     """
     n = len(rows)
-    stop_early = require_definite or rhs is None
-    work = [_integer_row(row, 0 if rhs is None else rhs[i], n) for i, row in enumerate(rows)]
+    work = [dict(row) for row in rows]
+    rhs_den = 1 if rhs is None else lcm(*(b.denominator for b in rhs))
+    for row, b in zip(work, rhs or ()):
+        if b:
+            row[n] = b.numerator * (rhs_den // b.denominator)
     # cols[c]: the remaining rows with a nonzero entry in column c
     cols: list[set[int]] = [set() for _ in range(n)]
-    for i, row in enumerate(work):
+    for i, row in enumerate(rows):
         for j in row:
-            if j != n:
-                cols[j].add(i)
+            cols[j].add(i)
     definite = True
     pivots: list[dict[int, int]] = []
     for c in range(n):
@@ -82,9 +78,9 @@ def eliminate(rows, rhs=None, *, require_definite: bool = False):
         pivot_row = work[k]
         p = pivot_row[c]
         if k != c or p > 0:
-            definite = False
-            if stop_early:
+            if require_definite or rhs is None:
                 return False, None
+            definite = False
         pivots.append(pivot_row)
         for j in pivot_row:
             if j != n:
@@ -117,34 +113,37 @@ def eliminate(rows, rhs=None, *, require_definite: bool = False):
         col.clear()
     if rhs is None:
         return definite, None
-    # back substitution on reduced (numerator, denominator) pairs; Fraction fixes the sign
+    # back substitution on reduced (numerator, positive denominator) pairs of x
     nums, dens = [0] * n, [1] * n
     for c in reversed(range(n)):
         row = pivots[c]
-        num, den = row.get(n, 0), 1
+        num, den = row.get(n, 0), rhs_den
         for j, v in row.items():
             if j != c and j != n:
                 num = num * dens[j] - v * nums[j] * den
                 den *= dens[j]
         den *= row[c]
-        g = gcd(num, den)
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
         nums[c], dens[c] = num // g, den // g
-    return definite, [Fraction(a, b) for a, b in zip(nums, dens)]
+    common = lcm(*dens)
+    return definite, ([x * (common // d) for x, d in zip(nums, dens)], common)
 
 
-def _sparse(matrix) -> list[dict[int, object]]:
-    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
+def _sparse(matrix) -> list[dict[int, int]]:
+    """The nonzero entries of an integer matrix; an entry that is not an int is refused."""
+    return [{j: v for j, v in enumerate(row) if exact_int(v, "matrix entry")} for row in matrix]
 
 
 def solve_exact(matrix, rhs) -> list[Fraction] | None:
     """Solve the square system ``matrix @ x = rhs`` exactly.
 
-    Returns None when the matrix is singular. Entries may be ints or
-    Fractions; the result is a list of Fractions.
+    Returns None when the matrix is singular. Matrix entries must be ints
+    (else ``ValidationError``), the rhs ints or Fractions; the result is Fractions.
     """
-    return eliminate(_sparse(matrix), rhs)[1]
+    solution = eliminate(_sparse(matrix), rhs)[1]
+    return None if solution is None else [Fraction(x, solution[1]) for x in solution[0]]
 
 
 def is_negative_definite_matrix(matrix) -> bool:
-    """Whether the symmetric ``matrix`` is negative definite (True when empty)."""
+    """Whether the symmetric integer ``matrix`` is negative definite (True when empty)."""
     return eliminate(_sparse(matrix))[0]

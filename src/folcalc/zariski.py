@@ -16,9 +16,9 @@ entries (Berman-Plemmons 1979, *Nonnegative Matrices in the Mathematical Science
 
 The pass loop runs on integers. Let den be the common denominator of D's
 coefficients. Then ``target[j]``, the numerator of D . C_j over den, is the
-rhs of each solve, so the solution is den * N. Each pass writes it as integer
-numerators over its own lcm ``scale``, so N and N . C_j become numerators
-over den * scale, and curve j is adopted when ``target[j] * scale <
+rhs of each solve, so the solution is den * N. The kernel returns it as integer
+numerators over its least common denominator ``scale``, so N and N . C_j become
+numerators over den * scale, and curve j is adopted when ``target[j] * scale <
 n_degrees[j]``. Only the final N and P = D - N are built as Fractions.
 
 "Pseudoeffective relative to the configuration" means exactly that this
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import NotPseudoeffectiveError, ValidationError
 from .lattice import DualGraph, QDivisor, _by_index, _require_graph, degree_vector, principal_rows
@@ -65,7 +64,7 @@ def zariski_decompose(graph: DualGraph, d: QDivisor) -> ZariskiResult:
     adopted: list[int] = []
     for _ in range(len(labels) + 1):
         if support:
-            definite, xs = eliminate(
+            definite, solution = eliminate(
                 principal_rows(graph, support),
                 [target[i] for i in support],
                 require_definite=True,
@@ -76,8 +75,8 @@ def zariski_decompose(graph: DualGraph, d: QDivisor) -> ZariskiResult:
                     "support is not negative definite",
                     location=", ".join(labels[i] for i in adopted),
                 )
-            scale = lcm(*(x.denominator for x in xs))
-            coeffs = {i: x.numerator * (scale // x.denominator) for i, x in zip(support, xs)}
+            xs, scale = solution
+            coeffs = dict(zip(support, xs))
         n_degrees = degree_vector(graph, coeffs)
         adopted = [
             j for j in range(len(labels)) if j not in coeffs and target[j] * scale < n_degrees[j]

@@ -32,9 +32,11 @@ from folcalc import (
 from folcalc.bounds import (
     HilbertSamples,
     ModelInvariants,
+    SingularityConfiguration,
     bound_singularity_count,
     compute_n1,
     enumerate_reciprocal_tuples,
+    index_bounds,
     relate_models,
 )
 from folcalc.contributions import MAX_NUMERIC_TWO_N, _exact_root_sum, dual_generator
@@ -461,6 +463,13 @@ def _divisor():
         lambda: graph_from_json({"curves": [{"label": "A", "self": "-2"}]}),
         lambda: parse_integer(True),
         lambda: parse_integer(1.0),
+        lambda: index_bounds([SingularityConfiguration((0,))], "weak-nef"),
+        lambda: index_bounds([SingularityConfiguration((1,))], "weak-nef"),
+        lambda: index_bounds([SingularityConfiguration((-3,))], "weak-nef"),
+        lambda: index_bounds([SingularityConfiguration((True,))], "weak-nef"),
+        lambda: index_bounds([SingularityConfiguration((2, 1.5))], "canonical"),
+        lambda: SingularityConfiguration((0,)).contribution_sum(),
+        lambda: SingularityConfiguration((1.5,)).contribution_sum(),
     ],
 )
 def test_public_entry_points_reject_floats_and_bools(call):

@@ -8,8 +8,8 @@ import pytest
 import folcalc as f
 from folcalc import Curve, DualGraph, QDivisor, pseudo_threshold, zariski_decompose
 from folcalc.errors import NotPseudoeffectiveError, ValidationError
-from folcalc.lattice import degree_against_curve, principal_rows
-from folcalc.linalg import eliminate
+from folcalc.lattice import degree_against_curve, intersection_matrix
+from folcalc.linalg import is_negative_definite_matrix, solve_exact
 
 from conftest import (
     decompose_or_none,
@@ -41,16 +41,15 @@ def fraction_zariski(graph, d):
     for the integer loop. Returns N, or None when the support stops being
     negative definite."""
     labels = graph.labels
+    matrix = intersection_matrix(graph)
     target = fraction_degree_vector(graph, fraction_by_index(d))
     support, coeffs = [], {}
     for _ in range(len(labels) + 1):
         if support:
-            definite, xs = eliminate(
-                principal_rows(graph, support), [target[i] for i in support], require_definite=True
-            )
-            if not definite:
+            sub = [[matrix[i][j] for j in support] for i in support]
+            if not is_negative_definite_matrix(sub):
                 return None
-            coeffs = dict(zip(support, xs))
+            coeffs = dict(zip(support, solve_exact(sub, [target[i] for i in support])))
         n_degrees = fraction_degree_vector(graph, coeffs)
         adopted = [j for j in range(len(labels)) if j not in coeffs and target[j] < n_degrees[j]]
         if not adopted:
