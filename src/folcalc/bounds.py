@@ -120,7 +120,8 @@ class SingularityConfiguration:
     cusp_count: int = 0
 
     def contribution_sum(self) -> Fraction:
-        total = Fraction(self.dihedral_count, 2) + self.cusp_count
+        total = Fraction(exact_int(self.dihedral_count, "dihedral_count", 0), 2)
+        total += exact_int(self.cusp_count, "cusp_count", 0)
         for n in self.terminal_orders:
             total += Fraction(exact_int(n, "terminal order", 2) - 1, 2 * n)
         return total

@@ -14,6 +14,7 @@ import argparse
 import itertools
 import json
 import sys
+from typing import Iterator
 
 from . import bounds as bounds_mod
 from . import contributions as contrib_mod
@@ -69,9 +70,8 @@ def _cmd_hj(args):
 
 def _cmd_wunram(args):
     t = CyclicType(args.n, args.q)
-    data = wunram_degrees(t, args.i, reduce_mod_n=args.reduce)
-    expansion = hj_expansion(t)
-    return {"b": list(expansion.entries), "s": list(data.s), "d": list(data.d)}
+    data = wunram_degrees(t, args.i)
+    return {"b": list(hj_expansion(t).entries), "s": list(data.s), "d": list(data.d)}
 
 
 def _cmd_contrib(args):
@@ -206,63 +206,61 @@ def _cmd_relate(args):
 # --- rendering --------------------------------------------------------------
 
 
-def _render_json(doc) -> None:
-    # batched: one string would peak at several times a 104 MB report, a write per chunk is slow
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
-    while batch := "".join(itertools.islice(chunks, 65536)):
+def _write(pieces) -> None:
+    # batched: one string would peak at several times a 104 MB report, a write per piece is slow
+    pieces = iter(pieces)
+    while batch := "".join(itertools.islice(pieces, 65536)):
         sys.stdout.write(batch)
-    sys.stdout.write("\n")
 
 
-def _rows_to_table(rows: list[dict], columns: list[str]) -> list[str]:
-    widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) for c in columns}
-    header = "  ".join(c.ljust(widths[c]) for c in columns)
-    sep = "  ".join("-" * widths[c] for c in columns)
-    lines = [header, sep]
-    for r in rows:
-        lines.append("  ".join(str(r[c]).ljust(widths[c]) for c in columns))
-    return lines
+def _render_json(doc) -> None:
+    _write(itertools.chain(json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc), ("\n",)))
 
 
 def _render_table(command: str, doc) -> None:
-    lines: list[str] = []
+    _write(f"{line}\n" for line in _table_lines(command, doc))
+
+
+def _rows_to_table(columns: list[str], rows) -> Iterator[str]:
+    """Header, rule and one left-aligned line per row; ``rows()`` runs twice, for widths then lines."""
+    widths = [len(c) for c in columns]
+    for row in rows():
+        widths = list(map(max, widths, map(len, map(str, row))))
+    yield "  ".join(c.ljust(w) for c, w in zip(columns, widths))
+    yield "  ".join("-" * w for w in widths)
+    for row in rows():
+        yield "  ".join(map(str.ljust, map(str, row), widths))
+
+
+def _table_lines(command: str, doc) -> Iterator[str]:
     if command == "jouanolou":
-        lines += _rows_to_table(doc["entries"], ["d", "volume", "aut_order", "one_minus_volume"])
+        columns = ["d", "volume", "aut_order", "one_minus_volume"]
+        yield from _rows_to_table(columns, lambda: ([e[c] for c in columns] for e in doc["entries"]))
         for key in ("strictly_increasing", "all_below_one", "minimum", "gap_identity_holds", "converges"):
-            lines.append(f"{key} = {doc[key]}")
+            yield f"{key} = {doc[key]}"
     elif command == "bounds":
         for key, value in sorted(doc["invariants"].items()):
-            lines.append(f"{key} = {value}")
-        rows = [
-            {
-                "configuration": _describe_config(cfg),
-                "index": pc["index"],
-                "gamma": pc["gamma"],
-                "N1": pc["N1"],
-            }
-            for cfg, pc in zip(doc["configurations"], doc["per_config"])
-        ]
-        lines.append("")
-        lines += _rows_to_table(rows, ["configuration", "index", "gamma", "N1"])
-        lines.append("")
-        lines.append(f"max_terminal_order = {doc['max_terminal_order']}")
-        lines.append(f"N1_worst = {doc['N1_worst']}")
+            yield f"{key} = {value}"
+        yield ""
+        yield from _rows_to_table(
+            ["configuration", "index", "gamma", "N1"],
+            lambda: map(_config_row, doc["configurations"], doc["per_config"]),
+        )
+        yield ""
+        yield f"max_terminal_order = {doc['max_terminal_order']}"
+        yield f"N1_worst = {doc['N1_worst']}"
     elif command == "zariski":
         for part in ("P", "N"):
             body = ", ".join(f"{k}: {v}" for k, v in sorted(doc[part].items())) or "0"
-            lines.append(f"{part} = {body}")
-        lines.append(f"support = {', '.join(doc['support']) or '(empty)'}")
+            yield f"{part} = {body}"
+        yield f"support = {', '.join(doc['support']) or '(empty)'}"
     else:
         for key, value in sorted(doc.items()):
-            if isinstance(value, dict):
-                body = ", ".join(f"{k}: {v}" for k, v in sorted(value.items()))
-                lines.append(f"{key} = {{{body}}}")
-            else:
-                lines.append(f"{key} = {value}")
-    sys.stdout.write("\n".join(lines) + "\n")
+            yield f"{key} = {value}"
 
 
-def _describe_config(cfg: dict) -> str:
+def _config_row(cfg: dict, pc: dict) -> tuple:
+    """One line of the bounds table: the configuration in words, then its index, gamma and N1."""
     parts = []
     if cfg["terminal_orders"]:
         parts.append("terminal" + str(tuple(cfg["terminal_orders"])))
@@ -270,7 +268,7 @@ def _describe_config(cfg: dict) -> str:
         parts.append(f"dihedral x{cfg['dihedral_count']}")
     if cfg["cusp_count"]:
         parts.append(f"cusp x{cfg['cusp_count']}")
-    return " + ".join(parts) or "smooth"
+    return " + ".join(parts) or "smooth", pc["index"], pc["gamma"], pc["N1"]
 
 
 # --- parser -----------------------------------------------------------------
@@ -291,7 +289,6 @@ def build_parser() -> _Parser:
     p.add_argument("n", type=int)
     p.add_argument("q", type=int)
     p.add_argument("i", type=int)
-    p.add_argument("--reduce", action="store_true", help="reduce i mod n instead of range-checking")
     p.set_defaults(handler=_cmd_wunram)
 
     p = sub.add_parser("contrib", parents=[common], help="local contribution a(y, mK)")

@@ -42,10 +42,6 @@ class HJExpansion:
 
     entries: tuple[int, ...]
 
-    @property
-    def self_intersections(self) -> tuple[int, ...]:
-        return tuple(-b for b in self.entries)
-
     def evaluate(self) -> Fraction:
         """Collapse b_1 - 1/(b_2 - ...) back to a single fraction."""
         value = Fraction(self.entries[-1])
@@ -87,22 +83,20 @@ def hj_string_graph(t: CyclicType) -> DualGraph:
     return DualGraph(curves, edges)
 
 
-def wunram_degrees(t: CyclicType, i: int, reduce_mod_n: bool = False) -> WunramDegrees:
+def wunram_degrees(t: CyclicType, i: int) -> WunramDegrees:
     """Greedy digits of i in the radix s_1, ..., s_r.
 
-    The index must lie in [0, n-1]; pass ``reduce_mod_n=True`` to reduce on
-    entry instead of range-checking.
+    The index is range-checked only: it must lie in [0, n-1]. The radix comes
+    from ``hj_expansion``'s own loop, s_(j+1) = ceil(s_(j-1)/s_j) s_j - s_(j-1),
+    which reaches s_r = gcd(n, q) = 1 and then 0.
     """
-    i = exact_int(i, "i") % t.n if reduce_mod_n else exact_int(i, "i", 0, t.n - 1)
-    entries = hj_expansion(t).entries
-    s = [t.n, t.q]
-    for j in range(2, len(entries) + 1):
-        s.append(entries[j - 2] * s[j - 1] - s[j - 2])
-    if s[-1] != 1:
-        raise AssertionError("radix recursion must terminate at 1")
-    digits = []
-    remainders = []
-    rem = i
+    rem = exact_int(i, "i", 0, t.n - 1)
+    s = [t.n]
+    a, b = t.n, t.q
+    while b:
+        s.append(b)
+        a, b = b, -(-a // b) * b - a
+    digits, remainders = [], []
     for sj in s[1:]:
         dj, rem = divmod(rem, sj)
         digits.append(dj)

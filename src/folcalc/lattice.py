@@ -78,26 +78,6 @@ class DualGraph:
         self.sparse_rows = tuple({j: v for j, v in row.items() if v} for row in rows)
         self._index = index
 
-    @classmethod
-    def from_matrix(cls, labels: Sequence[str], matrix: Sequence[Sequence[int]]) -> "DualGraph":
-        """Build a graph from a full symmetric integer matrix; off-diagonal entries are edges."""
-        n = len(labels)
-        if len(matrix) != n or any(len(row) != n for row in matrix):
-            raise ValidationError("matrix shape does not match the label count")
-        for i in range(n):
-            for j in range(n):
-                exact_int(matrix[i][j], "matrix entry")
-                if matrix[i][j] != matrix[j][i]:
-                    raise ValidationError("matrix must be symmetric")
-        curves = [Curve(label, matrix[i][i]) for i, label in enumerate(labels)]
-        edges = [
-            (labels[i], labels[j], matrix[i][j])
-            for i in range(n)
-            for j in range(i + 1, n)
-            if matrix[i][j]
-        ]
-        return cls(curves, edges)
-
     def index_of(self, label: str) -> int:
         try:
             return self._index[label]
@@ -151,12 +131,6 @@ class QDivisor:
         self.graph.index_of(label)
         return self.coefficients.get(label, Fraction(0))
 
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def is_effective(self) -> bool:
-        return all(v >= 0 for v in self.coefficients.values())
-
     @property
     def support(self) -> tuple[str, ...]:
         return tuple(label for label in self.graph.labels if label in self.coefficients)
@@ -202,10 +176,6 @@ class IntersectionProfile:
     def __init__(self, graph: DualGraph, degrees: Mapping[str, object] = ()):
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "degrees", _coeff_map(graph, dict(degrees)))
-
-    def degree(self, label: str) -> Fraction:
-        self.graph.index_of(label)
-        return self.degrees.get(label, Fraction(0))
 
     def __eq__(self, other) -> bool:
         return (
@@ -423,17 +393,6 @@ def graph_from_json(obj) -> DualGraph:
             raise ValidationError("each edge must be [label, label, multiplicity]")
         edges.append((str(edge[0]), str(edge[1]), edge[2]))
     return DualGraph(curves, edges)
-
-
-def graph_to_json(graph: DualGraph) -> dict:
-    curves = [{"label": c.label, "self": c.self_intersection} for c in graph.curves]
-    edges = [
-        [graph.labels[i], graph.labels[j], row[j]]
-        for i, row in enumerate(graph.sparse_rows)
-        for j in sorted(row)
-        if j > i
-    ]
-    return {"curves": curves, "edges": edges}
 
 
 def divisor_from_json(graph: DualGraph, obj) -> QDivisor:

@@ -41,6 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import ValidationError
 from .rationals import exact_int
 
 
@@ -130,17 +131,22 @@ def eliminate(rows, rhs=None, *, require_definite: bool = False):
 
 
 def _sparse(matrix) -> list[dict[int, int]]:
-    """The nonzero entries of an integer matrix; an entry that is not an int is refused."""
+    """The nonzero entries of a square integer matrix; any other matrix is refused."""
+    if any(len(row) != len(matrix) for row in matrix):
+        raise ValidationError(f"matrix with {len(matrix)} rows must be square")
     return [{j: v for j, v in enumerate(row) if exact_int(v, "matrix entry")} for row in matrix]
 
 
 def solve_exact(matrix, rhs) -> list[Fraction] | None:
     """Solve the square system ``matrix @ x = rhs`` exactly.
 
-    Returns None when the matrix is singular. Matrix entries must be ints
-    (else ``ValidationError``), the rhs ints or Fractions; the result is Fractions.
+    Returns None when the matrix is singular. The matrix must be square with
+    int entries and the rhs one int or Fraction per row, else ``ValidationError``.
     """
-    solution = eliminate(_sparse(matrix), rhs)[1]
+    rows = _sparse(matrix)
+    if len(rhs) != len(rows) or any(type(b) not in (int, Fraction) for b in rhs):
+        raise ValidationError(f"rhs must be {len(rows)} ints or Fractions, one per row")
+    solution = eliminate(rows, rhs)[1]
     return None if solution is None else [Fraction(x, solution[1]) for x in solution[0]]
 
 

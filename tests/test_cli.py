@@ -1,5 +1,6 @@
 """Command-line surface: JSON output, exit codes, error objects."""
 
+import hashlib
 import json
 import time
 
@@ -22,6 +23,63 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def ten_order_two_points(tmp_path):
+    """Samples of ten order-2 points: weak-nef sum 5/2, 3,648 configurations."""
+    data = [f.Terminal(f.CyclicType(2, 1))] * 10
+    values = {str(m): str(f.global_chi(2, 1, 1, data, m)) for m in range(7)}
+    path = tmp_path / "samples.json"
+    path.write_text(json.dumps({"values": values, "period_hint": 2}))
+    return path
+
+
+# one small input per subcommand; {name} stands for a file of TABLE_FILES
+TABLE_FILES = {
+    "graph.json": {
+        "curves": [{"label": "C1", "self": -3}, {"label": "C2", "self": -2}],
+        "edges": [["C1", "C2", 1]],
+    },
+    "profile.json": {"C1": -1},
+    "positive.json": {
+        "curves": [{"label": "A", "self": 1}, {"label": "B", "self": -2}],
+        "edges": [["A", "B", 1]],
+    },
+    "divisor.json": {"A": 1, "B": 1},
+    "samples.json": {"values": {str(m): m * m + 1 for m in range(8)}},
+    "weak.json": {"0": -1, "1": 4, "2": 9},
+    "canonical.json": {"0": 1, "1": 4, "2": 9},
+}
+TABLES = [
+    (["hj", "12", "5"], "b = [3, 2, 3]\n"),
+    (["wunram", "5", "2", "3"], "b = [3, 2]\nd = [1, 1]\ns = [5, 2, 1]\n"),
+    (["contrib", "--kind", "terminal", "--n", "5", "--q", "2", "--m", "3"], "a = -2/5\n"),
+    (["chi-local", "--n", "3", "--q", "1", "--m", "2"], "chi = 1\n"),
+    (["pullback", "{graph.json}", "{profile.json}"], "C1 = 2/5\nC2 = 1/5\n"),
+    (["zariski", "{positive.json}", "{divisor.json}"], "P = A: 1, B: 1/2\nN = B: 1/2\nsupport = B\n"),
+    (
+        ["bounds", "--mode", "weak-nef", "{samples.json}"],
+        "K2 = 2\nK_dot_KY = 0\nchi_O = 1\ncontribution_sum = 0\ncusp_count = None\n\n"
+        "configuration  index  gamma  N1\n"
+        "-------------  -----  -----  --\n"
+        "smooth         1      3      8 \n\n"
+        "max_terminal_order = 1\nN1_worst = 8\n",
+    ),
+    (
+        ["jouanolou", "--dmax", "3"],
+        "d  volume  aut_order  one_minus_volume\n"
+        "-  ------  ---------  ----------------\n"
+        "2  1/7     21         6/7             \n"
+        "3  4/13    39         9/13            \n"
+        "strictly_increasing = True\nall_below_one = True\nminimum = 1/7\n"
+        "gap_identity_holds = True\nconverges = True\n",
+    ),
+    (
+        ["dihedral-verify", "--variant", "e1", "--a", "1", "--l", "1", "--modd", "3", "--p", "5"],
+        "a = -1/2\nexpected_n = 3\npass = True\nsum_exact = 3\nsum_value = 3+0j\n",
+    ),
+    (["relate", "{weak.json}", "{canonical.json}", "--cusps", "2"], "match = True\n"),
+]
+
+
 class TestBasicCommands:
     def test_hj(self, capsys):
         assert run_json(capsys, "hj", "12", "5") == {"b": [3, 2, 3]}
@@ -36,6 +94,11 @@ class TestBasicCommands:
     def test_wunram(self, capsys):
         doc = run_json(capsys, "wunram", "5", "2", "3")
         assert doc == {"b": [3, 2], "s": [5, 2, 1], "d": [1, 1]}
+
+    def test_wunram_index_is_never_reduced(self, capsys):
+        code, out, err = run(capsys, "wunram", "5", "2", "7", "--reduce")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["code"] == "invalid-input"
 
     def test_contrib_cusp(self, capsys):
         assert run_json(capsys, "contrib", "--kind", "cusp", "--m", "4") == {"a": "-1"}
@@ -223,13 +286,8 @@ class TestOutputDiscipline:
         assert len(outputs) == 1
 
     def test_batched_json_matches_one_string(self, capsys, tmp_path):
-        # ten order-2 points: weak-nef sum 5/2, 3,648 configurations; the
-        # document encodes to more than two batches of 65,536 chunks
-        data = [f.Terminal(f.CyclicType(2, 1))] * 10
-        values = {str(m): str(f.global_chi(2, 1, 1, data, m)) for m in range(7)}
-        path = tmp_path / "samples.json"
-        path.write_text(json.dumps({"values": values, "period_hint": 2}))
-        argv = ["bounds", "--mode", "weak-nef", str(path)]
+        # the document encodes to more than two batches of 65,536 chunks
+        argv = ["bounds", "--mode", "weak-nef", str(ten_order_two_points(tmp_path))]
         args = build_parser().parse_args(argv)
         doc = args.handler(args)
         assert sum(1 for _ in json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)) > 2 * 65536
@@ -249,3 +307,19 @@ class TestOutputDiscipline:
         code, out, _ = run(capsys, "bounds", "--mode", "weak-nef", str(path), "--format", "table")
         assert code == 0
         assert "N1_worst = 8" in out
+
+    def test_table_of_a_large_report_is_pinned(self, capsys, tmp_path):
+        path = ten_order_two_points(tmp_path)
+        code, out, _ = run(capsys, "bounds", "--mode", "weak-nef", str(path), "--format", "table")
+        assert code == 0
+        assert out.count("\n") == 3648 + 11
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "200dbd29b8271550c55049f0f3974da3a4253597055f24fef828778bb7e2a083"
+        )
+
+    @pytest.mark.parametrize("argv, expected", TABLES, ids=[argv[0] for argv, _ in TABLES])
+    def test_table_bytes_per_subcommand(self, capsys, tmp_path, argv, expected):
+        for name, doc in TABLE_FILES.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]
+        assert run(capsys, *argv, "--format", "table") == (0, expected, "")

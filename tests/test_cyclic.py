@@ -42,10 +42,6 @@ class TestExpansion:
             assert all(b >= 2 for b in exp.entries)
             assert exp.evaluate() == Fraction(n, q)
 
-    def test_self_intersections(self):
-        exp = hj_expansion(CyclicType(12, 5))
-        assert exp.self_intersections == (-3, -2, -3)
-
 
 class TestWunramDegrees:
     def test_radix_ends_at_one(self):
@@ -88,24 +84,20 @@ class TestWunramDegrees:
         with pytest.raises(ValidationError):
             wunram_degrees(CyclicType(5, 2), -1)
 
-    def test_opt_in_reduction(self):
-        t = CyclicType(5, 2)
-        assert wunram_degrees(t, 7, reduce_mod_n=True) == wunram_degrees(t, 2)
-
 
 class TestFchainProfile:
     def test_single_curve_string(self):
         profile = fchain_profile(CyclicType(3, 1))
         assert len(profile.graph) == 1
-        assert profile.degree("C1") == -1
+        assert profile.degrees.get("C1") == -1
 
     def test_5_2_string(self):
         profile = fchain_profile(CyclicType(5, 2))
-        assert [profile.degree(label) for label in profile.graph.labels] == [-1, 0]
+        assert [profile.degrees.get(label, 0) for label in profile.graph.labels] == [-1, 0]
 
     def test_12_5_string(self):
         profile = fchain_profile(CyclicType(12, 5))
-        assert [profile.degree(label) for label in profile.graph.labels] == [-1, 0, 0]
+        assert [profile.degrees.get(label, 0) for label in profile.graph.labels] == [-1, 0, 0]
 
 
 @settings(max_examples=80, deadline=None)

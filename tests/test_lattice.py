@@ -23,7 +23,7 @@ from folcalc import (
     solve_pullback,
 )
 from folcalc.errors import DegenerateConfigurationError, ValidationError
-from folcalc.lattice import _by_index, _trivial_combination, degree_vector, graph_from_json, graph_to_json
+from folcalc.lattice import _by_index, _trivial_combination, degree_vector, graph_from_json
 
 from conftest import (
     exponent_divisor,
@@ -104,10 +104,6 @@ class TestGraphConstruction:
         with pytest.raises(ValidationError):
             DualGraph([Curve("A", -2), Curve("B", -2)], [("A", "B", -1)])
 
-    def test_from_matrix_requires_symmetry(self):
-        with pytest.raises(ValidationError):
-            DualGraph.from_matrix(["A", "B"], [[-2, 1], [0, -2]])
-
     def test_divisor_rejects_unknown_label(self):
         g = hj_graph(3, 2)
         with pytest.raises(ValidationError):
@@ -127,13 +123,6 @@ class TestGraphConstruction:
     def test_edge_that_is_not_a_triple_rejected(self, edge):
         with pytest.raises(ValidationError, match="triple"):
             DualGraph([Curve("A", -2), Curve("B", -2)], [edge])
-
-    @pytest.mark.parametrize(
-        "matrix", [[[True, 0], [0, -2]], [[-2, True], [True, -2]], [[-2, 1.0], [1.0, -2]]]
-    )
-    def test_from_matrix_rejects_bools_and_floats(self, matrix):
-        with pytest.raises(ValidationError):
-            DualGraph.from_matrix(["A", "B"], matrix)
 
     def test_sparse_rows_match_matrix(self):
         g = DualGraph(
@@ -161,9 +150,8 @@ class TestGraphConstruction:
         g2 = DualGraph(curves, [("C", "B", 2), ("B", "A", 1)])
         assert g1 == g2 and hash(g1) == hash(g2)
         assert g1 != DualGraph(curves, [("A", "B", 1), ("B", "C", 1)])
-        expected = [["A", "B", 1], ["B", "C", 2]]
-        assert graph_to_json(g1)["edges"] == graph_to_json(g2)["edges"] == expected
-        assert graph_from_json(graph_to_json(g2)) == g1
+        curves_json = [{"label": c.label, "self": c.self_intersection} for c in curves]
+        assert graph_from_json({"curves": curves_json, "edges": [["C", "B", 2], ["A", "B", 1]]}) == g1
 
     def test_self_intersection_zero_differs_from_minus_one(self):
         # a 0 diagonal entry is dropped from its sparse row; equality still sees it
@@ -266,7 +254,7 @@ class TestSolvePullback:
     def test_zero_profile_gives_zero_divisor(self):
         g = hj_graph(7, 3)
         z = solve_pullback(g, IntersectionProfile(g, {}))
-        assert z.is_zero()
+        assert z == QDivisor(g)
 
     def test_degenerate_configuration_raises(self):
         g = cusp_cycle()
@@ -287,7 +275,7 @@ class TestSolvePullback:
             except DegenerateConfigurationError:
                 continue
             for label in g.labels:
-                assert f.degree_against_curve(z, label) == profile.degree(label)
+                assert f.degree_against_curve(z, label) == profile.degrees.get(label, 0)
             done += 1
 
     def test_maximum_principle_on_hj_strings(self):
@@ -370,7 +358,7 @@ class TestHodgeInequality:
         assert b1 * 1 + b2 * 1 == 0  # the combination is d - d
 
     def test_hyperbolic_plane_case(self):
-        g = DualGraph.from_matrix(["H", "E"], [[1, 0], [0, -1]])
+        g = DualGraph([Curve("H", 1), Curve("E", -1)])
         d1 = QDivisor(g, {"H": 1})
         d2 = QDivisor(g, {"E": 1})
         report = hodge_inequality_check(d1, d2, grid=2)
@@ -404,7 +392,7 @@ class TestHodgeInequality:
             k = rng.randint(1, 4)
             labels = ["H"] + [f"E{i}" for i in range(k)]
             diag = [1] + [-1] * k
-            g = DualGraph.from_matrix(labels, [[diag[i] if i == j else 0 for j in range(k + 1)] for i in range(k + 1)])
+            g = DualGraph([Curve(label, s) for label, s in zip(labels, diag)])
             d1 = QDivisor(g, {l: rng.randint(-3, 3) for l in g.labels})
             d2 = QDivisor(g, {l: rng.randint(-3, 3) for l in g.labels})
             report = hodge_inequality_check(d1, d2, grid=5)
@@ -437,7 +425,8 @@ class TestHodgeInequality:
         ],
     )
     def test_semidefinite_pair_at_cap_has_no_witness(self, matrix, c1, c2):
-        g = DualGraph.from_matrix(["E", "F"][: len(matrix)], matrix)
+        # every matrix here is diagonal: disjoint curves
+        g = DualGraph([Curve(label, row[i]) for i, (label, row) in enumerate(zip("EF", matrix))])
         report = hodge_inequality_check(QDivisor(g, c1), QDivisor(g, c2), grid=f.lattice.MAX_HODGE_GRID)
         assert not report.hypothesis_holds
         assert report.witness is None
