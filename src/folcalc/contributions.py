@@ -99,25 +99,25 @@ class GorensteinCanonical:
 SingularityDatum = Union[Terminal, Dihedral, Cusp, GorensteinCanonical]
 
 
-def _floor_sum(count: int, mod: int, mult: int, add: int) -> int:
-    """sum_{j=0}^{count-1} (mult*j + add) // mod, all arguments nonnegative."""
+def _sheaf_numerator(i: int, n: int, c: int) -> int:
+    """2n * a(i) = 2 * sum_{j<i} ((c*j) mod n) - i*(n-1), for 0 <= i and 0 < c < n.
+
+    The remainder sum is c*i*(i-1)/2 - n * F with F = sum_{j<i} floor(c*j/n),
+    and F is summed by the Euclid-like floor-sum recursion: while the top
+    term mult*count + add reaches mod, the floors are counted column-wise,
+    which swaps the roles of mod and mult and reduces both. The loop runs one
+    step per step of Euclid's algorithm on (n, c) at most.
+    """
     total = 0
+    count, mod, mult, add = i, n, c, 0
     while True:
-        if mult >= mod:
-            total += (count - 1) * count // 2 * (mult // mod)
-            mult %= mod
-        if add >= mod:
-            total += count * (add // mod)
-            add %= mod
         top = mult * count + add
         if top < mod:
-            return total
+            return c * i * (i - 1) - 2 * n * total - i * (n - 1)
         count, add, mod, mult = top // mod, top % mod, mult, mod
-
-
-def _remainder_sum(i: int, n: int, c: int) -> int:
-    """sum_{j=0}^{i-1} ((c*j) mod n)."""
-    return c * i * (i - 1) // 2 - n * _floor_sum(i, n, c, 0)
+        total += mult // mod * (count * (count - 1) // 2) + add // mod * count
+        mult %= mod
+        add %= mod
 
 
 def dual_generator(t: CyclicType) -> int:
@@ -128,18 +128,25 @@ def dual_generator(t: CyclicType) -> int:
 
 def a_cyclic_sheaf(t: CyclicType, i: int) -> Fraction:
     """Contribution of the i-th eigensheaf at a cyclic quotient point."""
-    exact_int(i, "i", 0, t.n - 1)
-    return Fraction(2 * _remainder_sum(i, t.n, dual_generator(t)) - i * (t.n - 1), 2 * t.n)
+    n = t.n
+    return Fraction(_sheaf_numerator(exact_int(i, "i", 0, n - 1), n, dual_generator(t)), 2 * n)
 
 
 def a_terminal(t: CyclicType, m: int) -> Fraction:
     """Contribution of m times the canonical class at a terminal point.
 
     The m-th multiple is the eigensheaf indexed by (m*q) mod n, so the value
-    is periodic in m with period n.
+    is periodic in m with period n. The same value is the (m mod n)-th
+    partial sum with multiplier -q in place of c:
+
+        a((m*q) mod n) = (1/n) * sum_{k < m mod n} (((-k*q) mod n) - (n-1)/2),
+
+    which needs no inverse mod n, and whose floor-sum recursion is short for
+    small multiples. The tests check it against the eigensheaf form at every
+    multiple.
     """
-    exact_int(m, "m")
-    return a_cyclic_sheaf(t, (m * t.q) % t.n)
+    n = t.n
+    return Fraction(_sheaf_numerator(exact_int(m, "m") % n, n, n - t.q), 2 * n)
 
 
 def a_dihedral(m: int) -> Fraction:
@@ -243,15 +250,14 @@ def chi_fchain(t: CyclicType, m: int) -> Fraction:
     """Local Euler defect of the m-th pluricanonical sheaf across a contracted string.
 
     Closed form
-        (1/n) * ( (m - mq)*(n-1)/2 + m*(m-1)*q/2 + sum_{j<mq} ((c*j) mod n) )
-    with mq = (m*q) mod n; the value is a nonnegative integer and vanishes at
-    m = 0 and m = 1.
+        (1/n) * ( (m - mb)*(n-1)/2 + m*(m-1)*q/2 + sum_{k<mb} ((-k*q) mod n) )
+    with mb = m mod n, the eigensheaf sum written in the multiplier -q form of
+    ``a_terminal``; the value is a nonnegative integer and vanishes at m = 0
+    and m = 1.
     """
     exact_int(m, "m", 0)
     n, q = t.n, t.q
-    mq = (m * q) % n
-    num = (m - mq) * (n - 1) + m * (m - 1) * q + 2 * _remainder_sum(mq, n, dual_generator(t))
-    return Fraction(num, 2 * n)
+    return Fraction(m * (n - 1) + m * (m - 1) * q + _sheaf_numerator(m % n, n, n - q), 2 * n)
 
 
 def chi_partial_crepant(datum: SingularityDatum, m: int) -> int:

@@ -22,7 +22,7 @@ from .lattice import Curve, DualGraph, IntersectionProfile
 from .rationals import exact_int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CyclicType:
     """Type (1/n)(1,q): n >= 2, 1 <= q < n, gcd(n, q) = 1."""
 
@@ -30,7 +30,10 @@ class CyclicType:
     q: int
 
     def __post_init__(self):
-        n = exact_int(self.n, "n", 2)
+        n, q = self.n, self.q
+        if type(n) is int and type(q) is int and 1 <= q < n and gcd(n, q) == 1:
+            return
+        n = exact_int(n, "n", 2)
         q = exact_int(self.q, "q", 1, n - 1)
         if gcd(n, q) != 1:
             raise ValidationError("gcd(n,q) must be 1")

@@ -143,6 +143,12 @@ class TestTerminalContribution:
             for m in range(-3, 2 * n):
                 assert a_terminal(t, m) == a_terminal(t, m + n)
 
+    def test_matches_eigensheaf_form_at_every_multiple(self):
+        for n, q in coprime_pairs(40):
+            t = CyclicType(n, q)
+            for m in range(-n, 2 * n):
+                assert a_terminal(t, m) == a_cyclic_by_direct_sum(t, (m * q) % n)
+
 
 class TestSimpleTables:
     def test_dihedral_parity_table(self):
@@ -299,6 +305,16 @@ class TestChiFchain:
             q = rng.choice([q for q in range(1, n) if gcd(n, q) == 1])
             value = chi_fchain(CyclicType(n, q), rng.randint(0, 3 * n))
             assert value.denominator == 1 and value >= 0
+
+    def test_matches_eigensheaf_form(self):
+        for n, q in coprime_pairs(30):
+            t = CyclicType(n, q)
+            c = dual_generator(t)
+            for m in range(3 * n):
+                mq = (m * q) % n
+                remainder_sum = sum((c * j) % n for j in range(mq))
+                num = (m - mq) * (n - 1) + m * (m - 1) * q + 2 * remainder_sum
+                assert chi_fchain(t, m) == Fraction(num, 2 * n)
 
     def test_negative_multiple_rejected(self):
         with pytest.raises(ValidationError):
