@@ -5,144 +5,65 @@ cyclic quotient points, local Riemann-Roch contributions of foliation
 singularities, Zariski decomposition, and the effective pluricanonical-bound
 pipeline, all in exact arithmetic. The ``folcalc`` command line exposes every
 operation; see the README for the JSON formats.
+
+Submodules load on first use (PEP 562): ``import folcalc`` imports none of
+them, and ``folcalc.pipeline`` imports ``folcalc.bounds`` and what it needs.
 """
 
-from .bounds import (
-    CANONICAL,
-    WEAK_NEF,
-    BoundReport,
-    HilbertSamples,
-    ModelInvariants,
-    SingularityConfiguration,
-    bound_singularity_count,
-    compute_n1,
-    enumerate_configurations,
-    enumerate_reciprocal_tuples,
-    extract_invariants,
-    index_bounds,
-    pipeline,
-    relate_models,
-)
-from .contributions import (
-    Cusp,
-    Dihedral,
-    DihedralSumReport,
-    GorensteinCanonical,
-    SingularityDatum,
-    Terminal,
-    a_cusp,
-    a_cyclic_sheaf,
-    a_dihedral,
-    a_terminal,
-    chi_fchain,
-    chi_partial_crepant,
-    contribution,
-    dihedral_sum_verify,
-    global_chi,
-)
-from .cyclic import (
-    CyclicType,
-    HJExpansion,
-    WunramDegrees,
-    fchain_profile,
-    hj_expansion,
-    hj_string_graph,
-    wunram_degrees,
-)
-from .errors import (
-    DegenerateConfigurationError,
-    FolcalcError,
-    InconsistentModelError,
-    InconsistentSamplesError,
-    NotGeneralTypeError,
-    NotPseudoeffectiveError,
-    SearchBudgetError,
-    ValidationError,
-)
-from .jouanolou import (
-    AccumulationReport,
-    JouanolouEntry,
-    accumulation_report,
-    jouanolou_entry,
-)
-from .lattice import (
-    Curve,
-    DualGraph,
-    HodgeReport,
-    IntersectionProfile,
-    QDivisor,
-    chi_additivity_check,
-    degree_against_curve,
-    hodge_inequality_check,
-    intersection_matrix,
-    is_negative_definite,
-    pair,
-    solve_pullback,
-)
-from .zariski import ZariskiResult, pseudo_threshold, zariski_decompose
+import sys
+from importlib import import_module
 
-__all__ = [
-    "AccumulationReport",
-    "BoundReport",
-    "CANONICAL",
-    "Curve",
-    "Cusp",
-    "CyclicType",
-    "DegenerateConfigurationError",
-    "Dihedral",
-    "DihedralSumReport",
-    "DualGraph",
-    "FolcalcError",
-    "GorensteinCanonical",
-    "HJExpansion",
-    "HilbertSamples",
-    "HodgeReport",
-    "InconsistentModelError",
-    "InconsistentSamplesError",
-    "IntersectionProfile",
-    "JouanolouEntry",
-    "ModelInvariants",
-    "NotGeneralTypeError",
-    "NotPseudoeffectiveError",
-    "QDivisor",
-    "SearchBudgetError",
-    "SingularityConfiguration",
-    "SingularityDatum",
-    "Terminal",
-    "ValidationError",
-    "WEAK_NEF",
-    "WunramDegrees",
-    "ZariskiResult",
-    "a_cusp",
-    "a_cyclic_sheaf",
-    "a_dihedral",
-    "a_terminal",
-    "accumulation_report",
-    "bound_singularity_count",
-    "chi_additivity_check",
-    "chi_fchain",
-    "chi_partial_crepant",
-    "compute_n1",
-    "contribution",
-    "degree_against_curve",
-    "dihedral_sum_verify",
-    "enumerate_configurations",
-    "enumerate_reciprocal_tuples",
-    "extract_invariants",
-    "fchain_profile",
-    "global_chi",
-    "hj_expansion",
-    "hj_string_graph",
-    "hodge_inequality_check",
-    "index_bounds",
-    "intersection_matrix",
-    "is_negative_definite",
-    "jouanolou_entry",
-    "pair",
-    "pipeline",
-    "pseudo_threshold",
-    "relate_models",
-    "solve_pullback",
-    "wunram_degrees",
-    "zariski_decompose",
-]
+# the public names of each submodule
+_NAMES = {
+    "bounds": (
+        "CANONICAL", "WEAK_NEF", "BoundReport", "HilbertSamples", "ModelInvariants",
+        "SingularityConfiguration", "bound_singularity_count", "compute_n1",
+        "enumerate_configurations", "enumerate_reciprocal_tuples", "extract_invariants",
+        "index_bounds", "pipeline", "relate_models",
+    ),
+    "contributions": (
+        "Cusp", "Dihedral", "DihedralSumReport", "GorensteinCanonical", "SingularityDatum",
+        "Terminal", "a_cusp", "a_cyclic_sheaf", "a_dihedral", "a_terminal", "chi_fchain",
+        "chi_partial_crepant", "contribution", "dihedral_sum_verify", "global_chi",
+    ),
+    "cyclic": (
+        "CyclicType", "HJExpansion", "WunramDegrees", "fchain_profile", "hj_expansion",
+        "hj_string_graph", "wunram_degrees",
+    ),
+    "errors": (
+        "DegenerateConfigurationError", "FolcalcError", "InconsistentModelError",
+        "InconsistentSamplesError", "NotGeneralTypeError", "NotPseudoeffectiveError",
+        "SearchBudgetError", "ValidationError",
+    ),
+    "jouanolou": ("AccumulationReport", "JouanolouEntry", "accumulation_report", "jouanolou_entry"),
+    "lattice": (
+        "Curve", "DualGraph", "HodgeReport", "IntersectionProfile", "QDivisor",
+        "chi_additivity_check", "degree_against_curve", "hodge_inequality_check",
+        "intersection_matrix", "is_negative_definite", "pair", "solve_pullback",
+    ),
+    "zariski": ("ZariskiResult", "pseudo_threshold", "zariski_decompose"),
+}
+# public name -> the submodule that defines it
+_HOME = {name: module for module, names in _NAMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+# submodules that are attributes of the package even before anything imports them
+_SUBMODULES = (*_NAMES, "linalg", "rationals")
+
+
+def __getattr__(name: str):
+    """Import what ``name`` needs on first use and keep it in the module globals."""
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        # the plain lookup, without this hook, raises the AttributeError
+        return object.__getattribute__(sys.modules[__name__], name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

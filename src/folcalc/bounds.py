@@ -487,7 +487,12 @@ def index_bounds(configs, mode: str) -> IndexBoundsResult:
     configs = list(configs)
     if not configs:
         raise ValidationError("need at least one configuration")
-    orders = [exact_int(n, "terminal order", 2) for cfg in configs for n in cfg.terminal_orders]
+    orders = [n for cfg in configs for n in cfg.terminal_orders]
+    # one pass over the types and one for the least order, instead of a call per order; the
+    # type is compared, not the value, so 2.0 and True are refused
+    if orders and (set(map(type, orders)) != {int} or min(orders) < 2):
+        for n in orders:
+            exact_int(n, "terminal order", 2)  # raises at the first bad order
     max_order = max(orders, default=1)
     factor = 2 if mode == CANONICAL else 1
     candidates = tuple(factor * math.lcm(*cfg.terminal_orders) for cfg in configs)

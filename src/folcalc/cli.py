@@ -6,6 +6,9 @@ identical inputs always produce identical bytes. Exit status 0 means success,
 propagated from the library (degenerate configuration, inconsistent samples,
 and so on); failures carry a machine-readable {code, message, location}
 object on stderr.
+
+Each handler imports the library modules it uses when it runs, so a process
+loads only what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -14,16 +17,14 @@ import argparse
 import itertools
 import json
 import sys
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from . import bounds as bounds_mod
-from . import contributions as contrib_mod
-from . import jouanolou as jouanolou_mod
-from . import lattice as lattice_mod
-from . import zariski as zariski_mod
-from .cyclic import CyclicType, hj_expansion, wunram_degrees
 from .errors import FolcalcError, ValidationError
 from .rationals import format_rational, parse_integer
+
+if TYPE_CHECKING:
+    from .bounds import HilbertSamples, ModelInvariants, SingularityConfiguration
+    from .cyclic import CyclicType
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,17 +47,19 @@ def _load_json(path: str):
 
 
 def _cyclic_from_args(args) -> CyclicType:
+    from . import cyclic as cyclic_mod
+
     if args.n is None or args.q is None:
         raise ValidationError("this operation needs --n and --q")
-    return CyclicType(args.n, args.q)
+    return cyclic_mod.CyclicType(args.n, args.q)
 
 
-# --kind choices, each with the datum it builds from the parsed arguments
+# --kind choices, each with the datum it builds from the contributions module and the arguments
 _KINDS = {
-    "terminal": lambda args: contrib_mod.Terminal(_cyclic_from_args(args)),
-    "dihedral": lambda args: contrib_mod.Dihedral(a_exp=1, l=1, m_odd=1, p=1),
-    "cusp": lambda args: contrib_mod.Cusp(),
-    "gorenstein": lambda args: contrib_mod.GorensteinCanonical(),
+    "terminal": lambda contrib_mod, args: contrib_mod.Terminal(_cyclic_from_args(args)),
+    "dihedral": lambda contrib_mod, args: contrib_mod.Dihedral(a_exp=1, l=1, m_odd=1, p=1),
+    "cusp": lambda contrib_mod, args: contrib_mod.Cusp(),
+    "gorenstein": lambda contrib_mod, args: contrib_mod.GorensteinCanonical(),
 }
 
 
@@ -64,29 +67,40 @@ _KINDS = {
 
 
 def _cmd_hj(args):
-    expansion = hj_expansion(CyclicType(args.n, args.q))
+    from . import cyclic as cyclic_mod
+
+    expansion = cyclic_mod.hj_expansion(cyclic_mod.CyclicType(args.n, args.q))
     return {"b": list(expansion.entries)}
 
 
 def _cmd_wunram(args):
-    t = CyclicType(args.n, args.q)
-    data = wunram_degrees(t, args.i)
-    return {"b": list(hj_expansion(t).entries), "s": list(data.s), "d": list(data.d)}
+    from . import cyclic as cyclic_mod
+
+    t = cyclic_mod.CyclicType(args.n, args.q)
+    data = cyclic_mod.wunram_degrees(t, args.i)
+    return {"b": list(cyclic_mod.hj_expansion(t).entries), "s": list(data.s), "d": list(data.d)}
 
 
 def _cmd_contrib(args):
-    return {"a": format_rational(contrib_mod.contribution(_KINDS[args.kind](args), args.m))}
+    from . import contributions as contrib_mod
+
+    datum = _KINDS[args.kind](contrib_mod, args)
+    return {"a": format_rational(contrib_mod.contribution(datum, args.m))}
 
 
 def _cmd_chi_local(args):
+    from . import contributions as contrib_mod
+
     if args.kind is None:
         value = contrib_mod.chi_fchain(_cyclic_from_args(args), args.m)
     else:
-        value = contrib_mod.chi_partial_crepant(_KINDS[args.kind](args), args.m)
+        value = contrib_mod.chi_partial_crepant(_KINDS[args.kind](contrib_mod, args), args.m)
     return {"chi": format_rational(value)}
 
 
 def _cmd_pullback(args):
+    from . import lattice as lattice_mod
+
     graph = lattice_mod.graph_from_json(_load_json(args.graph))
     profile = lattice_mod.profile_from_json(graph, _load_json(args.profile))
     solution = lattice_mod.solve_pullback(graph, profile)
@@ -94,6 +108,9 @@ def _cmd_pullback(args):
 
 
 def _cmd_zariski(args):
+    from . import lattice as lattice_mod
+    from . import zariski as zariski_mod
+
     graph = lattice_mod.graph_from_json(_load_json(args.graph))
     divisor = lattice_mod.divisor_from_json(graph, _load_json(args.divisor))
     result = zariski_mod.zariski_decompose(graph, divisor)
@@ -104,7 +121,9 @@ def _cmd_zariski(args):
     }
 
 
-def _samples_from_json(obj) -> bounds_mod.HilbertSamples:
+def _samples_from_json(obj) -> HilbertSamples:
+    from . import bounds as bounds_mod
+
     if not isinstance(obj, dict) or "values" not in obj or not isinstance(obj["values"], dict):
         raise ValidationError('samples JSON must be an object with a "values" map')
     values = {parse_integer(k): v for k, v in obj["values"].items()}
@@ -114,7 +133,7 @@ def _samples_from_json(obj) -> bounds_mod.HilbertSamples:
     return bounds_mod.HilbertSamples(values=values, period_hint=hint)
 
 
-def _invariants_to_json(inv: bounds_mod.ModelInvariants) -> dict:
+def _invariants_to_json(inv: ModelInvariants) -> dict:
     return {
         "K2": format_rational(inv.k2),
         "K_dot_KY": format_rational(inv.k_dot_ky),
@@ -124,7 +143,7 @@ def _invariants_to_json(inv: bounds_mod.ModelInvariants) -> dict:
     }
 
 
-def _config_to_json(cfg: bounds_mod.SingularityConfiguration) -> dict:
+def _config_to_json(cfg: SingularityConfiguration) -> dict:
     return {
         "terminal_orders": list(cfg.terminal_orders),
         "dihedral_count": cfg.dihedral_count,
@@ -133,6 +152,8 @@ def _config_to_json(cfg: bounds_mod.SingularityConfiguration) -> dict:
 
 
 def _cmd_bounds(args):
+    from . import bounds as bounds_mod
+
     samples = _samples_from_json(_load_json(args.samples))
     report = bounds_mod.pipeline(samples, args.mode)
     per_config = [
@@ -158,6 +179,8 @@ def _cmd_bounds(args):
 
 
 def _cmd_jouanolou(args):
+    from . import jouanolou as jouanolou_mod
+
     report = jouanolou_mod.accumulation_report(args.dmax)
     return {
         "entries": [
@@ -178,6 +201,8 @@ def _cmd_jouanolou(args):
 
 
 def _cmd_dihedral_verify(args):
+    from . import contributions as contrib_mod
+
     datum = contrib_mod.Dihedral(
         a_exp=args.a, l=args.l, m_odd=args.modd, p=args.p, variant=args.variant
     )
@@ -193,6 +218,8 @@ def _cmd_dihedral_verify(args):
 
 
 def _cmd_relate(args):
+    from . import bounds as bounds_mod
+
     def table(path):
         obj = _load_json(path)
         if not isinstance(obj, dict):
@@ -320,7 +347,8 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_zariski)
 
     p = sub.add_parser("bounds", parents=[common], help="pluricanonical bound from Hilbert samples")
-    p.add_argument("--mode", required=True, choices=(bounds_mod.WEAK_NEF, bounds_mod.CANONICAL))
+    # bounds.WEAK_NEF and bounds.CANONICAL, spelled out so that parsing imports no library module
+    p.add_argument("--mode", required=True, choices=("weak-nef", "canonical"))
     p.add_argument("samples")
     p.set_defaults(handler=_cmd_bounds)
 

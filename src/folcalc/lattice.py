@@ -380,8 +380,10 @@ def chi_additivity_check(triples: Iterable[Sequence[int]]) -> bool:
 
 
 def graph_from_json(obj) -> DualGraph:
-    if not isinstance(obj, dict) or "curves" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("curves"), list):
         raise ValidationError('graph JSON must be an object with a "curves" list')
+    if not isinstance(obj.get("edges", []), list):
+        raise ValidationError('graph JSON "edges" must be a list')
     curves = []
     for entry in obj["curves"]:
         if not isinstance(entry, dict) or "label" not in entry or "self" not in entry:

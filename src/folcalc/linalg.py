@@ -132,20 +132,25 @@ def eliminate(rows, rhs=None, *, require_definite: bool = False):
 
 def _sparse(matrix) -> list[dict[int, int]]:
     """The nonzero entries of a square integer matrix; any other matrix is refused."""
-    if any(len(row) != len(matrix) for row in matrix):
-        raise ValidationError(f"matrix with {len(matrix)} rows must be square")
+    if not isinstance(matrix, list) or any(
+        not isinstance(row, list) or len(row) != len(matrix) for row in matrix
+    ):
+        raise ValidationError("matrix must be a square list of row lists")
     return [{j: v for j, v in enumerate(row) if exact_int(v, "matrix entry")} for row in matrix]
 
 
 def solve_exact(matrix, rhs) -> list[Fraction] | None:
     """Solve the square system ``matrix @ x = rhs`` exactly.
 
-    Returns None when the matrix is singular. The matrix must be square with
-    int entries and the rhs one int or Fraction per row, else ``ValidationError``.
+    Returns None when the matrix is singular. The matrix must be a square list
+    of int rows and the rhs a list of one int or Fraction per row, else
+    ``ValidationError``.
     """
     rows = _sparse(matrix)
-    if len(rhs) != len(rows) or any(type(b) not in (int, Fraction) for b in rhs):
-        raise ValidationError(f"rhs must be {len(rows)} ints or Fractions, one per row")
+    if not isinstance(rhs, list) or len(rhs) != len(rows) or any(
+        type(b) not in (int, Fraction) for b in rhs
+    ):
+        raise ValidationError(f"rhs must be a list of {len(rows)} ints or Fractions, one per row")
     solution = eliminate(rows, rhs)[1]
     return None if solution is None else [Fraction(x, solution[1]) for x in solution[0]]
 

@@ -1,5 +1,6 @@
 """Command-line surface: JSON output, exit codes, error objects."""
 
+import argparse
 import hashlib
 import json
 import time
@@ -177,6 +178,11 @@ class TestBasicCommands:
         assert code == 2 and out == ""
         assert json.loads(err)["code"] == "invalid-input"
 
+    def test_mode_choices_are_the_bounds_constants(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        mode = next(a for a in sub.choices["bounds"]._actions if a.dest == "mode")
+        assert mode.choices == (bounds.WEAK_NEF, bounds.CANONICAL)
+
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 2
@@ -218,6 +224,16 @@ class TestFileCommands:
         code, _, err = run(capsys, "pullback", str(gpath), str(ppath))
         assert code == 1
         assert json.loads(err)["code"] == "degenerate-configuration"
+
+    @pytest.mark.parametrize("graph", [{"curves": 5}, {"curves": [], "edges": 5}])
+    def test_graph_with_curves_or_edges_not_a_list(self, capsys, tmp_path, graph):
+        gpath = tmp_path / "graph.json"
+        gpath.write_text(json.dumps(graph))
+        ppath = tmp_path / "profile.json"
+        ppath.write_text("{}")
+        code, out, err = run(capsys, "pullback", str(gpath), str(ppath))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["code"] == "invalid-input"
 
     def test_malformed_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -482,6 +482,9 @@ def _divisor():
         lambda: index_bounds([SingularityConfiguration((-3,))], "weak-nef"),
         lambda: index_bounds([SingularityConfiguration((True,))], "weak-nef"),
         lambda: index_bounds([SingularityConfiguration((2, 1.5))], "canonical"),
+        lambda: index_bounds([SingularityConfiguration((2, 2.0))], "weak-nef"),
+        lambda: index_bounds([SingularityConfiguration((3, True))], "weak-nef"),
+        lambda: index_bounds([SingularityConfiguration((2,)), SingularityConfiguration(([2],))], "weak-nef"),
         lambda: SingularityConfiguration((0,)).contribution_sum(),
         lambda: SingularityConfiguration((1.5,)).contribution_sum(),
         lambda: SingularityConfiguration((), 1.5).contribution_sum(),

@@ -252,15 +252,17 @@ def test_front_ends_refuse_entries_that_are_not_ints(entry):
         is_negative_definite_matrix(matrix)
 
 
-@pytest.mark.parametrize("matrix", [[[-2, 1]], [[-2], [1]], [[-2, 1], [1]]])
+@pytest.mark.parametrize(
+    "matrix", [[[-2, 1]], [[-2], [1]], [[-2, 1], [1]], [1], [[-2], 1], None, ((-2,),), [(-2,)]]
+)
 def test_front_ends_refuse_matrices_that_are_not_square(matrix):
     with pytest.raises(ValidationError, match="square"):
-        solve_exact(matrix, [1] * len(matrix))
+        solve_exact(matrix, [1])
     with pytest.raises(ValidationError, match="square"):
         is_negative_definite_matrix(matrix)
 
 
-@pytest.mark.parametrize("rhs", [[1, 2], [], [0.5], ["1"], [True], [None]])
+@pytest.mark.parametrize("rhs", [[1, 2], [], [0.5], ["1"], [True], [None], 5, None, (1,)])
 def test_solve_refuses_rhs_of_wrong_length_or_type(rhs):
     with pytest.raises(ValidationError):
         solve_exact([[-2]], rhs)
