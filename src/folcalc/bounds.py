@@ -73,7 +73,10 @@ class HilbertSamples:
     period_hint: int | None = None
 
     def __post_init__(self):
-        items = dict(self.values).items()
+        try:
+            items = dict(self.values).items()
+        except (TypeError, ValueError):
+            raise ValidationError("Hilbert samples must map multiples m to chi(m)") from None
         clean = {exact_int(m, "sample key", 0): parse_rational(v) for m, v in items}
         object.__setattr__(self, "values", dict(sorted(clean.items())))
         if self.period_hint is not None:
@@ -556,8 +559,12 @@ def relate_models(weak_nef_chi: Mapping[int, int], canonical_chi: Mapping[int, i
     strings; bools, floats and other strings are rejected.
     """
     exact_int(cusps, "cusp count", 0)
-    weak = {parse_integer(k): parse_rational(v) for k, v in dict(weak_nef_chi).items()}
-    canon = {parse_integer(k): parse_rational(v) for k, v in dict(canonical_chi).items()}
+    try:
+        weak_items, canon_items = dict(weak_nef_chi).items(), dict(canonical_chi).items()
+    except (TypeError, ValueError):
+        raise ValidationError("both Euler tables must map multiples m to chi(m)") from None
+    weak = {parse_integer(k): parse_rational(v) for k, v in weak_items}
+    canon = {parse_integer(k): parse_rational(v) for k, v in canon_items}
     if set(weak) != set(canon):
         raise ValidationError("both tables must cover the same multiples")
     if 0 not in weak:

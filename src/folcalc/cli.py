@@ -76,9 +76,10 @@ def _cmd_hj(args):
 def _cmd_wunram(args):
     from . import cyclic as cyclic_mod
 
-    t = cyclic_mod.CyclicType(args.n, args.q)
-    data = cyclic_mod.wunram_degrees(t, args.i)
-    return {"b": list(cyclic_mod.hj_expansion(t).entries), "s": list(data.s), "d": list(data.d)}
+    data = cyclic_mod.wunram_degrees(cyclic_mod.CyclicType(args.n, args.q), args.i)
+    s = data.s + (0,)  # s_(j+1) = b_j s_j - s_(j-1), and s_(r+1) = 0
+    b = [(s[j - 1] + s[j + 1]) // s[j] for j in range(1, len(s) - 1)]
+    return {"b": b, "s": list(data.s), "d": list(data.d)}
 
 
 def _cmd_contrib(args):

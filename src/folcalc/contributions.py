@@ -231,10 +231,8 @@ def dihedral_sum_verify(datum: Dihedral) -> DihedralSumReport:
     step = (datum.p + 1) % two_n
     offset = 0 if plus_sign else (datum.m_odd * datum.l) % two_n
     exact = _exact_root_sum(two_n, plus_sign, offset, gcd(step, two_n))
-    numeric = complex(
-        fsum(t.real for t in _root_sum_terms(two_n, plus_sign, step, offset)),
-        fsum(t.imag for t in _root_sum_terms(two_n, plus_sign, step, offset)),
-    )
+    terms = list(_root_sum_terms(two_n, plus_sign, step, offset))
+    numeric = complex(fsum(t.real for t in terms), fsum(t.imag for t in terms))
     a_value = -exact / two_n
     passed = abs(numeric - n) < NUMERIC_TOLERANCE and exact == n and a_value == Fraction(-1, 2)
     return DihedralSumReport(

@@ -21,6 +21,8 @@ from .errors import ValidationError
 from .lattice import Curve, DualGraph, IntersectionProfile
 from .rationals import exact_int
 
+MAX_STRING_CURVES = 100_000  # longest resolution string; (1/n)(1, n-1) has n - 1 curves
+
 
 @dataclass(frozen=True, slots=True)
 class CyclicType:
@@ -67,20 +69,31 @@ class WunramDegrees:
     remainders: tuple[int, ...]
 
 
-def hj_expansion(t: CyclicType) -> HJExpansion:
-    """Expand n/q with every entry the ceiling of the running quotient."""
-    entries = []
+def _hj_loop(t: CyclicType) -> tuple[list[int], list[int]]:
+    """The entries b_1, ..., b_r of n/q and the radix (s_0, ..., s_r) = (n, q, ..., 1).
+
+    b_j is the ceiling of s_(j-1)/s_j, and s_(j+1) = b_j s_j - s_(j-1) ends at s_r = 1, then 0.
+    """
+    entries, s = [], [t.n]
     a, b = t.n, t.q
-    while b:
+    for _ in range(MAX_STRING_CURVES):
         k = -(-a // b)  # ceiling division forces k >= 2 while 0 < b < a
         entries.append(k)
+        s.append(b)
         a, b = b, k * b - a
-    return HJExpansion(tuple(entries))
+        if not b:
+            return entries, s
+    raise ValidationError(f"(1/{t.n})(1,{t.q}) resolves into more than {MAX_STRING_CURVES} curves")
+
+
+def hj_expansion(t: CyclicType) -> HJExpansion:
+    """Expand n/q with every entry the ceiling of the running quotient."""
+    return HJExpansion(tuple(_hj_loop(t)[0]))
 
 
 def hj_string_graph(t: CyclicType) -> DualGraph:
     """The resolution string: curves C1..Cr, consecutive ones meeting once."""
-    entries = hj_expansion(t).entries
+    entries = _hj_loop(t)[0]
     curves = [Curve(f"C{j + 1}", -b) for j, b in enumerate(entries)]
     edges = [(f"C{j}", f"C{j + 1}", 1) for j in range(1, len(entries))]
     return DualGraph(curves, edges)
@@ -90,15 +103,10 @@ def wunram_degrees(t: CyclicType, i: int) -> WunramDegrees:
     """Greedy digits of i in the radix s_1, ..., s_r.
 
     The index is range-checked only: it must lie in [0, n-1]. The radix comes
-    from ``hj_expansion``'s own loop, s_(j+1) = ceil(s_(j-1)/s_j) s_j - s_(j-1),
-    which reaches s_r = gcd(n, q) = 1 and then 0.
+    from the recursion that also gives ``hj_expansion`` its entries.
     """
     rem = exact_int(i, "i", 0, t.n - 1)
-    s = [t.n]
-    a, b = t.n, t.q
-    while b:
-        s.append(b)
-        a, b = b, -(-a // b) * b - a
+    s = _hj_loop(t)[1]
     digits, remainders = [], []
     for sj in s[1:]:
         dj, rem = divmod(rem, sj)

@@ -102,9 +102,13 @@ class DualGraph:
         return f"DualGraph({list(self.labels)!r})"
 
 
-def _coeff_map(graph: DualGraph, coefficients: Mapping[str, object]) -> dict[str, Fraction]:
+def _coeff_map(graph: DualGraph, coefficients: Mapping[str, object], what: str) -> dict[str, Fraction]:
+    try:
+        items = dict(coefficients).items()
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must map curve labels to rationals") from None
     out: dict[str, Fraction] = {}
-    for label, value in coefficients.items():
+    for label, value in items:
         graph.index_of(label)
         v = value if isinstance(value, Fraction) else parse_rational(value)
         if v:
@@ -125,7 +129,7 @@ class QDivisor:
 
     def __init__(self, graph: DualGraph, coefficients: Mapping[str, object] = ()):
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "coefficients", _coeff_map(graph, dict(coefficients)))
+        object.__setattr__(self, "coefficients", _coeff_map(graph, coefficients, "divisor coefficients"))
 
     def coefficient(self, label: str) -> Fraction:
         self.graph.index_of(label)
@@ -175,7 +179,7 @@ class IntersectionProfile:
 
     def __init__(self, graph: DualGraph, degrees: Mapping[str, object] = ()):
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "degrees", _coeff_map(graph, dict(degrees)))
+        object.__setattr__(self, "degrees", _coeff_map(graph, degrees, "profile degrees"))
 
     def __eq__(self, other) -> bool:
         return (
@@ -284,15 +288,12 @@ def degree_against_curve(d: QDivisor, label: str) -> Fraction:
     return total
 
 
-MAX_HODGE_GRID = 100  # the witness scan visits up to (2*grid + 1)^2 points
-
-
 @dataclass(frozen=True)
 class HodgeReport:
     """Outcome of an index-inequality check on a pair of divisors.
 
-    ``inequality_holds`` and the equality fields stay None when no grid point
-    witnesses the positivity hypothesis, in which case nothing is claimed.
+    ``inequality_holds`` and the equality fields stay None when the Gram form
+    of the pair is negative semidefinite: no witness exists, nothing is claimed.
     """
 
     hypothesis_holds: bool
@@ -320,33 +321,39 @@ def _trivial_combination(d1: QDivisor, d2: QDivisor) -> tuple[Fraction, Fraction
     return None
 
 
-def hodge_inequality_check(d1: QDivisor, d2: QDivisor, grid: int) -> HodgeReport:
+def _positive_point(s11: Fraction, s12: Fraction, s22: Fraction) -> tuple[int, int] | None:
+    """Coprime integers (a1, a2) with a1^2 s11 + 2 a1 a2 s12 + a2^2 s22 > 0, None if none exist.
+
+    Past a positive diagonal entry, a form with s11, s22 <= 0 and s11 s22 < s12^2
+    takes the value s11 (s11 s22 - s12^2) > 0 at (-s12, s11), s22 (s11 s22 - s12^2) > 0
+    at (s22, -s12), and 2 |s12| at (1, sign s12) when s11 = s22 = 0. The value
+    is even in (a1, a2), so the point is returned as the reduced ratio a1/a2.
+    """
+    if s11 <= 0 and s22 <= 0 and s11 * s22 >= s12 * s12:
+        return None  # negative semidefinite
+    if s11 > 0 or s22 > 0:
+        return (1, 0) if s11 > 0 else (0, 1)
+    if not s11 and not s22:
+        return (1, 1 if s12 > 0 else -1)
+    ratio = -s12 / s11 if s11 else s22 / -s12
+    return (ratio.numerator, ratio.denominator)
+
+
+def hodge_inequality_check(d1: QDivisor, d2: QDivisor) -> HodgeReport:
     """Check d1^2 d2^2 <= (d1 . d2)^2 under the positivity hypothesis.
 
-    The hypothesis "(a1 d1 + a2 d2)^2 > 0 for some reals" is witnessed over the
-    integer grid [-grid, grid]^2 \\ {0}, for grid at most MAX_HODGE_GRID; a
-    negative semidefinite form has no witness and skips the scan. When
-    equality holds the check also searches for an exact rational combination
-    pairing to zero with every curve.
+    The hypothesis "(a1 d1 + a2 d2)^2 > 0 for some reals" holds exactly when
+    the Gram form of d1, d2 is not negative semidefinite, and is then
+    witnessed by a closed-form integer point. When equality holds the check
+    also searches for an exact rational combination pairing to zero with
+    every curve.
     """
     _require_graph(d1.graph, d2)
-    exact_int(grid, "grid", 1, MAX_HODGE_GRID)
     s11 = pair(d1, d1)
     s12 = pair(d1, d2)
     s22 = pair(d2, d2)
     products = (s11, s12, s22)
-    if s11 <= 0 and s22 <= 0 and s11 * s22 >= s12 * s12:
-        return HodgeReport(False, None, None, None, None, products)
-    witness = None
-    for a1 in range(-grid, grid + 1):
-        for a2 in range(-grid, grid + 1):
-            if a1 == 0 and a2 == 0:
-                continue
-            if a1 * a1 * s11 + 2 * a1 * a2 * s12 + a2 * a2 * s22 > 0:
-                witness = (a1, a2)
-                break
-        if witness:
-            break
+    witness = _positive_point(s11, s12, s22)
     if witness is None:
         return HodgeReport(False, None, None, None, None, products)
     inequality = s11 * s22 <= s12 * s12
@@ -363,12 +370,14 @@ def chi_additivity_check(triples: Iterable[Sequence[int]]) -> bool:
     composite must be the sum of the two stages, pointwise.
     """
     ok = True
-    for triple in triples:
-        f, g, composite = triple
-        for v in (f, g, composite):
-            exact_int(v, "modified Euler characteristic", 0)
-        if composite != f + g:
-            ok = False
+    try:
+        for f, g, composite in triples:
+            for v in (f, g, composite):
+                exact_int(v, "modified Euler characteristic", 0)
+            if composite != f + g:
+                ok = False
+    except (TypeError, ValueError):
+        raise ValidationError("chi additivity needs an iterable of (f, g, composite) triples") from None
     return ok
 
 

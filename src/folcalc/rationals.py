@@ -1,7 +1,7 @@
 """Exact scalars: the integer contract, rationals and their canonical string form.
 
 ``exact_int`` is the one integer check of the package. Every public entry
-point that takes an integer (a multiple m, an order n, an index, a grid, a
+point that takes an integer (a multiple m, an order n, an index, a
 self-intersection, a count) passes it through here: the test is
 ``type(value) is int``, so bools, floats, strings and int subclasses are
 refused, as is a value outside the allowed range, each with a

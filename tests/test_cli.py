@@ -92,6 +92,15 @@ class TestBasicCommands:
         assert error["code"] == "invalid-input"
         assert "gcd(n,q) must be 1" in error["message"]
 
+    @pytest.mark.parametrize("tail", [["hj"], ["wunram", "0"]], ids=["hj", "wunram"])
+    def test_string_above_cap_refused(self, capsys, tail):
+        n = 10**12 + 1
+        code, out, err = run(capsys, tail[0], str(n), str(n - 1), *tail[1:])
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["code"] == "invalid-input"
+        assert "more than 100000 curves" in error["message"]
+
     def test_wunram(self, capsys):
         doc = run_json(capsys, "wunram", "5", "2", "3")
         assert doc == {"b": [3, 2], "s": [5, 2, 1], "d": [1, 1]}

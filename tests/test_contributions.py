@@ -44,13 +44,12 @@ from folcalc.cyclic import wunram_degrees
 from folcalc.errors import InconsistentModelError, ValidationError
 from folcalc.jouanolou import MAX_DMAX, accumulation_report, jouanolou_entry
 from folcalc.lattice import (
-    MAX_HODGE_GRID,
     Curve,
     DualGraph,
+    IntersectionProfile,
     QDivisor,
     chi_additivity_check,
     graph_from_json,
-    hodge_inequality_check,
 )
 from folcalc.rationals import parse_integer
 
@@ -387,7 +386,6 @@ def _divisor():
         lambda: ModelInvariants(2, 0, 1.0, 0),
         lambda: ModelInvariants(2, 0, 1, 0, cusp_count=True),
         lambda: ModelInvariants(2, 0, 1, 0, cusp_count=[1]),
-        lambda: hodge_inequality_check(_divisor(), _divisor(), True),
         lambda: ModelInvariants("1/2", 0, 1, 0),
         # every site of the integer contract: a bool, a float, a digit string
         # and an out-of-range int wherever the site has a range
@@ -464,10 +462,6 @@ def _divisor():
         lambda: accumulation_report(MAX_DMAX + 1),
         lambda: DualGraph([Curve("A", -2), Curve("B", -2)], [("A", "B", "1")]),
         lambda: DualGraph([Curve("A", -2), Curve("B", -2)], [("A", "B", -1)]),
-        lambda: hodge_inequality_check(_divisor(), _divisor(), 1.0),
-        lambda: hodge_inequality_check(_divisor(), _divisor(), "1"),
-        lambda: hodge_inequality_check(_divisor(), _divisor(), 0),
-        lambda: hodge_inequality_check(_divisor(), _divisor(), MAX_HODGE_GRID + 1),
         lambda: chi_additivity_check([(True, 0, 1)]),
         lambda: chi_additivity_check([(0, 1.0, 1)]),
         lambda: chi_additivity_check([(0, 1, "1")]),
@@ -491,6 +485,15 @@ def _divisor():
         lambda: SingularityConfiguration((), True, -1).contribution_sum(),
         lambda: SingularityConfiguration((), 0, 1.0).contribution_sum(),
         lambda: SingularityConfiguration((), -1).contribution_sum(),
+        # containers that are not mappings or iterables of the right shape
+        lambda: chi_additivity_check([(1, 2)]),
+        lambda: chi_additivity_check(5),
+        lambda: QDivisor(_divisor().graph, 5),
+        lambda: QDivisor(_divisor().graph, [("C1", 1, 2)]),
+        lambda: IntersectionProfile(_divisor().graph, 5),
+        lambda: HilbertSamples(5),
+        lambda: relate_models(5, {}, 0),
+        lambda: relate_models({0: 1}, [1], 0),
     ],
 )
 def test_public_entry_points_reject_floats_and_bools(call):

@@ -1,12 +1,14 @@
 """Continued-fraction expansions and sheaf-transform degrees."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folcalc import CyclicType, fchain_profile, hj_expansion, wunram_degrees
+from folcalc import CyclicType, fchain_profile, hj_expansion, hj_string_graph, wunram_degrees
+from folcalc.cyclic import MAX_STRING_CURVES
 from folcalc.errors import ValidationError
 
 from conftest import coprime_pairs
@@ -41,6 +43,29 @@ class TestExpansion:
             exp = hj_expansion(CyclicType(n, q))
             assert all(b >= 2 for b in exp.entries)
             assert exp.evaluate() == Fraction(n, q)
+
+
+class TestStringCap:
+    def test_longest_string_is_built(self):
+        # (1/n)(1, n-1) resolves into n - 1 curves of self-intersection -2
+        entries = hj_expansion(CyclicType(MAX_STRING_CURVES + 1, MAX_STRING_CURVES)).entries
+        assert entries == (2,) * MAX_STRING_CURVES
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            hj_expansion,
+            hj_string_graph,
+            fchain_profile,
+            lambda t: wunram_degrees(t, 0),
+        ],
+    )
+    @pytest.mark.parametrize("n", [MAX_STRING_CURVES + 2, 10**12 + 1])
+    def test_longer_string_refused_quickly(self, call, n):
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match=f"\\(1/{n}\\)\\(1,{n - 1}\\).*{MAX_STRING_CURVES}"):
+            call(CyclicType(n, n - 1))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestWunramDegrees:

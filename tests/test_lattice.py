@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import folcalc as f
@@ -23,7 +23,13 @@ from folcalc import (
     solve_pullback,
 )
 from folcalc.errors import DegenerateConfigurationError, ValidationError
-from folcalc.lattice import _by_index, _trivial_combination, degree_vector, graph_from_json
+from folcalc.lattice import (
+    _by_index,
+    _positive_point,
+    _trivial_combination,
+    degree_vector,
+    graph_from_json,
+)
 
 from conftest import (
     exponent_divisor,
@@ -350,7 +356,7 @@ class TestHodgeInequality:
     def test_equal_divisors_with_positive_square(self):
         g = DualGraph([Curve("H", 1)])
         d = QDivisor(g, {"H": 2})
-        report = hodge_inequality_check(d, d, grid=2)
+        report = hodge_inequality_check(d, d)
         assert report.hypothesis_holds
         assert report.inequality_holds
         assert report.equality_with_trivial_combination
@@ -361,7 +367,7 @@ class TestHodgeInequality:
         g = DualGraph([Curve("H", 1), Curve("E", -1)])
         d1 = QDivisor(g, {"H": 1})
         d2 = QDivisor(g, {"E": 1})
-        report = hodge_inequality_check(d1, d2, grid=2)
+        report = hodge_inequality_check(d1, d2)
         assert report.hypothesis_holds
         assert report.inequality_holds
         assert report.products == (Fraction(1), Fraction(0), Fraction(-1))
@@ -370,7 +376,7 @@ class TestHodgeInequality:
     def test_unwitnessed_hypothesis_makes_no_claim(self):
         g = DualGraph([Curve("E", -1)])
         d = QDivisor(g, {"E": 1})
-        report = hodge_inequality_check(d, d, grid=3)
+        report = hodge_inequality_check(d, d)
         assert not report.hypothesis_holds
         assert report.inequality_holds is None
 
@@ -378,7 +384,7 @@ class TestHodgeInequality:
         g = DualGraph([Curve("H", 2)])
         d1 = QDivisor(g, {"H": 1})
         d2 = 3 * d1
-        report = hodge_inequality_check(d1, d2, grid=1)
+        report = hodge_inequality_check(d1, d2)
         assert report.hypothesis_holds and report.equality_with_trivial_combination
         b1, b2 = report.trivial_combination
         assert b1 + 3 * b2 == 0 and (b1, b2) != (0, 0)
@@ -395,8 +401,8 @@ class TestHodgeInequality:
             g = DualGraph([Curve(label, s) for label, s in zip(labels, diag)])
             d1 = QDivisor(g, {l: rng.randint(-3, 3) for l in g.labels})
             d2 = QDivisor(g, {l: rng.randint(-3, 3) for l in g.labels})
-            report = hodge_inequality_check(d1, d2, grid=5)
-            # independent exhaustive scan of the witness grid
+            report = hodge_inequality_check(d1, d2)
+            # independent exhaustive scan of a small grid
             s11, s12, s22 = report.products
             brute = any(
                 a1 * a1 * s11 + 2 * a1 * a2 * s12 + a2 * a2 * s22 > 0
@@ -407,14 +413,45 @@ class TestHodgeInequality:
             assert report.hypothesis_holds == brute
             if report.hypothesis_holds:
                 witnessed += 1
+                a1, a2 = report.witness
+                assert a1 * a1 * s11 + 2 * a1 * a2 * s12 + a2 * a2 * s22 > 0
                 assert report.inequality_holds
         assert witnessed > 50
 
+    def test_thin_cone_witness_outside_any_small_grid(self):
+        # (301 d1 + 2 d2)^2 = (H/5)^2 = 1/25 > 0, but the form is positive
+        # only in a thin cone that misses the box [-100, 100]^2
+        g = DualGraph([Curve("H", 1), Curve("E", -1)])
+        d1 = QDivisor(g, {"E": 1})
+        d2 = QDivisor(g, {"H": Fraction(1, 10), "E": Fraction(-301, 2)})
+        report = hodge_inequality_check(d1, d2)
+        assert report.hypothesis_holds
+        a1, a2 = report.witness
+        assert max(abs(a1), abs(a2)) > 100
+        combination = a1 * d1 + a2 * d2
+        assert pair(combination, combination) > 0
+        assert report.inequality_holds
+        assert report.products == (Fraction(-1), Fraction(301, 2), Fraction(1, 100) - Fraction(301, 2) ** 2)
 
-    def test_grid_above_cap_rejected(self):
-        d = QDivisor(DualGraph([Curve("H", 1)]), {"H": 1})
-        with pytest.raises(ValidationError):
-            hodge_inequality_check(d, d, grid=f.lattice.MAX_HODGE_GRID + 1)
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.fractions(-20, 20, max_denominator=12), min_size=3, max_size=3))
+    @example([Fraction(0), Fraction(-3, 2), Fraction(0)])
+    @example([Fraction(-1), Fraction(301, 2), Fraction(1, 100) - Fraction(301, 2) ** 2])
+    @example([Fraction(-2), Fraction(2), Fraction(-2)])
+    def test_positive_point_on_random_forms(self, form):
+        s11, s12, s22 = form
+
+        def value(a1, a2):
+            return a1 * a1 * s11 + 2 * a1 * a2 * s12 + a2 * a2 * s22
+
+        witness = _positive_point(s11, s12, s22)
+        if witness is None:
+            assert all(value(a1, a2) <= 0 for a1 in range(-4, 5) for a2 in range(-4, 5))
+        else:
+            a1, a2 = witness
+            assert type(a1) is int and type(a2) is int
+            assert (a1, a2) != (0, 0) and math.gcd(a1, a2) == 1
+            assert value(a1, a2) > 0
 
     @pytest.mark.parametrize(
         "matrix, c1, c2",
@@ -427,7 +464,7 @@ class TestHodgeInequality:
     def test_semidefinite_pair_at_cap_has_no_witness(self, matrix, c1, c2):
         # every matrix here is diagonal: disjoint curves
         g = DualGraph([Curve(label, row[i]) for i, (label, row) in enumerate(zip("EF", matrix))])
-        report = hodge_inequality_check(QDivisor(g, c1), QDivisor(g, c2), grid=f.lattice.MAX_HODGE_GRID)
+        report = hodge_inequality_check(QDivisor(g, c1), QDivisor(g, c2))
         assert not report.hypothesis_holds
         assert report.witness is None
         assert report.inequality_holds is None
@@ -479,7 +516,7 @@ class TestIntegerDegrees:
         for d1, d2 in cases:
             expected = fraction_trivial_combination(d1, d2)
             assert _trivial_combination(d1, d2) == expected
-            report = hodge_inequality_check(d1, d2, grid=3)
+            report = hodge_inequality_check(d1, d2)
             if report.equality_with_trivial_combination is not None:
                 assert report.trivial_combination == expected
                 claimed += report.equality_with_trivial_combination
