@@ -121,9 +121,8 @@ def _sheaf_numerator(i: int, n: int, c: int) -> int:
 
 
 def dual_generator(t: CyclicType) -> int:
-    """The representative c in [1, n] of -q^{-1} mod n."""
-    c = (-pow(t.q, -1, t.n)) % t.n
-    return c if c else t.n
+    """The representative c in [1, n - 1] of -q^{-1} mod n."""
+    return (-pow(t.q, -1, t.n)) % t.n
 
 
 def a_cyclic_sheaf(t: CyclicType, i: int) -> Fraction:

@@ -54,24 +54,29 @@ class DualGraph:
     __slots__ = ("curves", "labels", "sparse_rows", "_index")
 
     def __init__(self, curves: Iterable[Curve], edges: Iterable[Sequence] = ()):
-        curves = tuple(curves)
-        labels = tuple(c.label for c in curves)
-        if len(set(labels)) != len(labels):
+        try:
+            curves = tuple(curves)
+            labels = tuple(c.label for c in curves)
+            index = {label: i for i, label in enumerate(labels)}
+            rows: list[dict[int, int]] = [{i: c.self_intersection} for i, c in enumerate(curves)]
+            edges = iter(edges)
+        except (AttributeError, TypeError):
+            raise ValidationError("a dual graph needs iterables of Curves and of edges") from None
+        if len(index) != len(labels):
             raise ValidationError("curve labels must be unique")
-        index = {label: i for i, label in enumerate(labels)}
-        rows: list[dict[int, int]] = [{i: c.self_intersection} for i, c in enumerate(curves)]
         for edge in edges:
             try:
                 a, b, mult = edge
             except (TypeError, ValueError):
                 message = f"edge {edge!r} is not a (label, label, multiplicity) triple"
                 raise ValidationError(message) from None
-            if a not in index or b not in index:
-                raise ValidationError(f"edge {a!r}-{b!r} uses an unknown label")
-            if a == b:
+            try:
+                i, j = index[a], index[b]
+            except (KeyError, TypeError):
+                raise ValidationError(f"edge {a!r}-{b!r} uses an unknown label") from None
+            if i == j:
                 raise ValidationError(f"edge {a!r}-{b!r} is a loop; use the self-intersection instead")
             exact_int(mult, "edge multiplicity", 0)
-            i, j = index[a], index[b]
             rows[i][j] = rows[j][i] = rows[i].get(j, 0) + mult
         self.curves = curves
         self.labels = labels
@@ -103,6 +108,8 @@ class DualGraph:
 
 
 def _coeff_map(graph: DualGraph, coefficients: Mapping[str, object], what: str) -> dict[str, Fraction]:
+    if not isinstance(graph, DualGraph):
+        raise ValidationError(f"{what} need a DualGraph, not {type(graph).__name__}")
     try:
         items = dict(coefficients).items()
     except (TypeError, ValueError):
@@ -116,7 +123,7 @@ def _coeff_map(graph: DualGraph, coefficients: Mapping[str, object], what: str) 
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class QDivisor:
     """Formal rational combination of the curves of a graph.
 
@@ -125,11 +132,11 @@ class QDivisor:
     """
 
     graph: DualGraph
-    coefficients: Mapping[str, Fraction]
+    coefficients: Mapping[str, Fraction] = ()
 
-    def __init__(self, graph: DualGraph, coefficients: Mapping[str, object] = ()):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "coefficients", _coeff_map(graph, coefficients, "divisor coefficients"))
+    def __post_init__(self):
+        coefficients = _coeff_map(self.graph, self.coefficients, "divisor coefficients")
+        object.__setattr__(self, "coefficients", coefficients)
 
     def coefficient(self, label: str) -> Fraction:
         self.graph.index_of(label)
@@ -147,6 +154,7 @@ class QDivisor:
         return QDivisor(self.graph, merged)
 
     def __sub__(self, other: "QDivisor") -> "QDivisor":
+        _require_graph(self.graph, other)
         return self + (-other)
 
     def __neg__(self) -> "QDivisor":
@@ -158,41 +166,29 @@ class QDivisor:
         s = Fraction(scalar)
         return QDivisor(self.graph, {label: s * v for label, v in self.coefficients.items()})
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QDivisor)
-            and self.graph == other.graph
-            and self.coefficients == other.coefficients
-        )
-
     def __repr__(self) -> str:
         body = " + ".join(f"({format_rational(v)})*{k}" for k, v in sorted(self.coefficients.items()))
         return f"QDivisor({body or '0'})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class IntersectionProfile:
     """Prescribed intersection numbers D . C_i, one per curve (missing = 0)."""
 
     graph: DualGraph
-    degrees: Mapping[str, Fraction]
+    degrees: Mapping[str, Fraction] = ()
 
-    def __init__(self, graph: DualGraph, degrees: Mapping[str, object] = ()):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "degrees", _coeff_map(graph, degrees, "profile degrees"))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntersectionProfile)
-            and self.graph == other.graph
-            and self.degrees == other.degrees
-        )
+    def __post_init__(self):
+        object.__setattr__(self, "degrees", _coeff_map(self.graph, self.degrees, "profile degrees"))
 
 
-def _require_graph(graph: DualGraph, part) -> None:
-    """Refuse a divisor or profile that lives on another graph than ``graph``."""
-    if part.graph != graph:
-        raise ValidationError("divisor or profile belongs to a different graph")
+def _require_graph(graph: DualGraph, *parts, kind: type = QDivisor) -> None:
+    """Refuse each of ``parts`` that is not a ``kind`` on ``graph``; its type is checked first."""
+    for part in parts:
+        if not isinstance(part, kind):
+            raise ValidationError(f"expected {kind.__name__}, got {type(part).__name__}")
+        if part.graph != graph:
+            raise ValidationError("divisor or profile belongs to a different graph")
 
 
 def intersection_matrix(graph: DualGraph) -> list[list[int]]:
@@ -211,7 +207,10 @@ def is_negative_definite(graph: DualGraph, support: Iterable[str]) -> bool:
     Decided by the signs of the pivots of one sparse exact elimination; see
     ``folcalc.linalg``.
     """
-    chosen = {graph.index_of(label) for label in support}
+    try:
+        chosen = {graph.index_of(label) for label in support}
+    except (AttributeError, TypeError):
+        raise ValidationError("the support must be curve labels of a DualGraph") from None
     if not chosen:
         raise ValidationError("support must be nonempty")
     return eliminate(principal_rows(graph, sorted(chosen)))[0]
@@ -236,7 +235,7 @@ def solve_pullback(graph: DualGraph, profile: IntersectionProfile) -> QDivisor:
     (cusp cycles, for instance); such configurations need the local
     contribution tables instead of a solve.
     """
-    _require_graph(graph, profile)
+    _require_graph(graph, profile, kind=IntersectionProfile)
     rhs = [profile.degrees.get(label, 0) for label in graph.labels]
     solution = eliminate(graph.sparse_rows, rhs)[1]
     if solution is None:
@@ -269,7 +268,7 @@ def _by_index(d: QDivisor) -> tuple[dict[int, int], int]:
 
 def pair(d1: QDivisor, d2: QDivisor) -> Fraction:
     """Bilinear symmetric intersection number of two divisors."""
-    _require_graph(d1.graph, d2)
+    _require_graph(getattr(d1, "graph", None), d1, d2)
     coefficients2, den2 = _by_index(d2)
     degrees = degree_vector(d2.graph, coefficients2)
     coefficients1, den1 = _by_index(d1)
@@ -348,7 +347,7 @@ def hodge_inequality_check(d1: QDivisor, d2: QDivisor) -> HodgeReport:
     also searches for an exact rational combination pairing to zero with
     every curve.
     """
-    _require_graph(d1.graph, d2)
+    _require_graph(getattr(d1, "graph", None), d1, d2)
     s11 = pair(d1, d1)
     s12 = pair(d1, d2)
     s22 = pair(d2, d2)

@@ -120,6 +120,11 @@ class TestCyclicSheafContribution:
             t = CyclicType(n, q)
             assert a_cyclic_sheaf(t, q) == a_cyclic_sheaf(t, 1) == Fraction(-(n - 1), 2 * n)
 
+    def test_dual_generator_is_a_unit_below_n(self):
+        for n, q in coprime_pairs(120):
+            c = dual_generator(CyclicType(n, q))
+            assert 1 <= c <= n - 1 and (c * q + 1) % n == 0
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             a_cyclic_sheaf(CyclicType(5, 2), 5)

@@ -28,8 +28,10 @@ from folcalc.lattice import (
     _positive_point,
     _trivial_combination,
     degree_vector,
+    divisor_from_json,
     graph_from_json,
 )
+from folcalc.zariski import zariski_decompose
 
 from conftest import (
     exponent_divisor,
@@ -179,6 +181,78 @@ class TestDivisorScaling:
         d = QDivisor(hj_graph(3, 2), {"C1": 1})
         with pytest.raises(ValidationError):
             scalar * d
+
+
+def one_curve():
+    g = DualGraph([Curve("C1", -2)])
+    return g, QDivisor(g, {"C1": 1})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, d: pair(d, 5),
+        lambda g, d: pair(5, d),
+        lambda g, d: hodge_inequality_check(d, 5),
+        lambda g, d: d + 5,
+        lambda g, d: d - 5,
+        lambda g, d: solve_pullback(g, 5),
+        lambda g, d: zariski_decompose(g, 5),
+        lambda g, d: is_negative_definite(g, 5),
+        lambda g, d: is_negative_definite(5, ["C1"]),
+        lambda g, d: DualGraph(5),
+        lambda g, d: DualGraph([Curve("C1", -2)], 5),
+        lambda g, d: DualGraph([5]),
+        lambda g, d: QDivisor(5, {"C1": 1}),
+        lambda g, d: QDivisor(5, {}),
+        lambda g, d: IntersectionProfile(5, {}),
+        lambda g, d: divisor_from_json(5, {}),
+    ],
+)
+def test_foreign_graph_and_record_arguments_rejected(call):
+    with pytest.raises(ValidationError):
+        call(*one_curve())
+
+
+class TestRecordSemantics:
+    """Equality, repr, hashing and construction of divisors and profiles."""
+
+    def test_equal_exactly_when_graph_and_map_are_equal(self):
+        g, d = one_curve()
+        other = DualGraph([Curve("C1", -3)])
+        assert d == QDivisor(DualGraph([Curve("C1", -2)]), {"C1": Fraction(1)})
+        assert d != QDivisor(g, {"C1": 2}) and d != QDivisor(other, {"C1": 1})
+        assert QDivisor(g, {"C1": 0}) == QDivisor(g)
+        p = IntersectionProfile(g, {"C1": -1})
+        assert p == IntersectionProfile(g, {"C1": Fraction(-1)})
+        assert p != IntersectionProfile(g) and p != IntersectionProfile(other, {"C1": -1})
+
+    def test_never_equal_across_types_or_to_a_dict(self):
+        g, d = one_curve()
+        p = IntersectionProfile(g, {"C1": 1})
+        assert d != p and p != d
+        assert d != {"C1": Fraction(1)} and p != {"C1": Fraction(1)}
+
+    def test_repr(self):
+        g = hj_graph(5, 2)
+        assert repr(QDivisor(g, {"C2": Fraction(-1, 5), "C1": 2})) == "QDivisor((2)*C1 + (-1/5)*C2)"
+        assert repr(QDivisor(g)) == "QDivisor(0)"
+        assert repr(IntersectionProfile(g, {"C1": -1})) == (
+            "IntersectionProfile(graph=DualGraph(['C1', 'C2']), degrees={'C1': Fraction(-1, 1)})"
+        )
+
+    def test_unhashable(self):
+        g, d = one_curve()
+        with pytest.raises(TypeError):
+            hash(d)
+        with pytest.raises(TypeError):
+            hash(IntersectionProfile(g))
+
+    def test_keyword_construction(self):
+        g, d = one_curve()
+        assert QDivisor(graph=g, coefficients={"C1": 1}) == d
+        assert QDivisor(g, coefficients={"C1": 1}) == d
+        assert IntersectionProfile(graph=g, degrees={"C1": 1}).degrees == {"C1": Fraction(1)}
 
 
 class TestIntersectionMatrix:
