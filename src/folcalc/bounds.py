@@ -33,7 +33,12 @@ last two slots need no scan, since 1/a + 1/b = p/q exactly when
 number of points stops once its two-slot levels would examine more than
 ``MAX_SEARCH_STEPS`` divisors. The divisors of q^2 are counted before they
 are built or tested, and the trial divisors that factor q in batches of 1024
-as they are tried, so the budget bounds the work and not only the output.
+as they are tried, so the budget bounds the work and not only the output. A
+trial division costs time in proportion to the size of q, so each trial
+divisor counts 1 + (bits of q) // 2048. A remaining denominator q of more than
+``rationals.MAX_DIGITS`` digits stops the search as well: q divides the lcm of
+the orders still to come, so every configuration below it would have an index
+candidate of at least q, too large to print.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .errors import (
     InconsistentModelError,
@@ -51,13 +56,14 @@ from .errors import (
     SearchBudgetError,
     ValidationError,
 )
-from .rationals import exact_int, parse_integer, parse_rational
+from .rationals import MAX_DIGITS, exact_int, format_rational, parse_integer, parse_rational
 
 WEAK_NEF = "weak-nef"
 CANONICAL = "canonical"
 MAX_PERIOD = 60  # longest quasi-period tried when the samples carry no hint
 MAX_CONFIGURATIONS = 500_000  # per search, and per unit-fraction call; weak-nef sum 3 has 298,165
 MAX_SEARCH_STEPS = 5_000_000  # divisors examined per unit-fraction call; weak-nef sum 3 needs 3,968,180
+_DENOMINATOR_LIMIT = 10**MAX_DIGITS  # the least denominator of more than MAX_DIGITS digits
 
 
 @dataclass(frozen=True)
@@ -306,11 +312,14 @@ def _prime_powers(q: int, spend: Callable[[int], None]) -> list[tuple[int, int]]
 
     The trial divisors are reported to ``spend`` in batches of 1024 as they
     are tried, and the rest at the end, so a large prime factor runs into the
-    step budget instead of being tried up to its square root.
+    step budget instead of being tried up to its square root. Each one counts
+    1 + (bits of q) // 2048, since q % f takes time in proportion to the size
+    of q; below 2^2048 that is 1.
     """
     out = []
     f = 2
     tried = 0
+    weight = 1 + q.bit_length() // 2048
     while f * f <= q:
         if q % f == 0:
             e = 0
@@ -321,9 +330,9 @@ def _prime_powers(q: int, spend: Callable[[int], None]) -> list[tuple[int, int]]
         f += 1 if f == 2 else 2
         tried += 1
         if tried == 1024:
-            spend(tried)
+            spend(tried * weight)
             tried = 0
-    spend(tried)
+    spend(tried * weight)
     if q > 1:
         out.append((q, 1))
     return out
@@ -368,7 +377,9 @@ def _reciprocal_tuples(
     so d = p*a - q is a divisor d <= q of q^2 with d = -q mod p (then so is
     e = q^2/d, as q is prime to p), a = (d + q)/p, b = (e + q)/p, and
     ascending d gives ascending a. ``spend`` is told how many divisors each
-    two-slot level examines, trial divisors included.
+    two-slot level examines, trial divisors included. A level of two or more
+    slots whose q has more than ``MAX_DIGITS`` digits raises
+    ``SearchBudgetError``, with no location.
     """
     if slots == 0 or p == 0:
         if slots == p == 0:
@@ -378,6 +389,10 @@ def _reciprocal_tuples(
         if p == 1 and q >= lo:
             yield (q,)
         return
+    if q >= _DENOMINATOR_LIMIT:
+        raise SearchBudgetError(
+            f"unit-fraction search reached a denominator of more than {MAX_DIGITS} digits"
+        )
     if slots == 2:
         qq = q * q
         for d in _two_slot_divisors(p, q, p * lo - q, spend):  # a >= lo
@@ -399,14 +414,16 @@ def enumerate_reciprocal_tuples(k: int, c, n_min: int = 2) -> list[tuple[int, ..
     MAX_CONFIGURATIONS tuples raise SearchBudgetError, since each of them
     would be a configuration, and so does a search that examines more than
     MAX_SEARCH_STEPS divisors in its two-slot levels (trial divisors
-    included), however few tuples it has found.
+    included, weighted by the size of what they divide), however few tuples it
+    has found, or that reaches a remaining denominator of more than MAX_DIGITS
+    digits. ``location`` names the call, as "k slots, sum c".
     """
     exact_int(k, "k", 0)
     exact_int(n_min, "n_min", 1)
     c = parse_rational(c)
     if c < 0:
         raise ValidationError("c must be nonnegative")
-    location = f"{k} slots, sum {c}"
+    location = f"{k} slots, sum {format_rational(c)}"  # refuses a c too long to print
     steps = 0
 
     def spend(n: int) -> None:
@@ -415,12 +432,15 @@ def enumerate_reciprocal_tuples(k: int, c, n_min: int = 2) -> list[tuple[int, ..
         if steps > MAX_SEARCH_STEPS:
             raise SearchBudgetError(
                 f"unit-fraction search examined {steps} divisors, "
-                f"over the budget of {MAX_SEARCH_STEPS}",
-                location=location,
+                f"over the budget of {MAX_SEARCH_STEPS}"
             )
 
     search = _reciprocal_tuples(k, c.numerator, c.denominator, n_min, spend)
-    tuples = list(itertools.islice(search, MAX_CONFIGURATIONS + 1))
+    try:
+        tuples = list(itertools.islice(search, MAX_CONFIGURATIONS + 1))
+    except SearchBudgetError as err:
+        err.location = location  # the step and denominator refusals come from inside the search
+        raise
     if len(tuples) > MAX_CONFIGURATIONS:
         raise SearchBudgetError(
             f"unit-fraction search reached {len(tuples)} tuples, "
@@ -433,49 +453,40 @@ def enumerate_reciprocal_tuples(k: int, c, n_min: int = 2) -> list[tuple[int, ..
 def enumerate_configurations(inv: ModelInvariants, mode: str) -> list[SingularityConfiguration]:
     """Every configuration whose contributions add up to the extracted sum.
 
-    Weak nef models only carry terminal points; canonical models mix terminal
-    points, dihedral points (1/2 each) and cusps (1 each), with the cusp
-    count pinned when the invariants carry it. The list is ordered by cusp
-    count, dihedral count, number of terminal points and then terminal orders,
-    which is the order the loops below produce. More than MAX_CONFIGURATIONS
-    configurations raise SearchBudgetError.
+    Canonical models mix terminal points, dihedral points (1/2 each) and
+    cusps (1 each), with the cusp count pinned when the invariants carry it;
+    weak nef models are searched the same way with no cusps and no dihedral
+    points. The list is ordered by cusp count, dihedral count, number of
+    terminal points and then terminal orders, the order of the loops below.
+    More than MAX_CONFIGURATIONS configurations raise SearchBudgetError.
     """
     _check_mode(mode)
     s = inv.contribution_sum
     if s < 0:
         raise InconsistentModelError("inconsistent contribution sum: negative total")
-    configs: list[SingularityConfiguration] = []
-
-    def add(orders: tuple[int, ...], dihedrals: int = 0, cusps: int = 0) -> None:
-        if len(configs) >= MAX_CONFIGURATIONS:
-            raise SearchBudgetError(
-                f"configuration search reached {len(configs) + 1} configurations, "
-                f"over the budget of {MAX_CONFIGURATIONS}",
-                location=f"contribution sum {s}",
-            )
-        configs.append(SingularityConfiguration(orders, dihedrals, cusps))
-
-    def terminal_multisets(target: Fraction) -> Iterable[tuple[int, ...]]:
-        # k points contribute k/2 - (1/2) sum 1/n, so sum 1/n = k - 2*target;
-        # each one adds between 1/4 and 1/2, boxing k into [2*target, 4*target]
-        for k in range(math.ceil(2 * target), bound_singularity_count(target) + 1):
-            yield from enumerate_reciprocal_tuples(k, k - 2 * target)
-
-    if mode == WEAK_NEF:
-        for orders in terminal_multisets(s):
-            add(orders)
+    canonical = mode == CANONICAL
+    if not canonical:
+        cusp_counts = [0]
+    elif inv.cusp_count is None:
+        cusp_counts = range(math.floor(s) + 1)
     else:
-        cusp_options = (
-            [inv.cusp_count] if inv.cusp_count is not None else list(range(math.floor(s) + 1))
-        )
-        for cusps in cusp_options:
-            s_after_cusps = s - cusps
-            if s_after_cusps < 0:
-                continue
-            for dihedrals in range(math.floor(2 * s_after_cusps) + 1):
-                remaining = s_after_cusps - Fraction(dihedrals, 2)
-                for orders in terminal_multisets(remaining):
-                    add(orders, dihedrals, cusps)
+        cusp_counts = [inv.cusp_count]
+    configs: list[SingularityConfiguration] = []
+    for cusps in cusp_counts:
+        # at most 2(s - cusps) dihedral points, so none once the cusps exceed the sum
+        for dihedrals in range(math.floor(2 * (s - cusps)) + 1 if canonical else 1):
+            target = s - cusps - Fraction(dihedrals, 2)
+            # k points contribute k/2 - (1/2) sum 1/n, so sum 1/n = k - 2*target;
+            # each one adds between 1/4 and 1/2, boxing k into [2*target, 4*target]
+            for k in range(math.ceil(2 * target), bound_singularity_count(target) + 1):
+                for orders in enumerate_reciprocal_tuples(k, k - 2 * target):
+                    if len(configs) >= MAX_CONFIGURATIONS:
+                        raise SearchBudgetError(
+                            f"configuration search reached {len(configs) + 1} configurations, "
+                            f"over the budget of {MAX_CONFIGURATIONS}",
+                            location=f"contribution sum {s}",
+                        )
+                    configs.append(SingularityConfiguration(orders, dihedrals, cusps))
     return configs
 
 

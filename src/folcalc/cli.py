@@ -40,7 +40,9 @@ def _load_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides JSONDecodeError: undecodable bytes, a number past Python's 4300-digit limit
+        # for int(str), and nesting past the recursion limit
         raise ValidationError(f"malformed JSON: {exc}", location=path) from exc
     except OSError as exc:
         raise ValidationError(str(exc), location=path) from exc

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import fsum, gcd, pi
 from typing import Union
 
-from .cyclic import CyclicType
+from .cyclic import CyclicType, _require_cyclic
 from .errors import InconsistentModelError, ValidationError
 from .rationals import exact_int, parse_integer, parse_rational
 
@@ -43,6 +43,9 @@ class Terminal:
     """Terminal foliation point over a cyclic quotient of the given type."""
 
     type: CyclicType
+
+    def __post_init__(self):
+        _require_cyclic(self.type)
 
 
 @dataclass(frozen=True)
@@ -122,13 +125,16 @@ def _sheaf_numerator(i: int, n: int, c: int) -> int:
 
 def dual_generator(t: CyclicType) -> int:
     """The representative c in [1, n - 1] of -q^{-1} mod n."""
+    if type(t) is not CyclicType:  # criterion 1 calls this 76,115 times: no call on the exact type
+        _require_cyclic(t)
     return (-pow(t.q, -1, t.n)) % t.n
 
 
 def a_cyclic_sheaf(t: CyclicType, i: int) -> Fraction:
     """Contribution of the i-th eigensheaf at a cyclic quotient point."""
+    c = dual_generator(t)  # refuses a t that is not a CyclicType
     n = t.n
-    return Fraction(_sheaf_numerator(exact_int(i, "i", 0, n - 1), n, dual_generator(t)), 2 * n)
+    return Fraction(_sheaf_numerator(exact_int(i, "i", 0, n - 1), n, c), 2 * n)
 
 
 def a_terminal(t: CyclicType, m: int) -> Fraction:
@@ -144,6 +150,8 @@ def a_terminal(t: CyclicType, m: int) -> Fraction:
     small multiples. The tests check it against the eigensheaf form at every
     multiple.
     """
+    if type(t) is not CyclicType:  # as in dual_generator
+        _require_cyclic(t)
     n = t.n
     return Fraction(_sheaf_numerator(exact_int(m, "m") % n, n, n - t.q), 2 * n)
 
@@ -220,6 +228,8 @@ def dihedral_sum_verify(datum: Dihedral) -> DihedralSumReport:
     reported alongside (it must be -1/2). 2n above MAX_NUMERIC_TWO_N is refused,
     through a_exp first, so a huge 2^a_exp is never built.
     """
+    if not isinstance(datum, Dihedral):
+        raise ValidationError(f"expected Dihedral, got {type(datum).__name__}")
     if (
         datum.a_exp >= MAX_NUMERIC_TWO_N.bit_length()
         or (two_n := (datum.l * datum.m_odd) << datum.a_exp) > MAX_NUMERIC_TWO_N
@@ -252,6 +262,7 @@ def chi_fchain(t: CyclicType, m: int) -> Fraction:
     ``a_terminal``; the value is a nonnegative integer and vanishes at m = 0
     and m = 1.
     """
+    _require_cyclic(t)
     exact_int(m, "m", 0)
     n, q = t.n, t.q
     return Fraction(m * (n - 1) + m * (m - 1) * q + _sheaf_numerator(m % n, n, n - q), 2 * n)

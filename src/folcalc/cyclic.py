@@ -69,11 +69,18 @@ class WunramDegrees:
     remainders: tuple[int, ...]
 
 
+def _require_cyclic(t) -> None:
+    """Refuse ``t`` unless it is a ``CyclicType``."""
+    if not isinstance(t, CyclicType):
+        raise ValidationError(f"expected CyclicType, got {type(t).__name__}")
+
+
 def _hj_loop(t: CyclicType) -> tuple[list[int], list[int]]:
     """The entries b_1, ..., b_r of n/q and the radix (s_0, ..., s_r) = (n, q, ..., 1).
 
     b_j is the ceiling of s_(j-1)/s_j, and s_(j+1) = b_j s_j - s_(j-1) ends at s_r = 1, then 0.
     """
+    _require_cyclic(t)
     entries, s = [], [t.n]
     a, b = t.n, t.q
     for _ in range(MAX_STRING_CURVES):
@@ -105,6 +112,7 @@ def wunram_degrees(t: CyclicType, i: int) -> WunramDegrees:
     The index is range-checked only: it must lie in [0, n-1]. The radix comes
     from the recursion that also gives ``hj_expansion`` its entries.
     """
+    _require_cyclic(t)
     rem = exact_int(i, "i", 0, t.n - 1)
     s = _hj_loop(t)[1]
     digits, remainders = [], []

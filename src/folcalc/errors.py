@@ -51,6 +51,7 @@ class InconsistentModelError(FolcalcError):
 
 
 class SearchBudgetError(FolcalcError):
-    """The configuration search outgrew ``bounds.MAX_CONFIGURATIONS`` or ``bounds.MAX_SEARCH_STEPS``."""
+    """The configuration search outgrew ``bounds.MAX_CONFIGURATIONS`` or ``bounds.MAX_SEARCH_STEPS``,
+    or reached a denominator of more than ``rationals.MAX_DIGITS`` digits."""
 
     code = "search-budget-exceeded"

@@ -32,9 +32,18 @@ MAX_DIGITS = 4300
 
 
 def format_rational(value) -> str:
-    """Canonical lowest-terms string, e.g. ``-2/5`` or ``-1``."""
+    """Canonical lowest-terms string, e.g. ``-2/5`` or ``-1``.
+
+    A numerator or denominator of more than ``MAX_DIGITS`` digits, which
+    ``str`` cannot print, is refused with ``ValidationError``.
+    """
     # a Fraction is already in lowest terms; Fraction(Fraction) costs an ABC check
-    return str(value) if type(value) is Fraction else str(Fraction(value))
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError:
+        raise ValidationError(f"value has more than {MAX_DIGITS} digits, too many to print") from None
 
 
 def parse_rational(value) -> Fraction:

@@ -35,6 +35,7 @@ from folcalc.errors import (
     ValidationError,
 )
 from folcalc.linalg import solve_exact
+from folcalc.rationals import MAX_DIGITS
 
 from conftest import brute_reciprocal_tuples, make_synthetic_model, model_samples
 
@@ -433,6 +434,12 @@ class TestEnumerateConfigurations:
     def test_unrealizable_sum_yields_nothing(self):
         assert enumerate_configurations(invariants(2, 0, 1, Fraction(1, 5)), WEAK_NEF) == []
 
+    @pytest.mark.parametrize("cusps", [1, 2])
+    def test_pinned_cusps_above_the_sum_yield_nothing(self, cusps):
+        # sum 1/2 leaves a negative remainder for one cusp or two, so no dihedral count fits
+        inv = invariants(2, 0, 1, Fraction(1, 2), cusps=cusps)
+        assert enumerate_configurations(inv, CANONICAL) == []
+
     @pytest.mark.parametrize(
         "s, mode, cusps",
         [
@@ -495,6 +502,44 @@ class TestEnumerateConfigurations:
             enumerate_configurations(invariants(2, 0, 1, 1 - target / 2), WEAK_NEF)
         assert err.value.location == f"2 slots, sum {target}"
 
+    @pytest.mark.parametrize(
+        "s, mode, location",
+        [
+            (8, WEAK_NEF, "17 slots, sum 1"),
+            (50, WEAK_NEF, "101 slots, sum 1"),
+            (8, CANONICAL, "17 slots, sum 1"),
+        ],
+    )
+    def test_large_sums_stop_at_the_denominator_limit(self, s, mode, location):
+        # the first descent 1/2 + 1/3 + 1/7 + ... about squares the remaining denominator per
+        # level, long before any two-slot level counts a step
+        start = time.perf_counter()
+        with pytest.raises(SearchBudgetError, match=f"denominator of more than {MAX_DIGITS} digits$") as err:
+            enumerate_configurations(invariants(2, 0, 1, s), mode)
+        assert time.perf_counter() - start < 5.0
+        assert err.value.code == "search-budget-exceeded"
+        assert err.value.location == location
+
+    def test_denominator_limit_below_the_top_level(self):
+        # 3 slots for 1/10^4299: the second entry 10^4299 + 1 leaves a denominator of about
+        # 8600 digits to two slots
+        q = 10 ** (MAX_DIGITS - 1)
+        with pytest.raises(SearchBudgetError, match="denominator of more than") as err:
+            enumerate_reciprocal_tuples(3, Fraction(1, q))
+        assert err.value.location == f"3 slots, sum 1/{q}"
+
+    def test_sum_too_long_to_print_refused(self):
+        # the location names the sum, so a sum that cannot be printed is invalid input
+        with pytest.raises(ValidationError, match=f"more than {MAX_DIGITS} digits"):
+            enumerate_reciprocal_tuples(1, Fraction(1, 10**MAX_DIGITS))
+
+    def test_trial_divisors_weighted_by_the_size_of_q(self, monkeypatch):
+        # 2^3217 - 1 is prime, so its trial division runs on; each divisor counts
+        # 1 + 3217 // 2048 = 2, and batches of 1024 pass 5000 at 6144 (unweighted: 5120)
+        monkeypatch.setattr(bounds, "MAX_SEARCH_STEPS", 5000)
+        with pytest.raises(SearchBudgetError, match="examined 6144 divisors"):
+            enumerate_reciprocal_tuples(2, Fraction(1, 2**3217 - 1))
+
     def test_trial_division_counts_against_the_budget(self, monkeypatch):
         # 3/4 + 1/p, p = 10^14 + 31 prime: its two-slot targets have p in the
         # denominator, whose trial division runs to sqrt(p) = 10^7 unless charged
@@ -506,6 +551,25 @@ class TestEnumerateConfigurations:
         assert time.perf_counter() - start < 1.0
         assert err.value.code == "search-budget-exceeded"
         assert err.value.location.startswith("2 slots, sum ")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: extract_invariants(HilbertSamples({m: m * m + 1 for m in range(8)}), "bogus"),
+        lambda: enumerate_configurations(invariants(2, 0, 1, 0), "bogus"),
+        lambda: index_bounds([SingularityConfiguration()], "bogus"),
+    ],
+    ids=["extract_invariants", "enumerate_configurations", "index_bounds"],
+)
+def test_unknown_mode_refused(call):
+    with pytest.raises(ValidationError, match="mode must be 'weak-nef' or 'canonical'"):
+        call()
+
+
+def test_negative_reciprocal_sum_refused():
+    with pytest.raises(ValidationError, match="c must be nonnegative"):
+        enumerate_reciprocal_tuples(3, -1)
 
 
 class TestIndexBounds:

@@ -2,7 +2,9 @@
 
 import argparse
 import hashlib
+import io
 import json
+import sys
 import time
 
 import pytest
@@ -253,6 +255,80 @@ class TestFileCommands:
         assert error["code"] == "invalid-input"
         assert error["location"] == str(bad)
 
+    def test_graph_from_stdin(self, capsys, string_graph, tmp_path, monkeypatch):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"C1": -1}))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(string_graph.read_text()))
+        assert run_json(capsys, "pullback", "-", str(profile)) == {"C1": "2/5", "C2": "1/5"}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"curves": [{"label": "C1", "self": -' + "9" * 5000 + "}]}",
+            "[" * 100_000 + "]" * 100_000,
+            '{"curves": [{"label": "C\xff", "self": -2}]}',
+        ],
+        ids=["number-past-4300-digits", "nested-100000-deep", "undecodable-bytes"],
+    )
+    def test_json_past_python_limits(self, capsys, tmp_path, text):
+        gpath = tmp_path / "graph.json"
+        gpath.write_bytes(text.encode("latin-1"))
+        code, out, err = run(capsys, "pullback", str(gpath), str(gpath))
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["code"] == "invalid-input"
+        assert error["location"] == str(gpath)
+        assert error["message"].startswith("malformed JSON: ")
+
+    def test_result_past_digit_limit(self, capsys, tmp_path):
+        # four curves of self-intersection -(10^1500 - 1): the solution has about 6000 digits
+        n = 10**1500 - 1
+        chain = {
+            "curves": [{"label": f"C{j}", "self": -n} for j in range(1, 5)],
+            "edges": [[f"C{j}", f"C{j + 1}", 1] for j in range(1, 4)],
+        }
+        gpath = tmp_path / "graph.json"
+        gpath.write_text(json.dumps(chain))
+        ppath = tmp_path / "profile.json"
+        ppath.write_text(json.dumps({"C1": "1"}))
+        code, out, err = run(capsys, "pullback", str(gpath), str(ppath))
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["code"] == "invalid-input"
+        assert "more than 4300 digits" in error["message"]
+
+    def test_relate_table_not_an_object(self, capsys, tmp_path):
+        weak = tmp_path / "weak.json"
+        canon = tmp_path / "canon.json"
+        weak.write_text(json.dumps([-1, 4, 9]))
+        canon.write_text(json.dumps({"0": 1, "1": 4, "2": 9}))
+        code, out, err = run(capsys, "relate", str(weak), str(canon), "--cusps", "2")
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["code"] == "invalid-input"
+        assert error["location"] == str(weak)
+
+    @pytest.mark.parametrize("samples", [{"period_hint": 2}, {"values": [1, 2, 5]}, [1, 2, 5]])
+    def test_bounds_samples_without_values_map(self, capsys, tmp_path, samples):
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps(samples))
+        code, out, err = run(capsys, "bounds", "--mode", "weak-nef", str(path))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["message"] == 'samples JSON must be an object with a "values" map'
+
+    def test_bounds_large_sum_stops(self, capsys, tmp_path):
+        # K^2 = 2 and contribution sum 50: 101 slots for 1 reach the denominator limit at once
+        samples = {"values": {"0": 1, "1": -48, "2": 5, "3": -40, "4": 17, "5": -24, "6": 37, "7": 0}}
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps({**samples, "period_hint": 2}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bounds", "--mode", "weak-nef", str(path))
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["code"] == "search-budget-exceeded"
+        assert error["location"] == "101 slots, sum 1"
+
     def test_bounds(self, capsys, tmp_path):
         samples = {"values": {str(m): m * m + 1 for m in range(8)}}
         path = tmp_path / "samples.json"
@@ -340,6 +416,23 @@ class TestOutputDiscipline:
         assert out.count("\n") == 3648 + 11
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "200dbd29b8271550c55049f0f3974da3a4253597055f24fef828778bb7e2a083"
+        )
+
+    def test_table_names_dihedral_points_and_cusps(self, capsys, tmp_path):
+        # one dihedral point and one cusp on a canonical model: contribution sum 3/2, one cusp
+        data = [f.Dihedral(1, 1, 1, 1), f.Cusp()]
+        values = {str(m): str(f.global_chi(4, 2, 1, data, m)) for m in range(7)}
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps({"values": values, "period_hint": 2}))
+        assert run(capsys, "bounds", "--mode", "canonical", str(path), "--format", "table") == (
+            0,
+            "K2 = 4\nK_dot_KY = 2\nchi_O = 1\ncontribution_sum = 3/2\ncusp_count = 1\n\n"
+            "configuration             index  gamma  N1\n"
+            "------------------------  -----  -----  --\n"
+            "terminal(2, 2) + cusp x1  4      13     30\n"
+            "dihedral x1 + cusp x1     2      7      16\n\n"
+            "max_terminal_order = 2\nN1_worst = 30\n",
+            "",
         )
 
     @pytest.mark.parametrize("argv, expected", TABLES, ids=[argv[0] for argv, _ in TABLES])

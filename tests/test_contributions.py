@@ -40,7 +40,7 @@ from folcalc.bounds import (
     relate_models,
 )
 from folcalc.contributions import MAX_NUMERIC_TWO_N, _exact_root_sum, dual_generator
-from folcalc.cyclic import wunram_degrees
+from folcalc.cyclic import fchain_profile, hj_expansion, hj_string_graph, wunram_degrees
 from folcalc.errors import InconsistentModelError, ValidationError
 from folcalc.jouanolou import MAX_DMAX, accumulation_report, jouanolou_entry
 from folcalc.lattice import (
@@ -221,6 +221,12 @@ class TestDihedralVerify:
             Dihedral(a_exp=1, l=3, m_odd=3, p=5)
         with pytest.raises(ValidationError, match="a_exp >= 2"):
             Dihedral(a_exp=1, l=1, m_odd=1, p=1, variant="e2")
+        with pytest.raises(ValidationError, match=r"p = 1 \(mod 2\^a_exp\)"):
+            Dihedral(a_exp=2, l=1, m_odd=1, p=3, variant="e2")
+        with pytest.raises(ValidationError, match=r"p = -1 \(mod m_odd\)"):
+            Dihedral(a_exp=2, l=1, m_odd=3, p=9, variant="e2")
+        with pytest.raises(ValidationError, match="unknown variant 'e3'"):
+            Dihedral(a_exp=1, l=1, m_odd=1, p=1, variant="e3")
 
     def test_closed_form_matches_counting_on_every_tuple(self):
         count = 0
@@ -340,6 +346,38 @@ class TestChiPartialCrepant:
     def test_terminal_and_gorenstein_vanish(self):
         assert chi_partial_crepant(Terminal(CyclicType(5, 2)), 3) == 0
         assert chi_partial_crepant(GorensteinCanonical(), 0) == 0
+
+
+@pytest.mark.parametrize(
+    "call", [contribution, chi_partial_crepant], ids=["contribution", "chi_partial_crepant"]
+)
+def test_unknown_datum_refused(call):
+    with pytest.raises(ValidationError, match="unknown singularity datum: 5"):
+        call(5, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: hj_expansion(5),
+        lambda: hj_string_graph(5),
+        lambda: wunram_degrees(5, 1),
+        lambda: fchain_profile(5),
+        lambda: dual_generator(5),
+        lambda: a_cyclic_sheaf(5, 1),
+        lambda: a_terminal(5, 1),
+        lambda: chi_fchain(5, 1),
+        lambda: contribution(Terminal(5), 1),
+        lambda: dihedral_sum_verify(5),
+    ],
+    ids=[
+        "hj_expansion", "hj_string_graph", "wunram_degrees", "fchain_profile", "dual_generator",
+        "a_cyclic_sheaf", "a_terminal", "chi_fchain", "Terminal", "dihedral_sum_verify",
+    ],
+)
+def test_record_arguments_of_the_wrong_type_refused(call):
+    with pytest.raises(ValidationError, match=r"expected (CyclicType|Dihedral), got int"):
+        call()
 
 
 class TestGlobalChi:

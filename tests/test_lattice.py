@@ -30,6 +30,7 @@ from folcalc.lattice import (
     degree_vector,
     divisor_from_json,
     graph_from_json,
+    profile_from_json,
 )
 from folcalc.zariski import zariski_decompose
 
@@ -151,6 +152,25 @@ class TestGraphConstruction:
         }
         assert graph_from_json(flagged) == graph_from_json(plain)
         assert hash(graph_from_json(flagged)) == hash(graph_from_json(plain))
+
+    @pytest.mark.parametrize(
+        "graph, message",
+        [
+            ({"curves": [{"label": "A"}]}, 'each curve needs "label" and "self" fields'),
+            ({"curves": [{"label": "A", "self": -2}, {"label": "B", "self": -2}], "edges": [["A", "B"]]},
+             r"each edge must be \[label, label, multiplicity\]"),
+            ({"curves": [{"label": "A", "self": -2}], "edges": [["A", "B", 1]]}, "unknown label"),
+        ],
+        ids=["curve-without-self", "edge-of-two", "edge-to-unknown-label"],
+    )
+    def test_malformed_json_graph_refused(self, graph, message):
+        with pytest.raises(ValidationError, match=message):
+            graph_from_json(graph)
+
+    @pytest.mark.parametrize("read", [divisor_from_json, profile_from_json], ids=["divisor", "profile"])
+    def test_json_coefficients_must_be_an_object(self, read):
+        with pytest.raises(ValidationError, match="JSON must be an object mapping labels to rationals"):
+            read(one_curve()[0], [["C1", 1]])
 
     def test_equality_hash_and_json_ignore_edge_order(self):
         curves = [Curve("A", -2), Curve("B", -3), Curve("C", -2)]

@@ -47,6 +47,20 @@ def test_expansion_past_cap_refused(text):
     assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.parametrize("value", [True, "abc"])
+def test_not_a_rational_refused(value):
+    with pytest.raises(ValidationError, match="not an exact rational"):
+        parse_rational(value)
+
+
+def test_value_too_long_to_print_refused():
+    assert format_rational(Fraction(1, 10**4299)) == "1/1" + "0" * 4299
+    with pytest.raises(ValidationError, match=f"more than {MAX_DIGITS} digits"):
+        format_rational(Fraction(1, 10**4300))
+    with pytest.raises(ValidationError, match=f"more than {MAX_DIGITS} digits"):
+        format_rational(-(10**4300))
+
+
 def test_long_decimal_refused():
     assert parse_rational("." + "0" * 4298 + "1") == Fraction(1, 10**4299)
     with pytest.raises(ValidationError, match=f"expands past {MAX_DIGITS} digits"):
