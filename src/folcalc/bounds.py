@@ -45,9 +45,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping
 
 from .errors import (
     InconsistentModelError,
@@ -56,7 +56,7 @@ from .errors import (
     SearchBudgetError,
     ValidationError,
 )
-from .rationals import MAX_DIGITS, exact_int, format_rational, parse_integer, parse_rational
+from .rationals import MAX_DIGITS, exact_int, format_rational, parse_integer, parse_rational, require
 
 WEAK_NEF = "weak-nef"
 CANONICAL = "canonical"
@@ -79,10 +79,7 @@ class HilbertSamples:
     period_hint: int | None = None
 
     def __post_init__(self):
-        try:
-            items = dict(self.values).items()
-        except (TypeError, ValueError):
-            raise ValidationError("Hilbert samples must map multiples m to chi(m)") from None
+        items = require(self.values, Mapping, "Hilbert samples").items()
         clean = {exact_int(m, "sample key", 0): parse_rational(v) for m, v in items}
         object.__setattr__(self, "values", dict(sorted(clean.items())))
         if self.period_hint is not None:
@@ -107,10 +104,7 @@ class ModelInvariants:
 
     def __post_init__(self):
         for name in ("k2", "k_dot_ky", "contribution_sum"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be an int or a Fraction")
-            object.__setattr__(self, name, Fraction(value))
+            object.__setattr__(self, name, Fraction(require(getattr(self, name), (int, Fraction), name)))
         exact_int(self.chi_o, "chi_o")
         if self.cusp_count is not None:
             exact_int(self.cusp_count, "cusp_count")
@@ -131,7 +125,7 @@ class SingularityConfiguration:
     def contribution_sum(self) -> Fraction:
         total = Fraction(exact_int(self.dihedral_count, "dihedral_count", 0), 2)
         total += exact_int(self.cusp_count, "cusp_count", 0)
-        for n in self.terminal_orders:
+        for n in require(self.terminal_orders, tuple, "terminal_orders"):
             total += Fraction(exact_int(n, "terminal order", 2) - 1, 2 * n)
         return total
 
@@ -270,7 +264,7 @@ def extract_invariants(samples: HilbertSamples, mode: str) -> ModelInvariants:
     go to the smaller period).
     """
     _check_mode(mode)
-    values = samples.values
+    values = require(samples, HilbertSamples, "samples").values
     table = [(m, v.numerator, v.denominator) for m, v in values.items()]
     if samples.period_hint is None:
         start, step = (1, 1) if mode == WEAK_NEF else (2, 2)
@@ -380,30 +374,38 @@ def _reciprocal_tuples(
     two-slot level examines, trial divisors included. A level of two or more
     slots whose q has more than ``MAX_DIGITS`` digits raises
     ``SearchBudgetError``, with no location.
+    The walk is depth first on an explicit stack, so no slot count meets the
+    recursion limit: an open level of three or more slots keeps its prefix,
+    slots, p, q and the lazy range of its first entries (q may be huge).
     """
-    if slots == 0 or p == 0:
-        if slots == p == 0:
-            yield ()
-        return
-    if slots == 1:
-        if p == 1 and q >= lo:
-            yield (q,)
-        return
-    if q >= _DENOMINATOR_LIMIT:
-        raise SearchBudgetError(
-            f"unit-fraction search reached a denominator of more than {MAX_DIGITS} digits"
-        )
-    if slots == 2:
-        qq = q * q
-        for d in _two_slot_divisors(p, q, p * lo - q, spend):  # a >= lo
-            yield ((d + q) // p, (qq // d + q) // p)
-        return
-    for n in range(max(lo, -(-q // p)), slots * q // p + 1):
-        num = p * n - q
-        den = q * n
+    stack: list[tuple[tuple[int, ...], int, int, int, Iterator[int]]] = []
+    prefix = ()
+    while True:
+        if slots == 0 or p == 0:
+            if slots == p == 0:
+                yield prefix
+        elif slots == 1:
+            if p == 1 and q >= lo:
+                yield prefix + (q,)
+        elif q >= _DENOMINATOR_LIMIT:
+            raise SearchBudgetError(
+                f"unit-fraction search reached a denominator of more than {MAX_DIGITS} digits"
+            )
+        elif slots == 2:
+            qq = q * q
+            for d in _two_slot_divisors(p, q, p * lo - q, spend):  # a >= lo
+                yield prefix + ((d + q) // p, (qq // d + q) // p)
+        else:
+            stack.append((prefix, slots, p, q, iter(range(max(lo, -(-q // p)), slots * q // p + 1))))
+        # descend below the next first entry n of the innermost open level, closing spent ones
+        while stack and (n := next(stack[-1][4], None)) is None:
+            stack.pop()
+        if not stack:
+            return
+        prefix, slots, p, q, _ = stack[-1]
+        num, den = p * n - q, q * n
         g = math.gcd(num, den)
-        for tail in _reciprocal_tuples(slots - 1, num // g, den // g, n, spend):
-            yield (n,) + tail
+        prefix, slots, p, q, lo = prefix + (n,), slots - 1, num // g, den // g, n
 
 
 def enumerate_reciprocal_tuples(k: int, c, n_min: int = 2) -> list[tuple[int, ...]]:
@@ -461,7 +463,7 @@ def enumerate_configurations(inv: ModelInvariants, mode: str) -> list[Singularit
     More than MAX_CONFIGURATIONS configurations raise SearchBudgetError.
     """
     _check_mode(mode)
-    s = inv.contribution_sum
+    s = require(inv, ModelInvariants, "inv").contribution_sum
     if s < 0:
         raise InconsistentModelError("inconsistent contribution sum: negative total")
     canonical = mode == CANONICAL
@@ -498,9 +500,15 @@ def index_bounds(configs, mode: str) -> IndexBoundsResult:
     double it because dihedral points are 2-Gorenstein.
     """
     _check_mode(mode)
-    configs = list(configs)
+    configs = list(require(configs, Iterable, "configs"))
     if not configs:
         raise ValidationError("need at least one configuration")
+    # as for the orders below: one pass over the types, and a check per item only if it fails
+    kinds = {(type(cfg), type(getattr(cfg, "terminal_orders", None))) for cfg in configs}
+    if kinds != {(SingularityConfiguration, tuple)}:
+        for cfg in configs:
+            cfg = require(cfg, SingularityConfiguration, "configuration")
+            require(cfg.terminal_orders, tuple, "terminal_orders")
     orders = [n for cfg in configs for n in cfg.terminal_orders]
     # one pass over the types and one for the least order, instead of a call per order; the
     # type is compared, not the value, so 2.0 and True are refused
@@ -526,7 +534,7 @@ def compute_n1(inv: ModelInvariants, i: int) -> N1Result:
     reported gamma is built as a Fraction.
     """
     exact_int(i, "index", 1)
-    k2, kky = inv.k2, inv.k_dot_ky
+    k2, kky = require(inv, ModelInvariants, "inv").k2, inv.k_dot_ky
     if k2.numerator <= 0:
         raise NotGeneralTypeError("not general type: K^2 must be positive")
     den = kky.denominator * k2.numerator
@@ -570,10 +578,8 @@ def relate_models(weak_nef_chi: Mapping[int, int], canonical_chi: Mapping[int, i
     strings; bools, floats and other strings are rejected.
     """
     exact_int(cusps, "cusp count", 0)
-    try:
-        weak_items, canon_items = dict(weak_nef_chi).items(), dict(canonical_chi).items()
-    except (TypeError, ValueError):
-        raise ValidationError("both Euler tables must map multiples m to chi(m)") from None
+    weak_items = require(weak_nef_chi, Mapping, "weak nef table").items()
+    canon_items = require(canonical_chi, Mapping, "canonical table").items()
     weak = {parse_integer(k): parse_rational(v) for k, v in weak_items}
     canon = {parse_integer(k): parse_rational(v) for k, v in canon_items}
     if set(weak) != set(canon):

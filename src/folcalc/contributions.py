@@ -22,14 +22,15 @@ exponents, pairing conjugate terms, and a double-precision complex one.
 from __future__ import annotations
 
 import cmath
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum, gcd, pi
 from typing import Union
 
-from .cyclic import CyclicType, _require_cyclic
+from .cyclic import CyclicType
 from .errors import InconsistentModelError, ValidationError
-from .rationals import exact_int, parse_integer, parse_rational
+from .rationals import exact_int, parse_integer, parse_rational, require
 
 DIHEDRAL_E1 = "e1"
 DIHEDRAL_E2 = "e2"
@@ -45,7 +46,7 @@ class Terminal:
     type: CyclicType
 
     def __post_init__(self):
-        _require_cyclic(self.type)
+        require(self.type, CyclicType, "type")
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def _sheaf_numerator(i: int, n: int, c: int) -> int:
 def dual_generator(t: CyclicType) -> int:
     """The representative c in [1, n - 1] of -q^{-1} mod n."""
     if type(t) is not CyclicType:  # criterion 1 calls this 76,115 times: no call on the exact type
-        _require_cyclic(t)
+        require(t, CyclicType, "t")
     return (-pow(t.q, -1, t.n)) % t.n
 
 
@@ -151,7 +152,7 @@ def a_terminal(t: CyclicType, m: int) -> Fraction:
     multiple.
     """
     if type(t) is not CyclicType:  # as in dual_generator
-        _require_cyclic(t)
+        require(t, CyclicType, "t")
     n = t.n
     return Fraction(_sheaf_numerator(exact_int(m, "m") % n, n, n - t.q), 2 * n)
 
@@ -228,8 +229,7 @@ def dihedral_sum_verify(datum: Dihedral) -> DihedralSumReport:
     reported alongside (it must be -1/2). 2n above MAX_NUMERIC_TWO_N is refused,
     through a_exp first, so a huge 2^a_exp is never built.
     """
-    if not isinstance(datum, Dihedral):
-        raise ValidationError(f"expected Dihedral, got {type(datum).__name__}")
+    require(datum, Dihedral, "datum")
     if (
         datum.a_exp >= MAX_NUMERIC_TWO_N.bit_length()
         or (two_n := (datum.l * datum.m_odd) << datum.a_exp) > MAX_NUMERIC_TWO_N
@@ -262,7 +262,7 @@ def chi_fchain(t: CyclicType, m: int) -> Fraction:
     ``a_terminal``; the value is a nonnegative integer and vanishes at m = 0
     and m = 1.
     """
-    _require_cyclic(t)
+    require(t, CyclicType, "t")
     exact_int(m, "m", 0)
     n, q = t.n, t.q
     return Fraction(m * (n - 1) + m * (m - 1) * q + _sheaf_numerator(m % n, n, n - q), 2 * n)
@@ -309,7 +309,7 @@ def global_chi(
     k2 = parse_rational(k2)
     k_dot_ky = parse_rational(k_dot_ky)
     total = Fraction(m * m, 2) * k2 - Fraction(m, 2) * k_dot_ky + chi_o
-    for datum in sings:
+    for datum in require(sings, Iterable, "sings"):
         total += contribution(datum, m)
     if require_integer and total.denominator != 1:
         raise InconsistentModelError("inconsistent model data: chi is not an integer")

@@ -19,7 +19,7 @@ from math import gcd
 
 from .errors import ValidationError
 from .lattice import Curve, DualGraph, IntersectionProfile
-from .rationals import exact_int
+from .rationals import exact_int, require
 
 MAX_STRING_CURVES = 100_000  # longest resolution string; (1/n)(1, n-1) has n - 1 curves
 
@@ -47,6 +47,13 @@ class HJExpansion:
 
     entries: tuple[int, ...]
 
+    def __post_init__(self):
+        if not require(self.entries, tuple, "entries"):
+            raise ValidationError("a Hirzebruch-Jung expansion needs at least one entry")
+        if set(map(type, self.entries)) != {int} or min(self.entries) < 2:
+            for b in self.entries:
+                exact_int(b, "Hirzebruch-Jung entry", 2)  # raises at the first bad entry
+
     def evaluate(self) -> Fraction:
         """Collapse b_1 - 1/(b_2 - ...) back to a single fraction."""
         value = Fraction(self.entries[-1])
@@ -69,18 +76,12 @@ class WunramDegrees:
     remainders: tuple[int, ...]
 
 
-def _require_cyclic(t) -> None:
-    """Refuse ``t`` unless it is a ``CyclicType``."""
-    if not isinstance(t, CyclicType):
-        raise ValidationError(f"expected CyclicType, got {type(t).__name__}")
-
-
 def _hj_loop(t: CyclicType) -> tuple[list[int], list[int]]:
     """The entries b_1, ..., b_r of n/q and the radix (s_0, ..., s_r) = (n, q, ..., 1).
 
     b_j is the ceiling of s_(j-1)/s_j, and s_(j+1) = b_j s_j - s_(j-1) ends at s_r = 1, then 0.
     """
-    _require_cyclic(t)
+    require(t, CyclicType, "t")
     entries, s = [], [t.n]
     a, b = t.n, t.q
     for _ in range(MAX_STRING_CURVES):
@@ -112,7 +113,7 @@ def wunram_degrees(t: CyclicType, i: int) -> WunramDegrees:
     The index is range-checked only: it must lie in [0, n-1]. The radix comes
     from the recursion that also gives ``hj_expansion`` its entries.
     """
-    _require_cyclic(t)
+    require(t, CyclicType, "t")
     rem = exact_int(i, "i", 0, t.n - 1)
     s = _hj_loop(t)[1]
     digits, remainders = [], []

@@ -19,14 +19,14 @@ denominator; a Fraction is built only for a result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence
 
 from .errors import DegenerateConfigurationError, ValidationError
 from .linalg import eliminate
-from .rationals import exact_int, format_rational, parse_rational
+from .rationals import exact_int, format_rational, parse_rational, require
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class DualGraph:
     def index_of(self, label: str) -> int:
         try:
             return self._index[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise ValidationError(f"unknown curve label {label!r}") from None
 
     def __len__(self) -> int:
@@ -108,14 +108,9 @@ class DualGraph:
 
 
 def _coeff_map(graph: DualGraph, coefficients: Mapping[str, object], what: str) -> dict[str, Fraction]:
-    if not isinstance(graph, DualGraph):
-        raise ValidationError(f"{what} need a DualGraph, not {type(graph).__name__}")
-    try:
-        items = dict(coefficients).items()
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} must map curve labels to rationals") from None
+    require(graph, DualGraph, "graph")
     out: dict[str, Fraction] = {}
-    for label, value in items:
+    for label, value in require(coefficients, Mapping, what).items():
         graph.index_of(label)
         v = value if isinstance(value, Fraction) else parse_rational(value)
         if v:
@@ -132,7 +127,7 @@ class QDivisor:
     """
 
     graph: DualGraph
-    coefficients: Mapping[str, Fraction] = ()
+    coefficients: Mapping[str, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
         coefficients = _coeff_map(self.graph, self.coefficients, "divisor coefficients")
@@ -147,23 +142,21 @@ class QDivisor:
         return tuple(label for label in self.graph.labels if label in self.coefficients)
 
     def __add__(self, other: "QDivisor") -> "QDivisor":
-        _require_graph(self.graph, other)
+        _on_graph(self.graph, other)
         merged = dict(self.coefficients)
         for label, v in other.coefficients.items():
             merged[label] = merged.get(label, Fraction(0)) + v
         return QDivisor(self.graph, merged)
 
     def __sub__(self, other: "QDivisor") -> "QDivisor":
-        _require_graph(self.graph, other)
+        _on_graph(self.graph, other)
         return self + (-other)
 
     def __neg__(self) -> "QDivisor":
         return QDivisor(self.graph, {label: -v for label, v in self.coefficients.items()})
 
     def __rmul__(self, scalar) -> "QDivisor":
-        if not isinstance(scalar, (int, Fraction)) or isinstance(scalar, bool):
-            raise ValidationError(f"divisors scale by exact rationals, not {scalar!r}")
-        s = Fraction(scalar)
+        s = Fraction(require(scalar, (int, Fraction), "scalar"))
         return QDivisor(self.graph, {label: s * v for label, v in self.coefficients.items()})
 
     def __repr__(self) -> str:
@@ -176,24 +169,22 @@ class IntersectionProfile:
     """Prescribed intersection numbers D . C_i, one per curve (missing = 0)."""
 
     graph: DualGraph
-    degrees: Mapping[str, Fraction] = ()
+    degrees: Mapping[str, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "degrees", _coeff_map(self.graph, self.degrees, "profile degrees"))
 
 
-def _require_graph(graph: DualGraph, *parts, kind: type = QDivisor) -> None:
+def _on_graph(graph: DualGraph, *parts, kind: type = QDivisor) -> None:
     """Refuse each of ``parts`` that is not a ``kind`` on ``graph``; its type is checked first."""
     for part in parts:
-        if not isinstance(part, kind):
-            raise ValidationError(f"expected {kind.__name__}, got {type(part).__name__}")
-        if part.graph != graph:
+        if require(part, kind, "argument").graph != graph:
             raise ValidationError("divisor or profile belongs to a different graph")
 
 
 def intersection_matrix(graph: DualGraph) -> list[list[int]]:
     """The full symmetric pairing matrix, diagonal included."""
-    n = len(graph.curves)
+    n = len(require(graph, DualGraph, "graph").curves)
     dense = [[0] * n for _ in range(n)]
     for i, row in enumerate(graph.sparse_rows):
         for j, v in row.items():
@@ -207,10 +198,8 @@ def is_negative_definite(graph: DualGraph, support: Iterable[str]) -> bool:
     Decided by the signs of the pivots of one sparse exact elimination; see
     ``folcalc.linalg``.
     """
-    try:
-        chosen = {graph.index_of(label) for label in support}
-    except (AttributeError, TypeError):
-        raise ValidationError("the support must be curve labels of a DualGraph") from None
+    require(graph, DualGraph, "graph")
+    chosen = {graph.index_of(label) for label in require(support, Iterable, "support")}
     if not chosen:
         raise ValidationError("support must be nonempty")
     return eliminate(principal_rows(graph, sorted(chosen)))[0]
@@ -235,7 +224,7 @@ def solve_pullback(graph: DualGraph, profile: IntersectionProfile) -> QDivisor:
     (cusp cycles, for instance); such configurations need the local
     contribution tables instead of a solve.
     """
-    _require_graph(graph, profile, kind=IntersectionProfile)
+    _on_graph(graph, profile, kind=IntersectionProfile)
     rhs = [profile.degrees.get(label, 0) for label in graph.labels]
     solution = eliminate(graph.sparse_rows, rhs)[1]
     if solution is None:
@@ -268,7 +257,7 @@ def _by_index(d: QDivisor) -> tuple[dict[int, int], int]:
 
 def pair(d1: QDivisor, d2: QDivisor) -> Fraction:
     """Bilinear symmetric intersection number of two divisors."""
-    _require_graph(getattr(d1, "graph", None), d1, d2)
+    _on_graph(getattr(d1, "graph", None), d1, d2)
     coefficients2, den2 = _by_index(d2)
     degrees = degree_vector(d2.graph, coefficients2)
     coefficients1, den1 = _by_index(d1)
@@ -277,7 +266,7 @@ def pair(d1: QDivisor, d2: QDivisor) -> Fraction:
 
 def degree_against_curve(d: QDivisor, label: str) -> Fraction:
     """d . C for a single curve C of the graph: d's coefficients dotted with C's row."""
-    graph = d.graph
+    graph = require(d, QDivisor, "d").graph
     coefficients = d.coefficients
     total = Fraction(0)
     for j, v in graph.sparse_rows[graph.index_of(label)].items():
@@ -347,7 +336,7 @@ def hodge_inequality_check(d1: QDivisor, d2: QDivisor) -> HodgeReport:
     also searches for an exact rational combination pairing to zero with
     every curve.
     """
-    _require_graph(getattr(d1, "graph", None), d1, d2)
+    _on_graph(getattr(d1, "graph", None), d1, d2)
     s11 = pair(d1, d1)
     s12 = pair(d1, d2)
     s22 = pair(d2, d2)
@@ -412,7 +401,7 @@ def divisor_from_json(graph: DualGraph, obj) -> QDivisor:
 
 
 def divisor_to_json(d: QDivisor) -> dict:
-    return {label: format_rational(v) for label, v in sorted(d.coefficients.items())}
+    return {label: format_rational(v) for label, v in sorted(require(d, QDivisor, "d").coefficients.items())}
 
 
 def profile_from_json(graph: DualGraph, obj) -> IntersectionProfile:

@@ -6,9 +6,10 @@ self-intersection, a count) passes it through here: the test is
 ``type(value) is int``, so bools, floats, strings and int subclasses are
 refused, as is a value outside the allowed range, each with a
 ``ValidationError`` naming the argument and the range. ``parse_integer``
-applies the same check to anything that is not a string. The two places
-that take an int or a Fraction (the rationals of ``ModelInvariants`` and
-the scalar of a divisor) test for that pair themselves.
+applies the same check to anything that is not a string. ``require`` is the
+one check for every other kind of argument (a record such as a ``CyclicType``,
+an int or a Fraction, a mapping, an iterable); anything else, a bool always,
+is refused with a ``ValidationError`` "what: expected Kind, got type".
 
 Rationals travel through JSON as lowest-terms strings ("p/q", plain "p" for
 integers); floats are rejected everywhere so no value is ever rounded.
@@ -84,6 +85,14 @@ def exact_int(value, what: str, low: int | None = None, high: int | None = None)
     if type(value) is int:
         raise ValidationError(f"{what} out of range: must be an integer{span}")
     raise ValidationError(f"{what} must be an integer{span}, not {type(value).__name__}")
+
+
+def require(value, kind, what: str):
+    """``value`` itself when it is a ``kind`` (a type or a tuple of types) and not a bool."""
+    if isinstance(value, kind) and type(value) is not bool:
+        return value
+    names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+    raise ValidationError(f"{what}: expected {names}, got {type(value).__name__}")
 
 
 def parse_integer(value) -> int:

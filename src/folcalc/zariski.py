@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotPseudoeffectiveError, ValidationError
-from .lattice import DualGraph, QDivisor, _by_index, _require_graph, degree_vector, principal_rows
+from .lattice import DualGraph, QDivisor, _by_index, _on_graph, degree_vector, principal_rows
 from .linalg import eliminate
 from .rationals import parse_rational
 
@@ -54,7 +54,7 @@ def zariski_decompose(graph: DualGraph, d: QDivisor) -> ZariskiResult:
     that pass); N >= 0 needs no check (see the module docstring). Each pass
     makes one elimination call, which tests definiteness and solves together.
     """
-    _require_graph(graph, d)
+    _on_graph(graph, d)
     labels = graph.labels
     d_coefficients, den = _by_index(d)
     target = degree_vector(graph, d_coefficients)

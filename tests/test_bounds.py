@@ -385,6 +385,31 @@ class TestReciprocalTuples:
     def test_two_slot_divisor_path_matches_scan(self, c, lo):
         assert enumerate_reciprocal_tuples(2, c, lo) == brute_reciprocal_tuples(2, c, lo)
 
+    @pytest.mark.parametrize(
+        "k, c, count, steps",
+        [
+            (8, Fraction(2), 3662, 25440),
+            (6, Fraction(1), 3462, 24097),
+            (9, Fraction(3), 168, 969),
+            (5, Fraction(1, 2), 2892, 20239),
+            (4, Fraction(5, 6), 33, 169),
+            (10, Fraction(4), 17, 81),
+            (12, Fraction(11, 2), 3, 12),
+        ],
+    )
+    def test_tuple_and_step_counts(self, k, c, count, steps):
+        # the counts of the depth-first walk, pinned: the same tuples in the same order
+        # cost the same divisors however the walk keeps its open levels
+        spent = []
+        tuples = list(bounds._reciprocal_tuples(k, c.numerator, c.denominator, 2, spent.append))
+        assert (len(tuples), sum(spent)) == (count, steps)
+        assert tuples == sorted(set(tuples))
+
+    def test_slot_count_past_the_recursion_limit(self):
+        # 1500 slots each at most 1/2 add up to 750 only as 1500 halves; the walk keeps one
+        # open level per slot, more than Python's default recursion limit of 1000
+        assert enumerate_reciprocal_tuples(1500, 750) == [(2,) * 1500]
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 4), st.fractions(min_value=0, max_value=3))
     def test_every_tuple_checks_out(self, k, c):
