@@ -56,7 +56,7 @@ from .errors import (
     SearchBudgetError,
     ValidationError,
 )
-from .rationals import MAX_DIGITS, exact_int, format_rational, parse_integer, parse_rational, require
+from .rationals import MAX_DIGITS, exact_int, format_rational, parse_integer_keys, parse_rational, require
 
 WEAK_NEF = "weak-nef"
 CANONICAL = "canonical"
@@ -575,13 +575,12 @@ def relate_models(weak_nef_chi: Mapping[int, int], canonical_chi: Mapping[int, i
 
     The weak nef table must sit below the canonical one by the cusp count at
     m = 0 and agree everywhere else. Keys are ints or decimal-integer
-    strings; bools, floats and other strings are rejected.
+    strings; bools, floats and other strings are rejected, and so are two
+    keys of one table that name the same multiple.
     """
     exact_int(cusps, "cusp count", 0)
-    weak_items = require(weak_nef_chi, Mapping, "weak nef table").items()
-    canon_items = require(canonical_chi, Mapping, "canonical table").items()
-    weak = {parse_integer(k): parse_rational(v) for k, v in weak_items}
-    canon = {parse_integer(k): parse_rational(v) for k, v in canon_items}
+    weak = {m: parse_rational(v) for m, v in parse_integer_keys(weak_nef_chi, "weak nef table").items()}
+    canon = {m: parse_rational(v) for m, v in parse_integer_keys(canonical_chi, "canonical table").items()}
     if set(weak) != set(canon):
         raise ValidationError("both tables must cover the same multiples")
     if 0 not in weak:

@@ -7,8 +7,8 @@ propagated from the library (degenerate configuration, inconsistent samples,
 and so on); failures carry a machine-readable {code, message, location}
 object on stderr.
 
-Each handler imports the library modules it uses when it runs, so a process
-loads only what its subcommand needs.
+Handlers reach library modules as attributes of the package, which loads
+each on first use, so a process loads only what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -17,14 +17,13 @@ import argparse
 import itertools
 import json
 import sys
-from typing import TYPE_CHECKING, Iterator
+from collections import Counter
+from typing import Iterator
+
+import folcalc
 
 from .errors import FolcalcError, ValidationError
-from .rationals import format_rational, parse_integer
-
-if TYPE_CHECKING:
-    from .bounds import HilbertSamples, ModelInvariants, SingularityConfiguration
-    from .cyclic import CyclicType
+from .rationals import format_rational, parse_integer, parse_integer_keys
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,11 +34,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(path: str):
+    def unique_keys(pairs: list) -> dict:
+        """One JSON object; a repeated key would silently replace a value, so it is refused."""
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            repeated = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+            raise ValidationError(f"repeated key {repeated!r} in a JSON object", location=path)
+        return doc
+
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, object_pairs_hook=unique_keys)
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:
         # besides JSONDecodeError: undecodable bytes, a number past Python's 4300-digit limit
         # for int(str), and nesting past the recursion limit
@@ -48,20 +55,18 @@ def _load_json(path: str):
         raise ValidationError(str(exc), location=path) from exc
 
 
-def _cyclic_from_args(args) -> CyclicType:
-    from . import cyclic as cyclic_mod
-
+def _cyclic_from_args(args) -> folcalc.cyclic.CyclicType:
     if args.n is None or args.q is None:
         raise ValidationError("this operation needs --n and --q")
-    return cyclic_mod.CyclicType(args.n, args.q)
+    return folcalc.cyclic.CyclicType(args.n, args.q)
 
 
-# --kind choices, each with the datum it builds from the contributions module and the arguments
+# --kind choices, each with the datum it builds from the arguments
 _KINDS = {
-    "terminal": lambda contrib_mod, args: contrib_mod.Terminal(_cyclic_from_args(args)),
-    "dihedral": lambda contrib_mod, args: contrib_mod.Dihedral(a_exp=1, l=1, m_odd=1, p=1),
-    "cusp": lambda contrib_mod, args: contrib_mod.Cusp(),
-    "gorenstein": lambda contrib_mod, args: contrib_mod.GorensteinCanonical(),
+    "terminal": lambda args: folcalc.contributions.Terminal(_cyclic_from_args(args)),
+    "dihedral": lambda args: folcalc.contributions.Dihedral(a_exp=1, l=1, m_odd=1, p=1),
+    "cusp": lambda args: folcalc.contributions.Cusp(),
+    "gorenstein": lambda args: folcalc.contributions.GorensteinCanonical(),
 }
 
 
@@ -69,84 +74,58 @@ _KINDS = {
 
 
 def _cmd_hj(args):
-    from . import cyclic as cyclic_mod
-
-    expansion = cyclic_mod.hj_expansion(cyclic_mod.CyclicType(args.n, args.q))
+    expansion = folcalc.cyclic.hj_expansion(folcalc.cyclic.CyclicType(args.n, args.q))
     return {"b": list(expansion.entries)}
 
 
 def _cmd_wunram(args):
-    from . import cyclic as cyclic_mod
-
-    data = cyclic_mod.wunram_degrees(cyclic_mod.CyclicType(args.n, args.q), args.i)
-    s = data.s + (0,)  # s_(j+1) = b_j s_j - s_(j-1), and s_(r+1) = 0
-    b = [(s[j - 1] + s[j + 1]) // s[j] for j in range(1, len(s) - 1)]
-    return {"b": b, "s": list(data.s), "d": list(data.d)}
+    t = folcalc.cyclic.CyclicType(args.n, args.q)
+    data = folcalc.cyclic.wunram_degrees(t, args.i)
+    return {"b": list(folcalc.cyclic.hj_expansion(t).entries), "s": list(data.s), "d": list(data.d)}
 
 
 def _cmd_contrib(args):
-    from . import contributions as contrib_mod
-
-    datum = _KINDS[args.kind](contrib_mod, args)
-    return {"a": format_rational(contrib_mod.contribution(datum, args.m))}
+    datum = _KINDS[args.kind](args)
+    return {"a": format_rational(folcalc.contributions.contribution(datum, args.m))}
 
 
 def _cmd_chi_local(args):
-    from . import contributions as contrib_mod
-
     if args.kind is None:
-        value = contrib_mod.chi_fchain(_cyclic_from_args(args), args.m)
+        value = folcalc.contributions.chi_fchain(_cyclic_from_args(args), args.m)
     else:
-        value = contrib_mod.chi_partial_crepant(_KINDS[args.kind](contrib_mod, args), args.m)
+        value = folcalc.contributions.chi_partial_crepant(_KINDS[args.kind](args), args.m)
     return {"chi": format_rational(value)}
 
 
 def _cmd_pullback(args):
-    from . import lattice as lattice_mod
-
-    graph = lattice_mod.graph_from_json(_load_json(args.graph))
-    profile = lattice_mod.profile_from_json(graph, _load_json(args.profile))
-    solution = lattice_mod.solve_pullback(graph, profile)
+    graph = folcalc.lattice.graph_from_json(_load_json(args.graph))
+    profile = folcalc.lattice.profile_from_json(graph, _load_json(args.profile))
+    solution = folcalc.lattice.solve_pullback(graph, profile)
     return {label: format_rational(solution.coefficient(label)) for label in graph.labels}
 
 
 def _cmd_zariski(args):
-    from . import lattice as lattice_mod
-    from . import zariski as zariski_mod
-
-    graph = lattice_mod.graph_from_json(_load_json(args.graph))
-    divisor = lattice_mod.divisor_from_json(graph, _load_json(args.divisor))
-    result = zariski_mod.zariski_decompose(graph, divisor)
+    graph = folcalc.lattice.graph_from_json(_load_json(args.graph))
+    divisor = folcalc.lattice.divisor_from_json(graph, _load_json(args.divisor))
+    result = folcalc.zariski.zariski_decompose(graph, divisor)
     return {
-        "P": lattice_mod.divisor_to_json(result.positive),
-        "N": lattice_mod.divisor_to_json(result.negative),
+        "P": folcalc.lattice.divisor_to_json(result.positive),
+        "N": folcalc.lattice.divisor_to_json(result.negative),
         "support": list(result.support),
     }
 
 
-def _samples_from_json(obj) -> HilbertSamples:
-    from . import bounds as bounds_mod
-
+def _samples_from_json(obj) -> folcalc.bounds.HilbertSamples:
     if not isinstance(obj, dict) or "values" not in obj or not isinstance(obj["values"], dict):
         raise ValidationError('samples JSON must be an object with a "values" map')
-    values = {parse_integer(k): v for k, v in obj["values"].items()}
+    values = parse_integer_keys(obj["values"], "sample table")
     hint = obj.get("period_hint")
     if hint is not None:
         hint = parse_integer(hint)
-    return bounds_mod.HilbertSamples(values=values, period_hint=hint)
+    return folcalc.bounds.HilbertSamples(values=values, period_hint=hint)
 
 
-def _invariants_to_json(inv: ModelInvariants) -> dict:
-    return {
-        "K2": format_rational(inv.k2),
-        "K_dot_KY": format_rational(inv.k_dot_ky),
-        "chi_O": inv.chi_o,
-        "contribution_sum": format_rational(inv.contribution_sum),
-        "cusp_count": inv.cusp_count,
-    }
-
-
-def _config_to_json(cfg: SingularityConfiguration) -> dict:
+def _config_to_json(cfg: folcalc.bounds.SingularityConfiguration) -> dict:
     return {
         "terminal_orders": list(cfg.terminal_orders),
         "dihedral_count": cfg.dihedral_count,
@@ -155,36 +134,40 @@ def _config_to_json(cfg: SingularityConfiguration) -> dict:
 
 
 def _cmd_bounds(args):
-    from . import bounds as bounds_mod
-
     samples = _samples_from_json(_load_json(args.samples))
-    report = bounds_mod.pipeline(samples, args.mode)
-    per_config = [
-        {
-            "index": report.index_candidates[k],
+    report = folcalc.bounds.pipeline(samples, args.mode)
+    # N1 depends on the index alone: one record per distinct index, shared by its configurations
+    rows = {
+        i: {
+            "index": i,
             "gamma": format_rational(r.gamma),
             "N1": r.n1,
             "square_threshold_holds": r.square_threshold_holds,
             "curve_threshold_holds": r.curve_threshold_holds,
         }
-        for k, r in enumerate(report.results)
-    ]
+        for i, r in dict(zip(report.index_candidates, report.results)).items()
+    }
+    inv = report.invariants
     return {
         "mode": report.mode,
-        "invariants": _invariants_to_json(report.invariants),
+        "invariants": {
+            "K2": format_rational(inv.k2),
+            "K_dot_KY": format_rational(inv.k_dot_ky),
+            "chi_O": inv.chi_o,
+            "contribution_sum": format_rational(inv.contribution_sum),
+            "cusp_count": inv.cusp_count,
+        },
         "configurations": [_config_to_json(c) for c in report.configurations],
         "index_candidates": list(report.index_candidates),
         "max_terminal_order": report.max_terminal_order,
-        "per_config": per_config,
+        "per_config": [rows[i] for i in report.index_candidates],
         "N1_worst": report.n1_worst,
         "note": "index candidates are lcm-based upper bounds; |mK| is birational for every m >= N1_worst",
     }
 
 
 def _cmd_jouanolou(args):
-    from . import jouanolou as jouanolou_mod
-
-    report = jouanolou_mod.accumulation_report(args.dmax)
+    report = folcalc.jouanolou.accumulation_report(args.dmax)
     return {
         "entries": [
             {
@@ -204,12 +187,10 @@ def _cmd_jouanolou(args):
 
 
 def _cmd_dihedral_verify(args):
-    from . import contributions as contrib_mod
-
-    datum = contrib_mod.Dihedral(
+    datum = folcalc.contributions.Dihedral(
         a_exp=args.a, l=args.l, m_odd=args.modd, p=args.p, variant=args.variant
     )
-    report = contrib_mod.dihedral_sum_verify(datum)
+    report = folcalc.contributions.dihedral_sum_verify(datum)
     z = report.sum_value
     return {
         "sum_value": f"{z.real:.15g}{z.imag:+.15g}j",
@@ -221,15 +202,13 @@ def _cmd_dihedral_verify(args):
 
 
 def _cmd_relate(args):
-    from . import bounds as bounds_mod
-
     def table(path):
         obj = _load_json(path)
         if not isinstance(obj, dict):
             raise ValidationError("chi table JSON must map multiples to integers", location=path)
         return obj
 
-    match = bounds_mod.relate_models(table(args.weak), table(args.canonical), args.cusps)
+    match = folcalc.bounds.relate_models(table(args.weak), table(args.canonical), args.cusps)
     return {"match": match}
 
 
@@ -376,22 +355,15 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit_error(err: FolcalcError) -> None:
-    doc = {"code": err.code, "message": err.message, "location": err.location}
-    sys.stderr.write(json.dumps(doc, sort_keys=True) + "\n")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         doc = args.handler(args)
-    except ValidationError as err:
-        _emit_error(err)
-        return 2
     except FolcalcError as err:
-        _emit_error(err)
-        return 1
+        error = {"code": err.code, "message": err.message, "location": err.location}
+        sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
+        return 2 if isinstance(err, ValidationError) else 1
     if args.format == "table":
         _render_table(args.command, doc)
     else:

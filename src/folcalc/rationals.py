@@ -6,10 +6,12 @@ self-intersection, a count) passes it through here: the test is
 ``type(value) is int``, so bools, floats, strings and int subclasses are
 refused, as is a value outside the allowed range, each with a
 ``ValidationError`` naming the argument and the range. ``parse_integer``
-applies the same check to anything that is not a string. ``require`` is the
-one check for every other kind of argument (a record such as a ``CyclicType``,
-an int or a Fraction, a mapping, an iterable); anything else, a bool always,
-is refused with a ``ValidationError`` "what: expected Kind, got type".
+applies the same check to anything that is not a string, and
+``parse_integer_keys`` reads the keys of a table of multiples with it,
+refusing two keys that name one multiple. ``require`` is the one check for
+every other kind of argument (a record such as a ``CyclicType``, an int or a
+Fraction, a mapping, an iterable); anything else, a bool always, is refused
+with a ``ValidationError`` "what: expected Kind, got type".
 
 Rationals travel through JSON as lowest-terms strings ("p/q", plain "p" for
 integers); floats are rejected everywhere so no value is ever rounded.
@@ -25,6 +27,7 @@ strings, so every parsed value can be printed again.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -103,3 +106,19 @@ def parse_integer(value) -> int:
         except ValueError as exc:
             raise ValidationError(f"not an integer: {value!r}") from exc
     return exact_int(value, "value")
+
+
+def parse_integer_keys(table, what: str) -> dict:
+    """``table``, a mapping, with each key read by ``parse_integer``; values are kept as given.
+
+    Two keys that name the same integer ("3" and "03", "1" and " 1", 3 and
+    "3") are refused with a ``ValidationError`` naming ``what`` and the integer,
+    so no value is dropped silently.
+    """
+    parsed = {}
+    for key, value in require(table, Mapping, what).items():
+        m = parse_integer(key)
+        if m in parsed:
+            raise ValidationError(f"{what}: two keys name the multiple {m}")
+        parsed[m] = value
+    return parsed

@@ -790,6 +790,11 @@ class TestRelateModels:
     def test_decimal_string_keys_accepted(self):
         assert relate_models({"0": 0, "1": 3}, {"0": 2, 1: 3}, 2)
 
+    def test_keys_naming_one_multiple_rejected(self):
+        # " 1" would silently replace "1", and the shifted tables would then match
+        with pytest.raises(ValidationError, match="weak nef table: two keys name the multiple 1"):
+            relate_models({"0": 1, "1": 2, " 1": 3}, {"0": 3, "1": 3}, 2)
+
     @pytest.mark.parametrize("key", [1.5, 1.0, "x", "1.5", True, None])
     def test_non_integer_keys_rejected(self, key):
         with pytest.raises(ValidationError):

@@ -308,6 +308,49 @@ class TestFileCommands:
         assert error["code"] == "invalid-input"
         assert error["location"] == str(weak)
 
+    # files written as text, since a repeated key cannot come out of json.dumps; each case
+    # names the file its error must point at (None: the library names the multiple instead)
+    SAMPLES = ", ".join(f'"{m}": {m * m + 1}' for m in range(8))
+    REPEATS = {
+        "profile-key": (
+            ["pullback", "{graph}", "{profile}"],
+            {"graph": json.dumps(TABLE_FILES["graph.json"]), "profile": '{"C1": "-1", "C1": "1"}'},
+            "profile", "repeated key 'C1'",
+        ),
+        "graph-curves-key": (
+            ["pullback", "{graph}", "{profile}"],
+            {"graph": '{"curves": [], "curves": [{"label": "C1", "self": -2}]}', "profile": "{}"},
+            "graph", "repeated key 'curves'",
+        ),
+        "samples-3-then-03": (
+            ["bounds", "--mode", "weak-nef", "{samples}"],
+            {"samples": '{"values": {%s, "03": 999}}' % SAMPLES},
+            None, "two keys name the multiple 3",
+        ),
+        "samples-03-then-3": (
+            ["bounds", "--mode", "weak-nef", "{samples}"],
+            {"samples": '{"values": {"03": 999, %s}}' % SAMPLES},
+            None, "two keys name the multiple 3",
+        ),
+        "relate-1-and-space-1": (
+            ["relate", "{weak}", "{canonical}", "--cusps", "2"],
+            {"weak": '{"0": 1, "1": 2, " 1": 3}', "canonical": '{"0": 3, "1": 3}'},
+            None, "two keys name the multiple 1",
+        ),
+    }
+
+    @pytest.mark.parametrize("argv, files, location, message", REPEATS.values(), ids=REPEATS)
+    def test_repeated_key_or_multiple_refused(self, capsys, tmp_path, argv, files, location, message):
+        paths = {name: tmp_path / f"{name}.json" for name in files}
+        for name, text in files.items():
+            paths[name].write_text(text)
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["code"] == "invalid-input"
+        assert message in error["message"]
+        assert error["location"] == (location and str(paths[location]))
+
     @pytest.mark.parametrize("samples", [{"period_hint": 2}, {"values": [1, 2, 5]}, [1, 2, 5]])
     def test_bounds_samples_without_values_map(self, capsys, tmp_path, samples):
         path = tmp_path / "samples.json"

@@ -9,7 +9,7 @@ import pytest
 from folcalc import HilbertSamples
 from folcalc.cli import main
 from folcalc.errors import ValidationError
-from folcalc.rationals import MAX_DIGITS, format_rational, parse_rational
+from folcalc.rationals import MAX_DIGITS, format_rational, parse_integer_keys, parse_rational
 
 
 @pytest.mark.parametrize(
@@ -92,3 +92,15 @@ def test_cli_chi_o_at_the_cap(capsys, tmp_path, chi_o, code):
     path = tmp_path / "samples.json"
     path.write_text(json.dumps({"values": values}))
     assert main(["bounds", "--mode", "weak-nef", str(path)]) == code
+
+
+def test_integer_keys_read_and_kept_in_order():
+    assert parse_integer_keys({"0": "a", " 2 ": "b", 1: "c"}, "table") == {0: "a", 2: "b", 1: "c"}
+
+
+@pytest.mark.parametrize(
+    "table, m", [({"3": 10, "03": 999}, 3), ({"1": 2, " 1": 3}, 1), ({3: 10, "3": 10}, 3), ({"-0": 1, 0: 1}, 0)]
+)
+def test_two_keys_naming_one_multiple_refused(table, m):
+    with pytest.raises(ValidationError, match=f"^chi table: two keys name the multiple {m}$"):
+        parse_integer_keys(table, "chi table")
