@@ -10,7 +10,9 @@ pairing matrix; it has a unique solution exactly when the matrix is
 invertible (negative definiteness suffices).
 
 Everything here is pure and exact: public scalars are ``fractions.Fraction``,
-there is no floating point, and all functions are safe to call concurrently.
+there is no floating point, and all functions are safe to call concurrently
+(two callers may both factor a graph that has no kept factorization yet;
+either record gives the same answers).
 Inside, Z . C sums run on integers: a divisor's coefficients become integer
 numerators over one positive common denominator (``_by_index``), and
 ``degree_vector`` maps those to integer numerators of Z . C_j over the same
@@ -25,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DegenerateConfigurationError, ValidationError
-from .linalg import eliminate
+from .linalg import eliminate, factor
 from .rationals import exact_int, format_rational, parse_rational, require
 
 
@@ -49,9 +51,15 @@ class DualGraph:
     non-definite lattices. ``sparse_rows`` holds the pairing: per curve, the
     nonzero entries of its matrix row as a ``{curve index: entry}`` dict, not
     to be modified. ``intersection_matrix`` builds the dense form.
+
+    The first elimination of the whole pairing that runs to completion is
+    kept in ``_factorization`` (see ``folcalc.linalg``), so later pull-backs
+    and full-support definiteness checks replay it instead of eliminating
+    again. It stays with the graph for as long as the graph lives, takes no
+    part in ``==`` or ``hash``, and gives the answers a fresh equal graph gives.
     """
 
-    __slots__ = ("curves", "labels", "sparse_rows", "_index")
+    __slots__ = ("curves", "labels", "sparse_rows", "_index", "_factorization")
 
     def __init__(self, curves: Iterable[Curve], edges: Iterable[Sequence] = ()):
         try:
@@ -82,6 +90,7 @@ class DualGraph:
         self.labels = labels
         self.sparse_rows = tuple({j: v for j, v in row.items() if v} for row in rows)
         self._index = index
+        self._factorization = None
 
     def index_of(self, label: str) -> int:
         try:
@@ -192,16 +201,31 @@ def intersection_matrix(graph: DualGraph) -> list[list[int]]:
     return dense
 
 
+def _factored(graph: DualGraph, stop_early: bool = False):
+    """The graph's factorization of its whole pairing, made and kept on first use.
+
+    With ``stop_early`` an indefinite pairing gives None, and nothing is kept.
+    """
+    record = graph._factorization
+    if record is None:
+        record = graph._factorization = factor(graph.sparse_rows, stop_early=stop_early)
+    return record
+
+
 def is_negative_definite(graph: DualGraph, support: Iterable[str]) -> bool:
     """Whether the principal submatrix on ``support`` is negative definite.
 
     Decided by the signs of the pivots of one sparse exact elimination; see
-    ``folcalc.linalg``.
+    ``folcalc.linalg``. On the whole graph the verdict is read from its kept
+    factorization when there is one.
     """
     require(graph, DualGraph, "graph")
     chosen = {graph.index_of(label) for label in require(support, Iterable, "support")}
     if not chosen:
         raise ValidationError("support must be nonempty")
+    if len(chosen) == len(graph.labels):
+        record = _factored(graph, stop_early=True)
+        return record is not None and record.definite
     return eliminate(principal_rows(graph, sorted(chosen)))[0]
 
 
@@ -222,13 +246,19 @@ def solve_pullback(graph: DualGraph, profile: IntersectionProfile) -> QDivisor:
 
     Raises DegenerateConfigurationError when the pairing matrix is singular
     (cusp cycles, for instance); such configurations need the local
-    contribution tables instead of a solve.
+    contribution tables instead of a solve. Its ``location`` names the curves
+    of an exact kernel vector, a nonzero Z with Z . C_j = 0 for every curve.
+    One elimination per graph: later calls replay the kept factorization.
     """
     _on_graph(graph, profile, kind=IntersectionProfile)
+    record = _factored(graph)
     rhs = [profile.degrees.get(label, 0) for label in graph.labels]
-    solution = eliminate(graph.sparse_rows, rhs)[1]
+    solution = record.solve(rhs)
     if solution is None:
-        raise DegenerateConfigurationError("degenerate configuration: pairing matrix is singular")
+        raise DegenerateConfigurationError(
+            "degenerate configuration: pairing matrix is singular",
+            location=", ".join(label for label, z in zip(graph.labels, record.kernel) if z),
+        )
     xs, den = solution
     return QDivisor(graph, {label: Fraction(x, den) for label, x in zip(graph.labels, xs)})
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from folcalc.errors import ValidationError
 from folcalc.lattice import intersection_matrix
-from folcalc.linalg import eliminate, is_negative_definite_matrix, solve_exact
+from folcalc.linalg import eliminate, factor, is_negative_definite_matrix, solve_exact
 
 from conftest import random_graph
 
@@ -345,3 +345,23 @@ def test_solution_is_numerators_over_least_denominator(system):
     numerators, den = solution
     assert den > 0 and gcd(den, *numerators) == 1
     assert [Fraction(x, den) for x in numerators] == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_systems(small_ints, max_size=7), st.data())
+def test_one_record_replays_on_every_rhs(system, data):
+    matrix, rhs = system
+    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+    record = factor(rows)
+    for b in [rhs] + data.draw(st.lists(rhs_for(len(matrix)), max_size=3)):
+        solution = record.solve(b)
+        assert solution == eliminate(rows, b)[1]
+        expected = gauss_jordan(matrix, b)
+        assert (None if solution is None else [Fraction(x, solution[1]) for x in solution[0]]) == expected
+    if record.kernel is None:
+        assert gauss_jordan(matrix, rhs) is not None
+    else:
+        # rows @ Z = 0 for the primitive integer Z
+        z = record.kernel
+        assert gcd(*z) == 1
+        assert all(sum(v * z[j] for j, v in row.items()) == 0 for row in rows)
