@@ -218,7 +218,7 @@ def _try_period(
     k_dot_ky = -2 * qb
     chi_o_value = values[0]
     if chi_o_value.denominator != 1:
-        raise InconsistentSamplesError("chi(O) sample at m = 0 must be an integer")
+        raise InconsistentSamplesError("chi(O) sample at m = 0 must be an integer", location="m = 0")
     chi_o = int(chi_o_value)
     cusp_count = None
     if mode == CANONICAL:
@@ -239,7 +239,9 @@ def _try_period(
         if c0 * den != c * den0:
             return m, f"period {period}, m = {m}"
     if k2 <= 0:
-        raise NotGeneralTypeError("not general type: extracted K^2 is not positive")
+        raise NotGeneralTypeError(
+            "not general type: extracted K^2 is not positive", location=f"period {period}"
+        )
     s = -values[1] + (k2 - k_dot_ky) / 2 + chi_o
     return ModelInvariants(
         k2=k2,
@@ -297,7 +299,10 @@ def bound_singularity_count(s) -> int:
     """
     s = parse_rational(s)
     if s < 0:
-        raise InconsistentModelError("inconsistent contribution sum: negative total")
+        raise InconsistentModelError(
+            "inconsistent contribution sum: negative total",
+            location=f"contribution sum {format_rational(s)}",
+        )
     return math.floor(4 * s)
 
 
@@ -425,7 +430,7 @@ def enumerate_reciprocal_tuples(k: int, c, n_min: int = 2) -> list[tuple[int, ..
     c = parse_rational(c)
     if c < 0:
         raise ValidationError("c must be nonnegative")
-    location = f"{k} slots, sum {format_rational(c)}"  # refuses a c too long to print
+    location = f"{format_rational(k)} slots, sum {format_rational(c)}"  # refuses a k or c too long to print
     steps = 0
 
     def spend(n: int) -> None:
@@ -465,7 +470,10 @@ def enumerate_configurations(inv: ModelInvariants, mode: str) -> list[Singularit
     _check_mode(mode)
     s = require(inv, ModelInvariants, "inv").contribution_sum
     if s < 0:
-        raise InconsistentModelError("inconsistent contribution sum: negative total")
+        raise InconsistentModelError(
+            "inconsistent contribution sum: negative total",
+            location=f"contribution sum {format_rational(s)}",
+        )
     canonical = mode == CANONICAL
     if not canonical:
         cusp_counts = [0]
@@ -536,7 +544,9 @@ def compute_n1(inv: ModelInvariants, i: int) -> N1Result:
     exact_int(i, "index", 1)
     k2, kky = require(inv, ModelInvariants, "inv").k2, inv.k_dot_ky
     if k2.numerator <= 0:
-        raise NotGeneralTypeError("not general type: K^2 must be positive")
+        raise NotGeneralTypeError(
+            "not general type: K^2 must be positive", location=f"index {format_rational(i)}"
+        )
     den = kky.denominator * k2.numerator
     num = 2 * kky.numerator * k2.denominator + 3 * i * den
     return N1Result(
@@ -553,7 +563,8 @@ def pipeline(samples: HilbertSamples, mode: str) -> BoundReport:
     configs = enumerate_configurations(inv, mode)
     if not configs:
         raise InconsistentSamplesError(
-            "no singularity configuration matches the contribution sum"
+            "no singularity configuration matches the contribution sum",
+            location=f"contribution sum {format_rational(inv.contribution_sum)}",
         )
     idx = index_bounds(configs, mode)
     candidates = idx.index_candidates

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DegenerateConfigurationError, ValidationError
-from .linalg import eliminate, factor
+from .linalg import factor
 from .rationals import exact_int, format_rational, parse_rational, require
 
 
@@ -204,7 +204,7 @@ def intersection_matrix(graph: DualGraph) -> list[list[int]]:
 def _factored(graph: DualGraph, stop_early: bool = False):
     """The graph's factorization of its whole pairing, made and kept on first use.
 
-    With ``stop_early`` an indefinite pairing gives None, and nothing is kept.
+    With ``stop_early`` a pairing that is not negative definite gives None, and nothing is kept.
     """
     record = graph._factorization
     if record is None:
@@ -226,7 +226,7 @@ def is_negative_definite(graph: DualGraph, support: Iterable[str]) -> bool:
     if len(chosen) == len(graph.labels):
         record = _factored(graph, stop_early=True)
         return record is not None and record.definite
-    return eliminate(principal_rows(graph, sorted(chosen)))[0]
+    return factor(principal_rows(graph, sorted(chosen)), stop_early=True) is not None
 
 
 def principal_rows(graph: DualGraph, idxs: Sequence[int]) -> list[dict[int, int]]:

@@ -2,11 +2,11 @@
 
 Every caller needs the same two facts about a square exact matrix: whether
 it is negative definite, and the solution of a system against it. ``factor``
-eliminates the matrix once and records what it did; ``Factorization.solve``
-replays that record on a rhs. ``eliminate`` runs both, and ``solve_exact``
-and ``is_negative_definite_matrix`` are its dense-matrix front ends. A caller
-that asks one matrix several questions keeps the ``Factorization`` and pays
-for the elimination once.
+is the one way into the kernel: it eliminates the matrix once and records
+what it did, and ``Factorization.solve`` replays that record on a rhs. A
+caller that asks one matrix several questions keeps the ``Factorization``
+and pays for the elimination once. ``solve_exact`` and
+``is_negative_definite_matrix`` are its dense-matrix front ends.
 
 Rows. Each row is a sparse ``{column: entry}`` dict of its nonzero integer
 entries. The rhs, ints or Fractions, is put over its least common denominator
@@ -38,8 +38,9 @@ matrix itself, and its k-th pivot is, up to a positive factor, the ratio
 D_k / D_(k-1) of consecutive leading principal minors. By Sylvester's
 criterion a symmetric matrix is therefore negative definite exactly when
 every pivot was diagonal and negative. The verdict is part of the record.
-When only the verdict is wanted, elimination stops at the first pivot that
-is not, and there is no record.
+With ``stop_early`` elimination stops at the first pivot that rules
+definiteness out, a missing one included, and there is no record; so any
+record it returns is complete and definite.
 
 Complexity. A step costs the lengths of the rows it touches; a replay costs
 one integer update per record plus the entries of the pivot rows. On a
@@ -154,8 +155,8 @@ def factor(rows, *, stop_early: bool = False) -> Factorization | None:
     """Eliminate the square integer matrix ``rows`` once, recording every row update.
 
     ``rows`` gives the nonzero entries, one ``{column: int}`` mapping per row;
-    it is not modified. With ``stop_early``, elimination stops at the first
-    pivot that rules definiteness out and returns None.
+    it is not modified. With ``stop_early``, a pivot that rules definiteness
+    out, or a missing one, stops elimination and returns None.
     """
     n = len(rows)
     work = list(map(dict, rows))
@@ -172,7 +173,7 @@ def factor(rows, *, stop_early: bool = False) -> Factorization | None:
         col = cols[c]
         k = c if c in col else min(col, default=None)
         if k is None:
-            return Factorization(False, [], [], _kernel(pivots, c, n))
+            return None if stop_early else Factorization(False, [], [], _kernel(pivots, c, n))
         pivot_row = work[k]
         p = pivot_row[c]
         if k != c or p > 0:
@@ -214,25 +215,6 @@ def factor(rows, *, stop_early: bool = False) -> Factorization | None:
     return Factorization(definite, pivots, updates, None)
 
 
-def eliminate(rows, rhs=None, *, require_definite: bool = False):
-    """Negative-definiteness verdict and exact solution of ``rows @ x = rhs``.
-
-    ``rows`` gives the nonzero entries of a square integer matrix, one
-    ``{column: int}`` mapping per row; it is not modified. ``rhs`` holds ints
-    or Fractions. Returns ``(definite, solution)``. ``definite`` says whether
-    the matrix is negative definite; it is meaningful for symmetric matrices.
-    ``solution`` is ``(numerators, den)`` with x_i = numerators[i] / den and
-    den > 0 least, so gcd(den, *numerators) == 1, or None when the matrix is
-    singular or ``rhs`` is None. Without ``rhs``, or with ``require_definite``,
-    elimination stops at the first pivot that rules definiteness out and
-    returns ``(False, None)``. One ``factor`` and at most one replay.
-    """
-    record = factor(rows, stop_early=require_definite or rhs is None)
-    if record is None or record.kernel is not None:
-        return False, None
-    return record.definite, None if rhs is None else record.solve(rhs)
-
-
 def _sparse(matrix) -> list[dict[int, int]]:
     """The nonzero entries of a square integer matrix; any other matrix is refused."""
     if not isinstance(matrix, list) or any(
@@ -254,10 +236,10 @@ def solve_exact(matrix, rhs) -> list[Fraction] | None:
         type(b) not in (int, Fraction) for b in rhs
     ):
         raise ValidationError(f"rhs must be a list of {len(rows)} ints or Fractions, one per row")
-    solution = eliminate(rows, rhs)[1]
+    solution = factor(rows).solve(rhs)
     return None if solution is None else [Fraction(x, solution[1]) for x in solution[0]]
 
 
 def is_negative_definite_matrix(matrix) -> bool:
     """Whether the symmetric integer ``matrix`` is negative definite (True when empty)."""
-    return eliminate(_sparse(matrix))[0]
+    return factor(_sparse(matrix), stop_early=True) is not None

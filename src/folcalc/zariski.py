@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .errors import NotPseudoeffectiveError, ValidationError
 from .lattice import DualGraph, QDivisor, _by_index, _on_graph, degree_vector, principal_rows
-from .linalg import eliminate
+from .linalg import factor
 from .rationals import parse_rational
 
 
@@ -52,7 +52,7 @@ def zariski_decompose(graph: DualGraph, d: QDivisor) -> ZariskiResult:
     Its one failure is NotPseudoeffectiveError when the accumulated support
     stops being negative definite (``location`` names the curves adopted in
     that pass); N >= 0 needs no check (see the module docstring). Each pass
-    makes one elimination call, which tests definiteness and solves together.
+    makes one ``factor`` call, which stops early on a support that is not definite.
     """
     _on_graph(graph, d)
     labels = graph.labels
@@ -64,18 +64,14 @@ def zariski_decompose(graph: DualGraph, d: QDivisor) -> ZariskiResult:
     adopted: list[int] = []
     for _ in range(len(labels) + 1):
         if support:
-            definite, solution = eliminate(
-                principal_rows(graph, support),
-                [target[i] for i in support],
-                require_definite=True,
-            )
-            if not definite:
+            record = factor(principal_rows(graph, support), stop_early=True)
+            if record is None:
                 raise NotPseudoeffectiveError(
                     "not pseudoeffective relative to configuration: "
                     "support is not negative definite",
                     location=", ".join(labels[i] for i in adopted),
                 )
-            xs, scale = solution
+            xs, scale = record.solve([target[i] for i in support])
             coeffs = dict(zip(support, xs))
         n_degrees = degree_vector(graph, coeffs)
         adopted = [

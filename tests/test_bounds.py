@@ -554,9 +554,11 @@ class TestEnumerateConfigurations:
         assert err.value.location == f"3 slots, sum 1/{q}"
 
     def test_sum_too_long_to_print_refused(self):
-        # the location names the sum, so a sum that cannot be printed is invalid input
+        # the location names the slot count and the sum, so either one too long to print is invalid input
         with pytest.raises(ValidationError, match=f"more than {MAX_DIGITS} digits"):
             enumerate_reciprocal_tuples(1, Fraction(1, 10**MAX_DIGITS))
+        with pytest.raises(ValidationError, match=f"more than {MAX_DIGITS} digits"):
+            enumerate_reciprocal_tuples(10**MAX_DIGITS, 1)
 
     def test_trial_divisors_weighted_by_the_size_of_q(self, monkeypatch):
         # 2^3217 - 1 is prime, so its trial division runs on; each divisor counts
@@ -704,6 +706,44 @@ class TestModelInvariantsContract:
     def test_nonpositive_k2_still_not_general_type(self, k2):
         with pytest.raises(NotGeneralTypeError):
             compute_n1(ModelInvariants(k2, 0, 1, 0), 1)
+
+
+class TestDomainErrorsNameTheirPlace:
+    def test_chi_o_not_an_integer_names_m_0(self):
+        values = {m: Fraction(m * m + 2) for m in range(0, 8)}
+        values[0] = Fraction(5, 2)
+        with pytest.raises(InconsistentSamplesError, match="chi\\(O\\)") as err:
+            extract_invariants(HilbertSamples(values), WEAK_NEF)
+        assert err.value.location == "m = 0"
+
+    def test_nonpositive_k2_names_the_period(self):
+        values = {m: Fraction(-m * m + m + 1) for m in range(0, 8)}
+        with pytest.raises(NotGeneralTypeError) as err:
+            extract_invariants(HilbertSamples(values, period_hint=2), WEAK_NEF)
+        assert err.value.location == "period 2"
+
+    def test_negative_singularity_count_names_the_sum(self):
+        with pytest.raises(InconsistentModelError) as err:
+            bound_singularity_count(Fraction(-1, 4))
+        assert err.value.location == "contribution sum -1/4"
+
+    def test_negative_configuration_sum_names_the_sum(self):
+        with pytest.raises(InconsistentModelError) as err:
+            enumerate_configurations(invariants(2, 0, 1, -3), CANONICAL)
+        assert err.value.location == "contribution sum -3"
+
+    def test_compute_n1_names_the_index(self):
+        with pytest.raises(NotGeneralTypeError) as err:
+            compute_n1(invariants(0, 0, 1, 0), 3)
+        assert err.value.location == "index 3"
+
+    def test_pipeline_without_configuration_names_the_sum(self):
+        # as in TestPipeline: every odd sample moved by 1/20 moves the sum to 1/5
+        data = [f.Terminal(f.CyclicType(2, 1))]
+        values = {m: f.global_chi(2, 1, 1, data, m) + (Fraction(1, 20) if m % 2 else 0) for m in range(7)}
+        with pytest.raises(InconsistentSamplesError, match="no singularity configuration") as err:
+            pipeline(HilbertSamples(values, period_hint=2), WEAK_NEF)
+        assert err.value.location == "contribution sum 1/5"
 
 
 class TestPipeline:

@@ -372,6 +372,28 @@ class TestFileCommands:
         assert error["code"] == "search-budget-exceeded"
         assert error["location"] == "101 slots, sum 1"
 
+    def test_bounds_negative_sum_names_it(self, capsys, tmp_path):
+        samples = {"values": {"0": 1, "1": 3, "2": 5, "3": 11, "4": 17, "6": 37}, "period_hint": 2}
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps(samples))
+        code, out, err = run(capsys, "bounds", "--mode", "weak-nef", str(path))
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert (error["code"], error["location"]) == ("inconsistent-model", "contribution sum -1")
+
+    def test_zariski_stops_at_a_singular_support(self, capsys, tmp_path):
+        # a (-1)-curve E on a cycle of four (-2)-curves: the last pass adopts C and the
+        # support A, B, C, D is singular
+        curves = [{"label": c, "self": -2} for c in "ABCD"] + [{"label": "E", "self": -1}]
+        edges = [["A", "B", 1], ["B", "C", 1], ["C", "D", 1], ["D", "A", 1], ["E", "A", 1]]
+        gpath, dpath = tmp_path / "graph.json", tmp_path / "divisor.json"
+        gpath.write_text(json.dumps({"curves": curves, "edges": edges}))
+        dpath.write_text(json.dumps({"E": -1}))
+        code, out, err = run(capsys, "zariski", str(gpath), str(dpath))
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert (error["code"], error["location"]) == ("not-pseudoeffective", "C")
+
     def test_bounds(self, capsys, tmp_path):
         samples = {"values": {str(m): m * m + 1 for m in range(8)}}
         path = tmp_path / "samples.json"

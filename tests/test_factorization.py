@@ -174,6 +174,14 @@ def test_indefinite_graph_checked_first_then_solved():
     assert pullback(graph, {"B": 3}) == ("ok", [Fraction(2), Fraction(1)])
 
 
+def test_singular_graph_checked_first_then_solved():
+    graph = DualGraph(*cycle(["A", "B", "C"]))
+    assert not is_negative_definite(graph, graph.labels)
+    assert graph._factorization is None  # a missing pivot stops the check early too
+    assert pullback(graph, {"A": 1}) == ("degenerate", "A, B, C")
+    assert not is_negative_definite(graph, graph.labels)
+
+
 def test_definite_check_keeps_its_factorization_for_solves():
     graph = DualGraph(*cycle(["A", "B", "C", "D"], -3))
     assert is_negative_definite(graph, graph.labels)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from folcalc.errors import ValidationError
 from folcalc.lattice import intersection_matrix
-from folcalc.linalg import eliminate, factor, is_negative_definite_matrix, solve_exact
+from folcalc.linalg import factor, is_negative_definite_matrix, solve_exact
 
 from conftest import random_graph
 
@@ -287,7 +287,9 @@ def test_singular_matrices_return_none(matrix):
     assert gauss_jordan(matrix, rhs) is None
     assert solve_exact(matrix, rhs) is None
     rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
-    assert eliminate(rows, rhs) == (False, None)
+    record = factor(rows)
+    assert not record.definite and record.solve(rhs) is None
+    assert factor(rows, stop_early=True) is None
     assert not is_negative_definite_matrix(matrix)
 
 
@@ -307,8 +309,9 @@ def test_vandermonde_fit(abscissas):
 def test_empty_matrix():
     assert solve_exact([], []) == []
     assert is_negative_definite_matrix([]) is True
-    assert eliminate([]) == (True, None)
-    assert eliminate([], []) == (True, ([], 1))
+    assert factor([], stop_early=True).definite is True
+    record = factor([])
+    assert record.definite is True and record.solve([]) == ([], 1)
 
 
 # --- the kernel's own contract ----------------------------------------------
@@ -316,19 +319,22 @@ def test_empty_matrix():
 
 def test_one_pass_gives_verdict_and_solution():
     rows = [{0: -2, 1: 1}, {0: 1, 1: -2}]
+    record = factor(rows, stop_early=True)
+    assert record.definite is True
     # x = (2/3, 1/3): numerators over their least common denominator
-    assert eliminate(rows, [-1, 0]) == (True, ([2, 1], 3))
-    assert eliminate(rows, [Fraction(-1, 2), 0]) == (True, ([2, 1], 6))
+    assert record.solve([-1, 0]) == ([2, 1], 3)
+    assert record.solve([Fraction(-1, 2), 0]) == ([2, 1], 6)
     indefinite = [{0: 1, 1: 1}, {0: 1, 1: -2}]
-    assert eliminate(indefinite, [3, 0]) == (False, ([2, 1], 1))
-    assert eliminate(indefinite, [3, 0], require_definite=True) == (False, None)
+    record = factor(indefinite)
+    assert record.definite is False and record.solve([3, 0]) == ([2, 1], 1)
+    assert factor(indefinite, stop_early=True) is None
 
 
 def test_rows_are_not_modified():
     rows = [{0: -2, 1: 1}, {0: 1, 1: -5}]
     copies = [dict(row) for row in rows]
-    eliminate(rows, [1, Fraction(1, 3)])
-    eliminate(rows)
+    factor(rows).solve([1, Fraction(1, 3)])
+    factor(rows, stop_early=True)
     assert rows == copies
 
 
@@ -337,7 +343,7 @@ def test_rows_are_not_modified():
 def test_solution_is_numerators_over_least_denominator(system):
     matrix, rhs = system
     rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
-    solution = eliminate(rows, rhs)[1]
+    solution = factor(rows).solve(rhs)
     expected = gauss_jordan(matrix, rhs)
     if expected is None:
         assert solution is None
@@ -355,7 +361,7 @@ def test_one_record_replays_on_every_rhs(system, data):
     record = factor(rows)
     for b in [rhs] + data.draw(st.lists(rhs_for(len(matrix)), max_size=3)):
         solution = record.solve(b)
-        assert solution == eliminate(rows, b)[1]
+        assert solution == factor(rows).solve(b)  # one record, or a fresh one per rhs
         expected = gauss_jordan(matrix, b)
         assert (None if solution is None else [Fraction(x, solution[1]) for x in solution[0]]) == expected
     if record.kernel is None:
@@ -365,3 +371,25 @@ def test_one_record_replays_on_every_rhs(system, data):
         z = record.kernel
         assert gcd(*z) == 1
         assert all(sum(v * z[j] for j, v in row.items()) == 0 for row in rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_systems(small_ints, max_size=7))
+def test_early_stop_is_the_verdict(system):
+    # a record with stop_early is complete: the same record and solution as without it
+    matrix, rhs = system
+    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+    early = factor(rows, stop_early=True)
+    assert (early is None) == (not minors_negative_definite(matrix))
+    if early is not None:
+        full = factor(rows)
+        assert early.definite and full.definite
+        assert (early.pivots, early.updates) == (full.pivots, full.updates)
+        assert early.solve(rhs) == full.solve(rhs)
+
+
+def test_missing_pivot_stops_early():
+    # eliminating column 0 empties row 1, so column 1 has no pivot: no record with stop_early
+    rows = [{0: -1, 1: 1}, {0: 1, 1: -1}]
+    assert factor(rows, stop_early=True) is None
+    assert factor(rows).kernel == [1, 1]
