@@ -30,7 +30,7 @@ from typing import Union
 
 from .cyclic import CyclicType
 from .errors import InconsistentModelError, ValidationError
-from .rationals import exact_int, parse_integer, parse_rational, require
+from .rationals import exact_int, format_rational, parse_integer, parse_rational, require
 
 DIHEDRAL_E1 = "e1"
 DIHEDRAL_E2 = "e2"
@@ -193,7 +193,10 @@ def _exact_root_sum(two_n: int, plus_sign: bool, offset: int, g: int) -> Fractio
     if (pole - offset) % g == 0:
         raise ValidationError("invalid dihedral datum: the sum has a vanishing denominator")
     if 2 * offset % g:
-        raise InconsistentModelError("root-of-unity sum is not conjugation-symmetric")
+        raise InconsistentModelError(
+            "root-of-unity sum is not conjugation-symmetric",
+            location=f"2n = {two_n}, exponents {offset} mod {g}",
+        )
     self_conjugate = sum(1 for u in (0, n) if (u - offset) % g == 0)
     pairs = (two_n // g - self_conjugate) // 2
     return g * pairs + Fraction(g * self_conjugate, 2)
@@ -282,7 +285,9 @@ def chi_partial_crepant(datum: SingularityDatum, m: int) -> int:
         half_point = CyclicType(2, 1)
         value = a_dihedral(m) - 2 * a_cyclic_sheaf(half_point, m % 2)
         if value.denominator != 1:
-            raise InconsistentModelError("dihedral crepant cancellation failed")
+            raise InconsistentModelError(
+                "dihedral crepant cancellation failed", location=f"m = {format_rational(m)}"
+            )
         return int(value)
     if isinstance(datum, (Terminal, GorensteinCanonical)):
         return 0
@@ -312,5 +317,7 @@ def global_chi(
     for datum in require(sings, Iterable, "sings"):
         total += contribution(datum, m)
     if require_integer and total.denominator != 1:
-        raise InconsistentModelError("inconsistent model data: chi is not an integer")
+        raise InconsistentModelError(
+            "inconsistent model data: chi is not an integer", location=f"m = {format_rational(m)}"
+        )
     return total

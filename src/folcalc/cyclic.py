@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import ValidationError
-from .lattice import Curve, DualGraph, IntersectionProfile
+from .lattice import DualGraph, IntersectionProfile
 from .rationals import exact_int, require
 
 MAX_STRING_CURVES = 100_000  # longest resolution string; (1/n)(1, n-1) has n - 1 curves
@@ -100,11 +100,16 @@ def hj_expansion(t: CyclicType) -> HJExpansion:
 
 
 def hj_string_graph(t: CyclicType) -> DualGraph:
-    """The resolution string: curves C1..Cr, consecutive ones meeting once."""
+    """The resolution string: curves C1..Cr, consecutive ones meeting once.
+
+    Its rows are written straight from the entries, (1, -b_j, 1) around the
+    diagonal, so no Curve or edge is built and checked on the way.
+    """
     entries = _hj_loop(t)[0]
-    curves = [Curve(f"C{j + 1}", -b) for j, b in enumerate(entries)]
-    edges = [(f"C{j}", f"C{j + 1}", 1) for j in range(1, len(entries))]
-    return DualGraph(curves, edges)
+    rows = [{j - 1: 1, j: -b, j + 1: 1} for j, b in enumerate(entries)]
+    del rows[0][-1]
+    del rows[-1][len(entries)]
+    return DualGraph._from_rows(tuple(f"C{j}" for j in range(1, len(entries) + 1)), rows)
 
 
 def wunram_degrees(t: CyclicType, i: int) -> WunramDegrees:

@@ -2,8 +2,9 @@
 
 A configuration is a finite list of labelled curves with integer
 self-intersections together with a symmetric, nonnegative integer adjacency;
-these assemble into the pairing matrix (C_i . C_j). Divisors supported on the
-configuration are formal rational combinations of the curves and pair
+these assemble into the pairing matrix (C_i . C_j), and a ``DualGraph`` is
+just its labels and the sparse rows of that matrix. Divisors supported on
+the configuration are formal rational combinations of the curves and pair
 bilinearly through that matrix. Prescribing the intersection number of an
 unknown combination against every curve is an exact linear solve against the
 pairing matrix; it has a unique solution exactly when the matrix is
@@ -45,12 +46,12 @@ class Curve:
 class DualGraph:
     """Weighted configuration graph carrying the symmetric pairing.
 
-    Off-diagonal intersection numbers are nonnegative integers; diagonal
-    entries are the recorded self-intersections (any integer). Labels are
-    unique. Arbitrary configurations are allowed, including cycles and
-    non-definite lattices. ``sparse_rows`` holds the pairing: per curve, the
+    A graph is its unique ``labels`` and its ``sparse_rows``: per curve, the
     nonzero entries of its matrix row as a ``{curve index: entry}`` dict, not
-    to be modified. ``intersection_matrix`` builds the dense form.
+    to be modified. Off-diagonal entries are nonnegative integers; diagonal
+    entries are the self-intersections (any integer). Cycles and non-definite
+    lattices are allowed. ``curves`` is derived from the rows on each read;
+    ``intersection_matrix`` builds the dense form.
 
     The first elimination of the whole pairing that runs to completion is
     kept in ``_factorization`` (see ``folcalc.linalg``), so later pull-backs
@@ -59,16 +60,16 @@ class DualGraph:
     part in ``==`` or ``hash``, and gives the answers a fresh equal graph gives.
     """
 
-    __slots__ = ("curves", "labels", "sparse_rows", "_index", "_factorization")
+    __slots__ = ("labels", "sparse_rows", "_index", "_factorization")
 
     def __init__(self, curves: Iterable[Curve], edges: Iterable[Sequence] = ()):
         try:
             curves = tuple(curves)
-            labels = tuple(c.label for c in curves)
-            index = {label: i for i, label in enumerate(labels)}
+            labels = tuple(require(c, Curve, "curve").label for c in curves)
+            index = {label: i for i, label in enumerate(labels)}  # TypeError: an unhashable label
             rows: list[dict[int, int]] = [{i: c.self_intersection} for i, c in enumerate(curves)]
             edges = iter(edges)
-        except (AttributeError, TypeError):
+        except TypeError:
             raise ValidationError("a dual graph needs iterables of Curves and of edges") from None
         if len(index) != len(labels):
             raise ValidationError("curve labels must be unique")
@@ -86,11 +87,26 @@ class DualGraph:
                 raise ValidationError(f"edge {a!r}-{b!r} is a loop; use the self-intersection instead")
             exact_int(mult, "edge multiplicity", 0)
             rows[i][j] = rows[j][i] = rows[i].get(j, 0) + mult
-        self.curves = curves
+        self._fill(labels, [{j: v for j, v in row.items() if v} for row in rows], index)
+
+    @classmethod
+    def _from_rows(cls, labels: tuple[str, ...], rows: Sequence[dict[int, int]]) -> "DualGraph":
+        """The graph of ``labels`` and ``rows`` as given: the caller vouches for what ``__init__`` checks."""
+        graph = cls.__new__(cls)
+        graph._fill(labels, rows, {label: i for i, label in enumerate(labels)})
+        return graph
+
+    def _fill(self, labels: tuple[str, ...], rows: Sequence[dict[int, int]], index: dict[str, int]):
         self.labels = labels
-        self.sparse_rows = tuple({j: v for j, v in row.items() if v} for row in rows)
+        self.sparse_rows = tuple(rows)
         self._index = index
         self._factorization = None
+
+    @property
+    def curves(self) -> tuple[Curve, ...]:
+        """One Curve per label, built on each read from the diagonal of its row."""
+        rows = self.sparse_rows
+        return tuple(Curve(label, rows[i].get(i, 0)) for i, label in enumerate(self.labels))
 
     def index_of(self, label: str) -> int:
         try:
@@ -99,7 +115,7 @@ class DualGraph:
             raise ValidationError(f"unknown curve label {label!r}") from None
 
     def __len__(self) -> int:
-        return len(self.curves)
+        return len(self.labels)
 
     def __eq__(self, other) -> bool:
         # a self-intersection is its row's diagonal entry (absent when 0)
@@ -193,7 +209,7 @@ def _on_graph(graph: DualGraph, *parts, kind: type = QDivisor) -> None:
 
 def intersection_matrix(graph: DualGraph) -> list[list[int]]:
     """The full symmetric pairing matrix, diagonal included."""
-    n = len(require(graph, DualGraph, "graph").curves)
+    n = len(require(graph, DualGraph, "graph").labels)
     dense = [[0] * n for _ in range(n)]
     for i, row in enumerate(graph.sparse_rows):
         for j, v in row.items():

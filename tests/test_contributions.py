@@ -331,6 +331,26 @@ class TestChiFchain:
             chi_fchain(CyclicType(3, 1), -1)
 
 
+class TestDomainErrorsNameTheirPlace:
+    def test_asymmetric_root_sum_names_its_exponents(self):
+        # the coset 1 + 4Z mod 8 = {1, 5} is not closed under negation
+        with pytest.raises(InconsistentModelError) as err:
+            _exact_root_sum(8, False, 1, 4)
+        assert err.value.location == "2n = 8, exponents 1 mod 4"
+
+    def test_failed_crepant_cancellation_names_the_multiple(self, monkeypatch):
+        # the cancellation holds at every dihedral point, so only a broken a_dihedral reaches the raise
+        monkeypatch.setattr(folcalc.contributions, "a_dihedral", lambda m: Fraction(1, 3))
+        with pytest.raises(InconsistentModelError) as err:
+            chi_partial_crepant(Dihedral(1, 1, 1, 1), 3)
+        assert err.value.location == "m = 3"
+
+    def test_non_integer_chi_names_the_multiple(self):
+        with pytest.raises(InconsistentModelError) as err:
+            global_chi(0, 0, 0, [Terminal(CyclicType(2, 1))], 1, require_integer=True)
+        assert err.value.location == "m = 1"
+
+
 class TestChiPartialCrepant:
     def test_cusp_table(self):
         assert chi_partial_crepant(Cusp(), 0) == 1

@@ -2,12 +2,24 @@
 
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folcalc import CyclicType, fchain_profile, hj_expansion, hj_string_graph, wunram_degrees
+from folcalc import (
+    Curve,
+    CyclicType,
+    DualGraph,
+    IntersectionProfile,
+    fchain_profile,
+    hj_expansion,
+    hj_string_graph,
+    is_negative_definite,
+    solve_pullback,
+    wunram_degrees,
+)
 from folcalc.cyclic import MAX_STRING_CURVES
 from folcalc.errors import ValidationError
 
@@ -134,3 +146,37 @@ def test_expansion_roundtrip_property(n, data):
     q = data.draw(st.sampled_from(qs))
     exp = hj_expansion(CyclicType(n, q))
     assert exp.evaluate() == Fraction(n, q)
+
+
+@st.composite
+def cyclic_types(draw, n_max=2000):
+    n = draw(st.integers(2, n_max))
+    q = draw(st.integers(1, n - 1))
+    g = gcd(n, q)  # g < n, so n // g >= 2
+    return CyclicType(n // g, q // g)
+
+
+def checked_string_graph(t):
+    """The resolution string through the public constructor, every curve and edge checked."""
+    entries = hj_expansion(t).entries
+    curves = [Curve(f"C{j}", -b) for j, b in enumerate(entries, 1)]
+    return DualGraph(curves, [(f"C{j}", f"C{j + 1}", 1) for j in range(1, len(entries))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclic_types())
+def test_row_built_string_is_the_checked_graph(t):
+    graph, checked = hj_string_graph(t), checked_string_graph(t)
+    assert graph == checked and hash(graph) == hash(checked)
+    assert graph.curves == checked.curves and len(graph) == len(checked)
+    assert fchain_profile(t).graph == graph
+    edges = [(a, b, 1) for a, b in zip(graph.labels, graph.labels[1:])]
+    assert DualGraph(graph.curves, edges) == graph
+    # each graph factors its own pairing; the answers agree
+    canonical = {c.label: -c.self_intersection - 2 for c in checked.curves}
+    for degrees in ({"C1": -1}, canonical):
+        solutions = [solve_pullback(g, IntersectionProfile(g, degrees)) for g in (graph, checked)]
+        assert solutions[0].coefficients == solutions[1].coefficients
+    head = graph.labels[: len(graph) // 2 + 1]
+    for support in (graph.labels, head):
+        assert is_negative_definite(graph, support) and is_negative_definite(checked, support)

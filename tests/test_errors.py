@@ -92,3 +92,59 @@ def read(obj):
         "3: not isinstance(t, CyclicType)",
         "7: not isinstance(scalar, (int, Fraction)) or isinstance(scalar, bool)",
     ]
+
+
+# raises whose caller sets ``location``: the unit-fraction search's budget refusals, which
+# enumerate_reciprocal_tuples catches and tags with "k slots, sum c"
+LOCATED_BY_CALLER = ["bounds.py:_reciprocal_tuples", "bounds.py:spend"]
+
+
+def _is_domain_error(node: ast.expr) -> bool:
+    """Whether ``node`` names a FolcalcError subclass other than ValidationError."""
+    cls = getattr(errors, node.id, None) if isinstance(node, ast.Name) else None
+    return (
+        isinstance(cls, type)
+        and issubclass(cls, errors.FolcalcError)
+        and not issubclass(cls, errors.ValidationError)
+    )
+
+
+def _unlocated_raises(tree: ast.AST, function: str = "<module>"):
+    """The innermost enclosing function of each domain-error raise that passes no ``location=``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _unlocated_raises(node, node.name)
+            continue
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            call = node.exc if isinstance(node.exc, ast.Call) else None
+            if _is_domain_error(node.exc if call is None else call.func) and not (
+                call and any(keyword.arg == "location" for keyword in call.keywords)
+            ):
+                yield function
+        yield from _unlocated_raises(node, function)
+
+
+def test_every_domain_error_names_its_place():
+    offenders = [
+        f"{path.name}:{function}"
+        for path in SOURCES
+        for function in _unlocated_raises(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sorted(offenders) == LOCATED_BY_CALLER
+
+
+def test_location_rule_finds_unlocated_raises():
+    source = '''
+def check(total):
+    if total.denominator != 1:
+        raise InconsistentModelError("chi is not an integer")
+    if total < 0:
+        raise NotGeneralTypeError("K^2 must be positive", location="index 1")
+    raise ValidationError("no location needed")
+
+def outer():
+    def inner():
+        raise SearchBudgetError
+    raise DegenerateConfigurationError("singular", "A, B")
+'''
+    assert list(_unlocated_raises(ast.parse(source))) == ["check", "inner", "outer"]

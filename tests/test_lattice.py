@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -187,6 +188,30 @@ class TestGraphConstruction:
         g1 = DualGraph([Curve("A", -1), Curve("B", -2)], [("A", "B", 1)])
         assert g0 != g1 and g1 != g0
         assert g0 == DualGraph([Curve("A", 0), Curve("B", -2)], [("A", "B", 1)])
+
+
+    @pytest.mark.parametrize("value", [-1.5, True], ids=["float", "bool"])
+    def test_object_with_curve_fields_is_not_a_curve(self, value):
+        # its self-intersection would enter the exact rows unchecked
+        impostor = SimpleNamespace(label="A", self_intersection=value)
+        with pytest.raises(ValidationError, match="curve: expected Curve, got SimpleNamespace"):
+            DualGraph([impostor, Curve("B", -2)], [("A", "B", 1)])
+
+    def test_curves_are_read_back_from_the_rows(self):
+        # a self-intersection 0 is absent from its sparse row and still read back as 0
+        g = graph_from_json(
+            {"curves": [{"label": "A", "self": 0}, {"label": "B", "self": -2}], "edges": [["A", "B", 1]]}
+        )
+        assert g.sparse_rows == ({1: 1}, {0: 1, 1: -2})
+        assert g.curves == (Curve("A", 0), Curve("B", -2))
+        rng = random.Random(25)
+        for _ in range(200):
+            g = random_graph(rng, self_range=(-3, 1))
+            edges = [
+                (g.labels[i], g.labels[j], v) for i, row in enumerate(g.sparse_rows) for j, v in row.items() if i < j
+            ]
+            assert DualGraph(g.curves, edges) == g
+            assert [c.label for c in g.curves] == list(g.labels) and len(g) == len(g.labels)
 
 
 class TestDivisorScaling:
