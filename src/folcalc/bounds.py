@@ -46,7 +46,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -56,7 +55,9 @@ from .errors import (
     SearchBudgetError,
     ValidationError,
 )
-from .rationals import MAX_DIGITS, exact_int, format_rational, parse_integer_keys, parse_rational, require
+from .rationals import (
+    MAX_DIGITS, Record, exact_int, format_rational, parse_integer_keys, parse_rational, require, setfield
+)
 
 WEAK_NEF = "weak-nef"
 CANONICAL = "canonical"
@@ -66,8 +67,7 @@ MAX_SEARCH_STEPS = 5_000_000  # divisors examined per unit-fraction call; weak-n
 _DENOMINATOR_LIMIT = 10**MAX_DIGITS  # the least denominator of more than MAX_DIGITS digits
 
 
-@dataclass(frozen=True)
-class HilbertSamples:
+class HilbertSamples(Record):
     """Finite table m -> chi(m), plus an optional quasi-period hint.
 
     Values are exact rationals; honest geometric models give integers, but
@@ -81,13 +81,12 @@ class HilbertSamples:
     def __post_init__(self):
         items = require(self.values, Mapping, "Hilbert samples").items()
         clean = {exact_int(m, "sample key", 0): parse_rational(v) for m, v in items}
-        object.__setattr__(self, "values", dict(sorted(clean.items())))
+        setfield(self, "values", dict(sorted(clean.items())))
         if self.period_hint is not None:
             exact_int(self.period_hint, "period hint", 1)
 
 
-@dataclass(frozen=True)
-class ModelInvariants:
+class ModelInvariants(Record):
     """Numerical invariants pinned down by the Hilbert samples.
 
     k2 = K^2, k_dot_ky = K.K_Y, chi_o = chi(O), contribution_sum = the total
@@ -104,23 +103,27 @@ class ModelInvariants:
 
     def __post_init__(self):
         for name in ("k2", "k_dot_ky", "contribution_sum"):
-            object.__setattr__(self, name, Fraction(require(getattr(self, name), (int, Fraction), name)))
+            setfield(self, name, Fraction(require(getattr(self, name), (int, Fraction), name)))
         exact_int(self.chi_o, "chi_o")
         if self.cusp_count is not None:
             exact_int(self.cusp_count, "cusp_count")
 
 
-@dataclass(frozen=True)
-class SingularityConfiguration:
+class SingularityConfiguration(Record):
     """One way to realize the contribution sum.
 
     Terminal points are recorded by their orders n (each contributing
     (n-1)/(2n)), dihedral points contribute 1/2 apiece and cusps 1 apiece.
     """
 
-    terminal_orders: tuple[int, ...] = ()
-    dihedral_count: int = 0
-    cusp_count: int = 0
+    terminal_orders: tuple[int, ...]
+    dihedral_count: int
+    cusp_count: int
+
+    def __init__(self, terminal_orders: tuple[int, ...] = (), dihedral_count: int = 0, cusp_count: int = 0):
+        setfield(self, "terminal_orders", terminal_orders)
+        setfield(self, "dihedral_count", dihedral_count)
+        setfield(self, "cusp_count", cusp_count)
 
     def contribution_sum(self) -> Fraction:
         total = Fraction(exact_int(self.dihedral_count, "dihedral_count", 0), 2)
@@ -130,16 +133,14 @@ class SingularityConfiguration:
         return total
 
 
-@dataclass(frozen=True)
-class IndexBoundsResult:
+class IndexBoundsResult(Record):
     """Uniform order bound and one Cartier-index candidate per configuration, in input order."""
 
     max_terminal_order: int
     index_candidates: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class N1Result:
+class N1Result(Record):
     """The bound and the two numeric thresholds its proof leans on."""
 
     gamma: Fraction
@@ -148,8 +149,7 @@ class N1Result:
     curve_threshold_holds: bool
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """Full pipeline output; n1_worst covers every enumerated configuration.
 
     The per-configuration index candidates are least common multiples of the

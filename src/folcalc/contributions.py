@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import cmath
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum, gcd, pi
 from typing import Union
 
 from .cyclic import CyclicType
 from .errors import InconsistentModelError, ValidationError
-from .rationals import exact_int, format_rational, parse_integer, parse_rational, require
+from .rationals import Record, exact_int, format_rational, parse_integer, parse_rational, require
 
 DIHEDRAL_E1 = "e1"
 DIHEDRAL_E2 = "e2"
@@ -39,8 +38,7 @@ MAX_NUMERIC_TWO_N = 4096  # the numeric route's error grows with 2n; about 5e-11
 NUMERIC_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class Terminal:
+class Terminal(Record):
     """Terminal foliation point over a cyclic quotient of the given type."""
 
     type: CyclicType
@@ -49,8 +47,7 @@ class Terminal:
         require(self.type, CyclicType, "type")
 
 
-@dataclass(frozen=True)
-class Dihedral:
+class Dihedral(Record):
     """Dihedral quotient point of group order 4n, 2n = 2^a_exp * l * m_odd.
 
     The two variants constrain the twist exponent p by congruences:
@@ -90,13 +87,11 @@ class Dihedral:
                 raise ValidationError("invalid dihedral datum: need p = -1 (mod m_odd)")
 
 
-@dataclass(frozen=True)
-class Cusp:
+class Cusp(Record):
     """Point where the foliation canonical class is not Q-Cartier."""
 
 
-@dataclass(frozen=True)
-class GorensteinCanonical:
+class GorensteinCanonical(Record):
     """Canonical, non-terminal point with Cartier canonical class."""
 
 
@@ -215,8 +210,7 @@ def _root_sum_terms(two_n: int, plus_sign: bool, step: int, offset: int):
         yield 1 / (1 + sign * cmath.exp(1j * (pi * u / n)))
 
 
-@dataclass(frozen=True)
-class DihedralSumReport:
+class DihedralSumReport(Record):
     sum_value: complex
     sum_exact: Fraction
     expected_n: int

@@ -13,36 +13,33 @@ s_j = b_{j-1} s_{j-1} - s_{j-2}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import ValidationError
 from .lattice import DualGraph, IntersectionProfile
-from .rationals import exact_int, require
+from .rationals import Record, exact_int, require, setfield
 
 MAX_STRING_CURVES = 100_000  # longest resolution string; (1/n)(1, n-1) has n - 1 curves
 
 
-@dataclass(frozen=True, slots=True)
-class CyclicType:
+class CyclicType(Record):
     """Type (1/n)(1,q): n >= 2, 1 <= q < n, gcd(n, q) = 1."""
 
     n: int
     q: int
 
-    def __post_init__(self):
-        n, q = self.n, self.q
-        if type(n) is int and type(q) is int and 1 <= q < n and gcd(n, q) == 1:
-            return
-        n = exact_int(n, "n", 2)
-        q = exact_int(self.q, "q", 1, n - 1)
-        if gcd(n, q) != 1:
-            raise ValidationError("gcd(n,q) must be 1")
+    def __init__(self, n: int, q: int):
+        if not (type(n) is int and type(q) is int and 1 <= q < n and gcd(n, q) == 1):
+            n = exact_int(n, "n", 2)
+            q = exact_int(q, "q", 1, n - 1)
+            if gcd(n, q) != 1:
+                raise ValidationError("gcd(n,q) must be 1")
+        setfield(self, "n", n)
+        setfield(self, "q", q)
 
 
-@dataclass(frozen=True)
-class HJExpansion:
+class HJExpansion(Record):
     """Entries b_1, ..., b_r, every one >= 2."""
 
     entries: tuple[int, ...]
@@ -62,8 +59,7 @@ class HJExpansion:
         return value
 
 
-@dataclass(frozen=True)
-class WunramDegrees:
+class WunramDegrees(Record):
     """Radix data for one eigensheaf index i.
 
     ``s`` is (s_0, ..., s_r) with s_0 = n, s_1 = q, s_r = 1; ``d`` the digits

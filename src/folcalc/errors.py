@@ -20,6 +20,10 @@ class ValidationError(FolcalcError):
     code = "invalid-input"
 
 
+class FrozenRecordError(ValidationError, AttributeError):
+    """An assignment to, or a deletion of, an attribute of a frozen record."""
+
+
 class DegenerateConfigurationError(FolcalcError):
     """The pairing matrix of the configuration is singular."""
 

@@ -11,23 +11,20 @@ the construction data tracked does not determine their cyclic types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .rationals import exact_int
+from .rationals import Record, exact_int
 
 MAX_DMAX = 10_000  # the report holds d_max - 1 entries and renders them all at once
 
 
-@dataclass(frozen=True)
-class JouanolouEntry:
+class JouanolouEntry(Record):
     d: int
     volume: Fraction
     aut_order: int
 
 
-@dataclass(frozen=True)
-class AccumulationReport:
+class AccumulationReport(Record):
     entries: tuple[JouanolouEntry, ...]
     strictly_increasing: bool
     all_below_one: bool

@@ -23,24 +23,27 @@ denominator; a Fraction is built only for a result.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from types import MappingProxyType
 
 from .errors import DegenerateConfigurationError, ValidationError
 from .linalg import factor
-from .rationals import exact_int, format_rational, parse_rational, require
+from .rationals import Record, exact_int, format_rational, parse_rational, require, setfield
 
 
-@dataclass(frozen=True)
-class Curve:
-    """One vertex of a dual graph."""
+class Curve(Record):
+    """One vertex of a dual graph: a string label and an integer self-intersection."""
 
     label: str
     self_intersection: int
 
-    def __post_init__(self):
-        exact_int(self.self_intersection, "self-intersection")
+    def __init__(self, label: str, self_intersection: int):
+        if type(label) is not str or type(self_intersection) is not int:
+            require(label, str, "label")
+            exact_int(self_intersection, "self-intersection")
+        setfield(self, "label", label)
+        setfield(self, "self_intersection", self_intersection)
 
 
 class DualGraph:
@@ -66,7 +69,7 @@ class DualGraph:
         try:
             curves = tuple(curves)
             labels = tuple(require(c, Curve, "curve").label for c in curves)
-            index = {label: i for i, label in enumerate(labels)}  # TypeError: an unhashable label
+            index = {label: i for i, label in enumerate(labels)}
             rows: list[dict[int, int]] = [{i: c.self_intersection} for i, c in enumerate(curves)]
             edges = iter(edges)
         except TypeError:
@@ -143,8 +146,7 @@ def _coeff_map(graph: DualGraph, coefficients: Mapping[str, object], what: str) 
     return out
 
 
-@dataclass(frozen=True)
-class QDivisor:
+class QDivisor(Record):
     """Formal rational combination of the curves of a graph.
 
     Zero coefficients are dropped, so equality of divisors is equality of the
@@ -152,11 +154,11 @@ class QDivisor:
     """
 
     graph: DualGraph
-    coefficients: Mapping[str, Fraction] = field(default_factory=dict)
+    coefficients: Mapping[str, Fraction]
 
-    def __post_init__(self):
-        coefficients = _coeff_map(self.graph, self.coefficients, "divisor coefficients")
-        object.__setattr__(self, "coefficients", coefficients)
+    def __init__(self, graph: DualGraph, coefficients: Mapping[str, Fraction] = MappingProxyType({})):
+        setfield(self, "graph", graph)
+        setfield(self, "coefficients", _coeff_map(graph, coefficients, "divisor coefficients"))
 
     def coefficient(self, label: str) -> Fraction:
         self.graph.index_of(label)
@@ -189,15 +191,15 @@ class QDivisor:
         return f"QDivisor({body or '0'})"
 
 
-@dataclass(frozen=True)
-class IntersectionProfile:
+class IntersectionProfile(Record):
     """Prescribed intersection numbers D . C_i, one per curve (missing = 0)."""
 
     graph: DualGraph
-    degrees: Mapping[str, Fraction] = field(default_factory=dict)
+    degrees: Mapping[str, Fraction]
 
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", _coeff_map(self.graph, self.degrees, "profile degrees"))
+    def __init__(self, graph: DualGraph, degrees: Mapping[str, Fraction] = MappingProxyType({})):
+        setfield(self, "graph", graph)
+        setfield(self, "degrees", _coeff_map(graph, degrees, "profile degrees"))
 
 
 def _on_graph(graph: DualGraph, *parts, kind: type = QDivisor) -> None:
@@ -322,8 +324,7 @@ def degree_against_curve(d: QDivisor, label: str) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class HodgeReport:
+class HodgeReport(Record):
     """Outcome of an index-inequality check on a pair of divisors.
 
     ``inequality_holds`` and the equality fields stay None when the Gram form

@@ -13,6 +13,15 @@ every other kind of argument (a record such as a ``CyclicType``, an int or a
 Fraction, a mapping, an iterable); anything else, a bool always, is refused
 with a ``ValidationError`` "what: expected Kind, got type".
 
+``Record`` is the base of every frozen record. Its fields are the names its
+class annotates, read once at class creation (a class-level value is a trailing
+default). It compares them within one class only, hashes and prints them in
+declaration order and refuses assignment with ``FrozenRecordError``. Its
+``__init__`` makes a positional call (padded from the defaults) or a call that
+names every field the instance ``__dict__`` at once, matches other calls field
+by field and then calls ``__post_init__``; hot records write their own
+``__init__`` with ``setfield``.
+
 Rationals travel through JSON as lowest-terms strings ("p/q", plain "p" for
 integers); floats are rejected everywhere so no value is ever rounded.
 Strings in decimal or exponent form ("0.25", "6.1e-16") are read exactly,
@@ -30,7 +39,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import FrozenRecordError, ValidationError
 
 MAX_DIGITS = 4300
 
@@ -96,6 +105,62 @@ def require(value, kind, what: str):
         return value
     names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
     raise ValidationError(f"{what}: expected {names}, got {type(value).__name__}")
+
+
+# writes a field past the frozen __setattr__: for a record's own __init__ and __post_init__ only
+setfield = object.__setattr__
+
+
+class Record:
+    """Frozen record over the fields its class annotates; see the module docstring."""
+
+    _fields = ()  # the field names, in declaration order
+    _defaults = ()  # the defaults of the trailing fields that have one
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = tuple(cls.__annotations__)
+        cls._fields += own
+        cls._defaults += tuple(vars(cls)[name] for name in own if name in vars(cls))
+
+    def __init__(self, *args, **kwargs):
+        names, defaults = self._fields, self._defaults
+        missing = len(names) - len(args)
+        if not kwargs and 0 <= missing <= len(defaults):
+            values = dict(zip(names, args + defaults[len(defaults) - missing:]))
+        elif not args and kwargs.keys() == set(names):
+            values = kwargs
+        else:
+            values = dict(zip(names[len(names) - len(defaults):], defaults))
+            values.update(zip(names, args))
+            values.update(kwargs)
+            named_twice = not kwargs.keys().isdisjoint(names[:len(args)])
+            if missing < 0 or named_twice or values.keys() != set(names):
+                given = f"{len(args)} positional arguments and the keywords {sorted(kwargs)}"
+                raise ValidationError(f"{type(self).__name__} takes the fields {names}, not {given}")
+        setfield(self, "__dict__", values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _refuse(self, name, value=None):
+        raise FrozenRecordError(f"{type(self).__name__} is frozen: cannot assign or delete {name!r}")
+
+    __setattr__ = __delattr__ = _refuse
 
 
 def parse_integer(value) -> int:

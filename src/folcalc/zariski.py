@@ -28,17 +28,15 @@ from the finite data here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotPseudoeffectiveError, ValidationError
 from .lattice import DualGraph, QDivisor, _by_index, _on_graph, degree_vector, principal_rows
 from .linalg import factor
-from .rationals import parse_rational
+from .rationals import Record, parse_rational
 
 
-@dataclass(frozen=True)
-class ZariskiResult:
+class ZariskiResult(Record):
     """positive + negative = the decomposed divisor; support = supp(negative)."""
 
     positive: QDivisor

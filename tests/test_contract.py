@@ -8,7 +8,6 @@ are swept too. ``tests/test_errors.py`` checks the same contract statically.
 """
 
 import inspect
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -27,7 +26,7 @@ def foreign_values():
 
 
 def field_values(record):
-    return tuple(getattr(record, field.name) for field in fields(record))
+    return tuple(getattr(record, name) for name in record._fields)
 
 
 GRAPH = f.DualGraph([f.Curve("C1", -2), f.Curve("C2", -3)], [("C1", "C2", 1)])

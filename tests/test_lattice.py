@@ -124,6 +124,13 @@ class TestGraphConstruction:
         with pytest.raises(ValidationError):
             Curve("A", value)
 
+    @pytest.mark.parametrize("label", [1, None, ("C", 1), b"C1"])
+    def test_curve_label_must_be_a_string(self, label):
+        # a graph with labels 1 and "a" could not sort its labels to print a divisor on it
+        with pytest.raises(ValidationError, match="label: expected str"):
+            Curve(label, -2)
+        assert graph_from_json({"curves": [{"label": 1, "self": -2}]}).labels == ("1",)
+
     @pytest.mark.parametrize("mult", [True, 1.0])
     def test_non_integer_multiplicity_rejected(self, mult):
         with pytest.raises(ValidationError):
