@@ -469,11 +469,7 @@ def enumerate_configurations(inv: ModelInvariants, mode: str) -> list[Singularit
     """
     _check_mode(mode)
     s = require(inv, ModelInvariants, "inv").contribution_sum
-    if s < 0:
-        raise InconsistentModelError(
-            "inconsistent contribution sum: negative total",
-            location=f"contribution sum {format_rational(s)}",
-        )
+    bound_singularity_count(s)  # refuses a negative sum
     canonical = mode == CANONICAL
     if not canonical:
         cusp_counts = [0]

@@ -20,18 +20,23 @@ in. The order depends on the matrix alone, so one record serves every rhs.
 Pivot rule. The pivot of column c is the diagonal entry when row c remains
 and that entry is nonzero; otherwise it is the first remaining row, by
 index, with a nonzero entry in column c. When there is none, the matrix is
-singular, and back substitution with x_c = 1 through the pivot rows of the
-earlier columns gives an integer kernel vector.
+singular, and back substitution through the pivot rows of the earlier
+columns, from x_c = the product of their |pivots|, gives an integer kernel
+vector.
 
 Update. Every other remaining row i with a_ic != 0 becomes
 ``(|p| * row_i - f * row_k) / g`` with k the pivot row, p its pivot,
 f = sign(p) * a_ic and g the gcd of the new row's entries. All arithmetic is
 on integers, rows the step does not touch are left alone, and the step is
-recorded as ``(i, k, |p|, f, g)``. Replaying the records on the rhs applies
-the same steps to its entries in the same order: the division by g is exact
-when g divides the new entry, and otherwise that row's entry keeps a
-denominator of its own. Back substitution through the pivot rows then gives
-the solution.
+recorded as ``(i, k, |p|, f, g)``. Each step multiplies the determinant by
+|p| / g, and the pivot rows end up triangular, so D = |det A| is the product
+of the pivots' |p| and every g over the product of every update's |p|;
+``factor`` keeps it. By Cramer's rule y = D * rhs_den * x is an integer
+vector for the rhs over its denominator rhs_den. The replay applies the same
+steps to D * rhs_den * rhs in the same order, and after each step row i's
+entry is (row i) . y, so every division by g is exact. Back substitution
+through the pivot rows then gives y on integers, one exact division by the
+pivot per column, and one gcd at the end reduces y / (D * rhs_den).
 
 Verdict. With diagonal pivots the elimination is Gaussian elimination of the
 matrix itself, and its k-th pivot is, up to a positive factor, the ratio
@@ -43,19 +48,19 @@ definiteness out, a missing one included, and there is no record; so any
 record it returns is complete and definite.
 
 Complexity. A step costs the lengths of the rows it touches; a replay costs
-one integer update per record plus the entries of the pivot rows. On a
-string of r curves both are O(r), against O(r^3) for dense elimination; a
-dense matrix still costs O(r^3) to factor and O(r^2) per replay. A
-``Factorization`` holds the filled pivot rows and one record per row update:
-O(r) on a string, O(fill) in general. Once some row has filled in, each
-pivot row is copied when it is chosen, since a dict keeps the room of the
-entries it lost.
+one integer update per record, one multiply per entry of the pivot rows and
+one gcd at the end. On a string of r curves both are O(r), against O(r^3)
+for dense elimination; a dense matrix still costs O(r^3) to factor and
+O(r^2) per replay. A ``Factorization`` holds the filled pivot rows and one
+record per row update: O(r) on a string, O(fill) in general. Once some row
+has filled in, each pivot row is copied when it is chosen, since a dict
+keeps the room of the entries it lost.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import ValidationError
 from .rationals import exact_int
@@ -67,18 +72,20 @@ class Factorization:
     ``definite`` is the verdict. ``pivots`` holds ``(k, row)`` per column c:
     the pivot row's index and its final entries, zero before column c.
     ``updates`` holds the ``(i, k, scale, f, g)`` records in the order they
-    ran, flattened into one list, five ints per record. ``kernel`` is None
-    for a nonsingular matrix. A singular one keeps only its verdict (False)
-    and ``kernel``, a primitive integer vector Z with rows @ Z = 0. Nothing
-    here is modified after ``factor`` returns.
+    ran, flattened into one list, five ints per record. ``det`` is |det A|,
+    which scales the rhs of every replay. ``kernel`` is None for a
+    nonsingular matrix. A singular one keeps only its verdict (False),
+    ``det`` = 0 and ``kernel``, a primitive integer vector Z with rows @ Z = 0.
+    Nothing here is modified after ``factor`` returns.
     """
 
-    __slots__ = ("definite", "pivots", "updates", "kernel")
+    __slots__ = ("definite", "pivots", "updates", "det", "kernel")
 
-    def __init__(self, definite, pivots, updates, kernel):
+    def __init__(self, definite, pivots, updates, det, kernel):
         self.definite = definite
         self.pivots = pivots
         self.updates = updates
+        self.det = det
         self.kernel = kernel
 
     def solve(self, rhs):
@@ -88,65 +95,42 @@ class Factorization:
         """
         if self.kernel is not None:
             return None
-        rhs_den = lcm(*(b.denominator for b in rhs))
-        b = [x.numerator * (rhs_den // x.denominator) for x in rhs]
-        row_dens: dict[int, int] = {}  # rows whose entry of b has a denominator > 1
+        den = self.det * lcm(*(b.denominator for b in rhs))
+        b = [x.numerator * (den // x.denominator) for x in rhs]
         fields = iter(self.updates)
         for i, k, scale, f, g in zip(fields, fields, fields, fields, fields):
-            if row_dens and (i in row_dens or k in row_dens):
-                di, dk = row_dens.get(i, 1), row_dens.get(k, 1)
-                num, den = scale * b[i] * dk - f * b[k] * di, di * dk * g
-            else:
-                num = scale * b[i] - f * b[k]
-                if g == 1:
-                    b[i] = num
-                    continue
-                q, r = divmod(num, g)
-                if not r:
-                    b[i] = q
-                    continue
-                den = g
-            h = gcd(num, den)
-            b[i], den = num // h, den // h
-            if den > 1:
-                row_dens[i] = den
-            else:
-                row_dens.pop(i, None)
-        nums, dens = _back_substitute(self.pivots, [0] * len(b), b, row_dens, rhs_den)
-        common = lcm(*dens)
-        return [x * (common // d) for x, d in zip(nums, dens)], common
+            b[i] = (scale * b[i] - f * b[k]) // g
+        y = _back_substitute(self.pivots, [0] * len(b), b)
+        h = gcd(den, *y)
+        return [x // h for x in y], den // h
 
 
-def _back_substitute(pivots, nums, b, row_dens, rhs_den):
-    """Reduced x_c = nums[c] / dens[c] for the pivot columns, from the last one down.
+def _back_substitute(pivots, y, b):
+    """``y`` with y_c = (b[k] - sum of v_j * y_j over j != c) // p_c for the pivot columns, last first.
 
-    The pivot row of column c, with index k, says row . x = b[k] / (rhs_den * row_dens[k]).
-    Entries of ``nums`` past the pivot columns are given, over denominator 1.
+    The pivot row of column c, with index k and pivot p_c, says row . y = b[k]; entries of ``y``
+    past the pivot columns are given. Each division is exact when that y is an integer vector.
     """
-    dens = [1] * len(nums)
     for c in reversed(range(len(pivots))):
         k, row = pivots[c]
-        num, den = b[k], rhs_den * row_dens.get(k, 1)
+        acc = b[k]
         for j, v in row.items():
             if j != c:
-                num = num * dens[j] - v * nums[j] * den
-                den *= dens[j]
-        den *= row[c]
-        g = gcd(num, den) if den > 0 else -gcd(num, den)
-        nums[c], dens[c] = num // g, den // g
-    return nums, dens
+                acc -= v * y[j]
+        y[c] = acc // row[c]
+    return y
 
 
 def _kernel(pivots, free, n):
     """The primitive integer Z, zero past ``free`` and positive at it, orthogonal to ``pivots``.
 
     ``pivots`` are the pivot rows of the columns before ``free``, which no row left has an entry in.
+    They form a triangular block, so with Z_free the product of their |p_c| every Z_c is an
+    integer by Cramer's rule.
     """
-    nums = [0] * n
-    nums[free] = 1
-    nums, dens = _back_substitute(pivots, nums, [0] * n, {}, 1)
-    common = lcm(*dens)
-    z = [x * (common // d) for x, d in zip(nums, dens)]
+    y = [0] * n
+    y[free] = prod(abs(row[c]) for c, (_, row) in enumerate(pivots))
+    z = _back_substitute(pivots, y, [0] * n)
     content = gcd(*z)
     return [x // content for x in z]
 
@@ -168,12 +152,13 @@ def factor(rows, *, stop_early: bool = False) -> Factorization | None:
     definite = True
     pivots: list[tuple[int, dict[int, int]]] = []
     updates: list[int] = []
+    det_num = det_den = 1  # |det A| = det_num / det_den: each column's |p|^(1 - updates) and every g
     filled = False  # whether some row has grown; only then can a row hold room for entries it lost
     for c in range(n):
         col = cols[c]
         k = c if c in col else min(col, default=None)
         if k is None:
-            return None if stop_early else Factorization(False, [], [], _kernel(pivots, c, n))
+            return None if stop_early else Factorization(False, [], [], 0, _kernel(pivots, c, n))
         pivot_row = work[k]
         p = pivot_row[c]
         if k != c or p > 0:
@@ -187,6 +172,10 @@ def factor(rows, *, stop_early: bool = False) -> Factorization | None:
             cols[j].discard(k)
         scale = abs(p)
         sign = 1 if p > 0 else -1
+        if not col:
+            det_num *= scale
+        elif len(col) > 1:
+            det_den *= scale ** (len(col) - 1)
         for i in col:
             row = work[i]
             f = sign * row.pop(c)
@@ -210,9 +199,10 @@ def factor(rows, *, stop_early: bool = False) -> Factorization | None:
             if g > 1:
                 for j in row:
                     row[j] //= g
+                det_num *= g
             updates += (i, k, scale, f, g)
         col.clear()
-    return Factorization(definite, pivots, updates, None)
+    return Factorization(definite, pivots, updates, det_num // det_den, None)
 
 
 def _sparse(matrix) -> list[dict[int, int]]:

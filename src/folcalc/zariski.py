@@ -19,7 +19,8 @@ coefficients. Then ``target[j]``, the numerator of D . C_j over den, is the
 rhs of each solve, so the solution is den * N. The kernel returns it as integer
 numerators over its least common denominator ``scale``, so N and N . C_j become
 numerators over den * scale, and curve j is adopted when ``target[j] * scale <
-n_degrees[j]``. Only the final N and P = D - N are built as Fractions.
+n_degrees[j]``. Only the final N and P = D - N are built as Fractions, both
+from those numerators: P_j = (d_j * scale - x_j) / (den * scale).
 
 "Pseudoeffective relative to the configuration" means exactly that this
 procedure succeeds; cone membership on an actual surface is not decidable
@@ -78,8 +79,14 @@ def zariski_decompose(graph: DualGraph, d: QDivisor) -> ZariskiResult:
         if not adopted:
             break
         support = sorted(support + adopted)
-    negative = QDivisor(graph, {labels[i]: Fraction(x, den * scale) for i, x in coeffs.items()})
-    return ZariskiResult(positive=d - negative, negative=negative, support=negative.support)
+    positive = {i: x * scale for i, x in d_coefficients.items()}
+    for i, x in coeffs.items():
+        positive[i] = positive.get(i, 0) - x
+    positive, negative = (
+        QDivisor(graph, {labels[i]: Fraction(x, den * scale) for i, x in numerators.items()})
+        for numerators in (positive, coeffs)
+    )
+    return ZariskiResult(positive=positive, negative=negative, support=negative.support)
 
 
 def pseudo_threshold(d1_sq, d1_d2, alpha) -> Fraction:

@@ -110,9 +110,11 @@ def test_reused_graph_answers_like_a_fresh_one(rng, data):
 
 def test_row_denominator_when_the_content_does_not_divide_the_rhs():
     # eliminating C1 turns row 2 into 4 * (2, -4) + 2 * (-4, 2) = (0, -12): content 12,
-    # while the rhs entry becomes 4 * 0 + 2 * 1 = 2, which 12 does not divide
+    # which does not divide the rhs entry 4 * 0 + 2 * 1 = 2; the replay starts from
+    # |det| * rhs = (12, 0) instead, so that entry is (4 * 0 + 2 * 12) / 12 = 2, an integer
     record = factor([{0: -4, 1: 2}, {0: 2, 1: -4}])
     assert record.updates == [1, 0, 4, -2, 12]
+    assert record.det == 12
     assert record.solve([1, 0]) == ([-2, -1], 6)
     assert record.solve([1, 0]) == ([-2, -1], 6)
     graph = DualGraph([Curve("A", -4), Curve("B", -4)], [("A", "B", 2)])
@@ -122,11 +124,13 @@ def test_row_denominator_when_the_content_does_not_divide_the_rhs():
 
 
 def test_row_denominator_carried_into_a_later_pivot():
-    # row 2 leaves column 1 with rhs entry 2 / 4 = 1/2 and then pivots column 2,
-    # so the update of row 3 must read that entry with its denominator
+    # on rhs (1, 0, 0) row 2 would leave column 1 with entry 2 / 4 = 1/2 and then pivot
+    # column 2; the replay starts from |det| * rhs = (20, 0, 0), so that entry is
+    # (4 * 0 + 2 * 20) / 4 = 10, and the update of row 3 reads an integer
     matrix = [[-4, 2, 0], [2, -4, 1], [0, 1, -2]]
     record = factor([{j: v for j, v in enumerate(row) if v} for row in matrix])
     assert record.updates == [1, 0, 4, -2, 4, 2, 1, 3, -1, 5]
+    assert record.det == 20
     for rhs in ([1, 0, 0], [Fraction(1, 3), 0, 1], [0, 1, Fraction(-1, 2)]):
         numerators, den = record.solve(rhs)
         assert [Fraction(x, den) for x in numerators] == gauss_jordan(matrix, rhs)

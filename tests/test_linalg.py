@@ -343,7 +343,9 @@ def test_rows_are_not_modified():
 def test_solution_is_numerators_over_least_denominator(system):
     matrix, rhs = system
     rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
-    solution = factor(rows).solve(rhs)
+    record = factor(rows)
+    assert record.det == abs(cofactor_det(matrix))
+    solution = record.solve(rhs)
     expected = gauss_jordan(matrix, rhs)
     if expected is None:
         assert solution is None
