@@ -148,6 +148,12 @@ class N1Result(Record):
     square_threshold_holds: bool
     curve_threshold_holds: bool
 
+    def __init__(self, gamma: Fraction, n1: int, square_threshold_holds: bool, curve_threshold_holds: bool):
+        setfield(self, "gamma", gamma)
+        setfield(self, "n1", n1)
+        setfield(self, "square_threshold_holds", square_threshold_holds)
+        setfield(self, "curve_threshold_holds", curve_threshold_holds)
+
 
 class BoundReport(Record):
     """Full pipeline output; n1_worst covers every enumerated configuration.

@@ -24,10 +24,16 @@ MAX_STRING_CURVES = 100_000  # longest resolution string; (1/n)(1, n-1) has n - 
 
 
 class CyclicType(Record):
-    """Type (1/n)(1,q): n >= 2, 1 <= q < n, gcd(n, q) = 1."""
+    """Type (1/n)(1,q): n >= 2, 1 <= q < n, gcd(n, q) = 1.
+
+    ``hj_string_graph`` keeps the resolution string it builds in ``_graph``,
+    which is not a field: it takes no part in ``==``, ``hash``, ``repr`` or a
+    pickle, and a copy builds its own.
+    """
 
     n: int
     q: int
+    _graph = None
 
     def __init__(self, n: int, q: int):
         if not (type(n) is int and type(q) is int and 1 <= q < n and gcd(n, q) == 1):
@@ -37,6 +43,9 @@ class CyclicType(Record):
                 raise ValidationError("gcd(n,q) must be 1")
         setfield(self, "n", n)
         setfield(self, "q", q)
+
+    def __getstate__(self):
+        return {"n": self.n, "q": self.q}
 
 
 class HJExpansion(Record):
@@ -99,13 +108,20 @@ def hj_string_graph(t: CyclicType) -> DualGraph:
     """The resolution string: curves C1..Cr, consecutive ones meeting once.
 
     Its rows are written straight from the entries, (1, -b_j, 1) around the
-    diagonal, so no Curve or edge is built and checked on the way.
+    diagonal, so no Curve or edge is built and checked on the way. The graph
+    is built once per ``t`` and kept on it, so every call on ``t`` (the one
+    inside ``fchain_profile`` too) returns the same graph, with its kept
+    factorization (see ``folcalc.lattice``).
     """
-    entries = _hj_loop(t)[0]
-    rows = [{j - 1: 1, j: -b, j + 1: 1} for j, b in enumerate(entries)]
-    del rows[0][-1]
-    del rows[-1][len(entries)]
-    return DualGraph._from_rows(tuple(f"C{j}" for j in range(1, len(entries) + 1)), rows)
+    graph = require(t, CyclicType, "t")._graph
+    if graph is None:
+        entries = _hj_loop(t)[0]
+        rows = [{j - 1: 1, j: -b, j + 1: 1} for j, b in enumerate(entries)]
+        del rows[0][-1]
+        del rows[-1][len(entries)]
+        graph = DualGraph._from_rows(tuple(f"C{j}" for j in range(1, len(entries) + 1)), rows)
+        setfield(t, "_graph", graph)
+    return graph
 
 
 def wunram_degrees(t: CyclicType, i: int) -> WunramDegrees:
@@ -126,7 +142,7 @@ def wunram_degrees(t: CyclicType, i: int) -> WunramDegrees:
 
 
 def fchain_profile(t: CyclicType) -> IntersectionProfile:
-    """Degrees (-1, 0, ..., 0) on the resolution string of t.
+    """Degrees (-1, 0, ..., 0) on the resolution string of t, the graph ``hj_string_graph(t)`` itself.
 
     Solving the pull-back system for this profile produces the numerical
     class of the foliation canonical divisor on the string.

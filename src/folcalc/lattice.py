@@ -12,12 +12,19 @@ invertible (negative definiteness suffices).
 
 Everything here is pure and exact: public scalars are ``fractions.Fraction``,
 there is no floating point, and all functions are safe to call concurrently
-(two callers may both factor a graph that has no kept factorization yet;
-either record gives the same answers).
+(two callers may both factor a graph that has no kept factorization yet, or
+both build the string graph ``cyclic.hj_string_graph`` keeps on a
+``CyclicType``; either record or graph gives the same answers, and a divisor
+or profile on one graph is accepted on the other, since they are equal).
 Inside, Z . C sums run on integers: a divisor's coefficients become integer
 numerators over one positive common denominator (``_by_index``), and
 ``degree_vector`` maps those to integer numerators of Z . C_j over the same
-denominator; a Fraction is built only for a result.
+denominator; a Fraction is built only for a result. Values cross into
+``folcalc.linalg`` as ints and are checked once: ``solve_pullback`` puts the
+profile's degrees over their least common denominator and multiplies it into
+the solution's, and the divisors it, ``zariski`` and divisor arithmetic
+return are built by ``QDivisor._from_fractions``, which only drops zeros;
+the public ``QDivisor(...)`` checks every label and value.
 """
 
 from __future__ import annotations
@@ -122,7 +129,7 @@ class DualGraph:
 
     def __eq__(self, other) -> bool:
         # a self-intersection is its row's diagonal entry (absent when 0)
-        return (
+        return self is other or (
             isinstance(other, DualGraph)
             and self.labels == other.labels
             and self.sparse_rows == other.sparse_rows
@@ -160,6 +167,17 @@ class QDivisor(Record):
         setfield(self, "graph", graph)
         setfield(self, "coefficients", _coeff_map(graph, coefficients, "divisor coefficients"))
 
+    @classmethod
+    def _from_fractions(cls, graph: DualGraph, coefficients: dict[str, Fraction]) -> "QDivisor":
+        """The divisor of ``coefficients`` with its zeros dropped: the caller vouches for the rest.
+
+        Every key must be a label of ``graph`` and every value a Fraction, as ``__init__`` checks.
+        """
+        d = cls.__new__(cls)
+        setfield(d, "graph", graph)
+        setfield(d, "coefficients", {label: v for label, v in coefficients.items() if v})
+        return d
+
     def coefficient(self, label: str) -> Fraction:
         self.graph.index_of(label)
         return self.coefficients.get(label, Fraction(0))
@@ -172,19 +190,19 @@ class QDivisor(Record):
         _on_graph(self.graph, other)
         merged = dict(self.coefficients)
         for label, v in other.coefficients.items():
-            merged[label] = merged.get(label, Fraction(0)) + v
-        return QDivisor(self.graph, merged)
+            merged[label] = merged.get(label, 0) + v
+        return QDivisor._from_fractions(self.graph, merged)
 
     def __sub__(self, other: "QDivisor") -> "QDivisor":
         _on_graph(self.graph, other)
         return self + (-other)
 
     def __neg__(self) -> "QDivisor":
-        return QDivisor(self.graph, {label: -v for label, v in self.coefficients.items()})
+        return QDivisor._from_fractions(self.graph, {label: -v for label, v in self.coefficients.items()})
 
     def __rmul__(self, scalar) -> "QDivisor":
         s = Fraction(require(scalar, (int, Fraction), "scalar"))
-        return QDivisor(self.graph, {label: s * v for label, v in self.coefficients.items()})
+        return QDivisor._from_fractions(self.graph, {label: s * v for label, v in self.coefficients.items()})
 
     def __repr__(self) -> str:
         body = " + ".join(f"({format_rational(v)})*{k}" for k, v in sorted(self.coefficients.items()))
@@ -270,7 +288,12 @@ def solve_pullback(graph: DualGraph, profile: IntersectionProfile) -> QDivisor:
     """
     _on_graph(graph, profile, kind=IntersectionProfile)
     record = _factored(graph)
-    rhs = [profile.degrees.get(label, 0) for label in graph.labels]
+    degrees = profile.degrees
+    rhs_den = lcm(*(x.denominator for x in degrees.values()))
+    rhs = [0] * len(graph.labels)
+    index = graph._index
+    for label, x in degrees.items():
+        rhs[index[label]] = x.numerator * (rhs_den // x.denominator)
     solution = record.solve(rhs)
     if solution is None:
         raise DegenerateConfigurationError(
@@ -278,7 +301,8 @@ def solve_pullback(graph: DualGraph, profile: IntersectionProfile) -> QDivisor:
             location=", ".join(label for label, z in zip(graph.labels, record.kernel) if z),
         )
     xs, den = solution
-    return QDivisor(graph, {label: Fraction(x, den) for label, x in zip(graph.labels, xs)})
+    den *= rhs_den
+    return QDivisor._from_fractions(graph, {label: Fraction(x, den) for label, x in zip(graph.labels, xs)})
 
 
 def degree_vector(graph: DualGraph, coefficients: Mapping[int, int]) -> list[int]:

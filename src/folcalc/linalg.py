@@ -9,8 +9,10 @@ and pays for the elimination once. ``solve_exact`` and
 ``is_negative_definite_matrix`` are its dense-matrix front ends.
 
 Rows. Each row is a sparse ``{column: entry}`` dict of its nonzero integer
-entries. The rhs, ints or Fractions, is put over its least common denominator
-once per solve and enters only the replay.
+entries. A replay's rhs holds ints too, so the kernel never touches a
+Fraction: a caller with a rational rhs puts it over one common denominator
+once, solves on the numerators and multiplies that denominator into the
+returned one (``solve_exact`` does so for its dense rhs).
 
 Order. Columns are eliminated in index order. On a string whose curves are
 numbered along the path, as resolution strings are, the pivot row of column
@@ -31,12 +33,11 @@ on integers, rows the step does not touch are left alone, and the step is
 recorded as ``(i, k, |p|, f, g)``. Each step multiplies the determinant by
 |p| / g, and the pivot rows end up triangular, so D = |det A| is the product
 of the pivots' |p| and every g over the product of every update's |p|;
-``factor`` keeps it. By Cramer's rule y = D * rhs_den * x is an integer
-vector for the rhs over its denominator rhs_den. The replay applies the same
-steps to D * rhs_den * rhs in the same order, and after each step row i's
-entry is (row i) . y, so every division by g is exact. Back substitution
-through the pivot rows then gives y on integers, one exact division by the
-pivot per column, and one gcd at the end reduces y / (D * rhs_den).
+``factor`` keeps it. By Cramer's rule y = D * x is an integer vector for an
+integer rhs. The replay applies the same steps to D * rhs in the same order,
+and after each step row i's entry is (row i) . y, so every division by g is
+exact. Back substitution through the pivot rows then gives y on integers, one
+exact division by the pivot per column, and one gcd at the end reduces y / D.
 
 Verdict. With diagonal pivots the elimination is Gaussian elimination of the
 matrix itself, and its k-th pivot is, up to a positive factor, the ratio
@@ -91,12 +92,18 @@ class Factorization:
     def solve(self, rhs):
         """``(numerators, den)`` with x_i = numerators[i] / den, den > 0 least, or None if singular.
 
-        ``rhs`` holds one int or Fraction per row.
+        ``rhs`` holds one int per row; any other entry, a Fraction, bool or float
+        included, is refused with ``ValidationError``, since ``//`` on a Fraction
+        would give a wrong answer silently. A caller with a rational rhs puts it
+        over one common denominator, solves on the numerators and multiplies that
+        denominator into ``den``.
         """
+        if not set(map(type, rhs)) <= {int}:
+            raise ValidationError("a replayed rhs must hold ints only")
         if self.kernel is not None:
             return None
-        den = self.det * lcm(*(b.denominator for b in rhs))
-        b = [x.numerator * (den // x.denominator) for x in rhs]
+        den = self.det
+        b = [x * den for x in rhs]
         fields = iter(self.updates)
         for i, k, scale, f, g in zip(fields, fields, fields, fields, fields):
             b[i] = (scale * b[i] - f * b[k]) // g
@@ -226,8 +233,13 @@ def solve_exact(matrix, rhs) -> list[Fraction] | None:
         type(b) not in (int, Fraction) for b in rhs
     ):
         raise ValidationError(f"rhs must be a list of {len(rows)} ints or Fractions, one per row")
-    solution = factor(rows).solve(rhs)
-    return None if solution is None else [Fraction(x, solution[1]) for x in solution[0]]
+    r = lcm(*(b.denominator for b in rhs))
+    solution = factor(rows).solve([b.numerator * (r // b.denominator) for b in rhs])
+    if solution is None:
+        return None
+    numerators, den = solution
+    den *= r
+    return [Fraction(x, den) for x in numerators]
 
 
 def is_negative_definite_matrix(matrix) -> bool:

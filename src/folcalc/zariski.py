@@ -34,7 +34,7 @@ from fractions import Fraction
 from .errors import NotPseudoeffectiveError, ValidationError
 from .lattice import DualGraph, QDivisor, _by_index, _on_graph, degree_vector, principal_rows
 from .linalg import factor
-from .rationals import Record, parse_rational
+from .rationals import Record, parse_rational, setfield
 
 
 class ZariskiResult(Record):
@@ -43,6 +43,11 @@ class ZariskiResult(Record):
     positive: QDivisor
     negative: QDivisor
     support: tuple[str, ...]
+
+    def __init__(self, positive: QDivisor, negative: QDivisor, support: tuple[str, ...]):
+        setfield(self, "positive", positive)
+        setfield(self, "negative", negative)
+        setfield(self, "support", support)
 
 
 def zariski_decompose(graph: DualGraph, d: QDivisor) -> ZariskiResult:
@@ -83,7 +88,7 @@ def zariski_decompose(graph: DualGraph, d: QDivisor) -> ZariskiResult:
     for i, x in coeffs.items():
         positive[i] = positive.get(i, 0) - x
     positive, negative = (
-        QDivisor(graph, {labels[i]: Fraction(x, den * scale) for i, x in numerators.items()})
+        QDivisor._from_fractions(graph, {labels[i]: Fraction(x, den * scale) for i, x in numerators.items()})
         for numerators in (positive, coeffs)
     )
     return ZariskiResult(positive=positive, negative=negative, support=negative.support)

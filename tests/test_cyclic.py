@@ -1,8 +1,13 @@
 """Continued-fraction expansions and sheaf-transform degrees."""
 
+import copy
+import pickle
+import sys
+import threading
 import time
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +45,40 @@ class TestCyclicType:
     def test_n_at_least_two(self):
         with pytest.raises(ValidationError):
             CyclicType(1, 1)
+
+
+class TestKeptStringGraph:
+    """``hj_string_graph`` builds the string once per ``CyclicType`` and keeps it there."""
+
+    def test_one_graph_per_cyclic_type(self):
+        t = CyclicType(12, 5)
+        graph = hj_string_graph(t)
+        assert hj_string_graph(t) is graph
+        assert fchain_profile(t).graph is graph
+        solve_pullback(graph, fchain_profile(t))
+        assert hj_string_graph(t)._factorization is graph._factorization is not None
+        # an equal type built apart keeps its own graph, equal to this one
+        other = hj_string_graph(CyclicType(12, 5))
+        assert other is not graph and other == graph
+
+    def test_kept_graph_is_not_part_of_the_record(self):
+        t, twin = CyclicType(241, 239), CyclicType(241, 239)
+        before = (hash(t), repr(t), pickle.dumps(t))
+        graph = hj_string_graph(t)
+        assert t == twin and twin == t
+        assert (hash(t), repr(t), pickle.dumps(t)) == before
+        for clone in (pickle.loads(before[2]), pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+            assert type(clone) is CyclicType and clone == t and hash(clone) == hash(t)
+            assert repr(clone) == repr(t) and pickle.dumps(clone) == before[2]
+            # a copy builds its own string
+            assert hj_string_graph(clone) == graph and hj_string_graph(clone) is not graph
+
+    @pytest.mark.parametrize("call", [hj_string_graph, fchain_profile])
+    def test_foreign_type_refused_before_the_kept_graph_is_read(self, call):
+        impostor = SimpleNamespace(n=5, q=2, _graph=hj_string_graph(CyclicType(5, 2)))
+        for t in (impostor, 5, None):
+            with pytest.raises(ValidationError, match="t: expected CyclicType"):
+                call(t)
 
 
 class TestExpansion:
@@ -180,3 +219,29 @@ def test_row_built_string_is_the_checked_graph(t):
     head = graph.labels[: len(graph) // 2 + 1]
     for support in (graph.labels, head):
         assert is_negative_definite(graph, support) and is_negative_definite(checked, support)
+
+
+def test_concurrent_callers_share_or_rebuild_equal_strings():
+    # threads may race to build a type's string; whichever graph each gets, the answers agree
+    types = [CyclicType(n, q) for n, q in coprime_pairs(30)]
+    expected = [solve_pullback(g, IntersectionProfile(g, {"C1": -1})) for g in map(checked_string_graph, types)]
+    results = [[] for _ in range(6)]
+
+    def work(out):
+        for t in types:
+            out.append(solve_pullback(hj_string_graph(t), fchain_profile(t)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in results]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for out in results:
+        assert [z.coefficients for z in out] == [z.coefficients for z in expected]
+    assert [hj_string_graph(t) for t in types] == [z.graph for z in expected]

@@ -23,7 +23,7 @@ from folcalc.lattice import degree_vector
 from folcalc.linalg import factor
 
 from conftest import random_graph
-from test_linalg import cofactor_det, gauss_jordan, minors_negative_definite
+from test_linalg import cofactor_det, gauss_jordan, minors_negative_definite, solve_rational
 
 
 def relabelled(graph, order, prefix):
@@ -132,7 +132,7 @@ def test_row_denominator_carried_into_a_later_pivot():
     assert record.updates == [1, 0, 4, -2, 4, 2, 1, 3, -1, 5]
     assert record.det == 20
     for rhs in ([1, 0, 0], [Fraction(1, 3), 0, 1], [0, 1, Fraction(-1, 2)]):
-        numerators, den = record.solve(rhs)
+        numerators, den = solve_rational(record, rhs)
         assert [Fraction(x, den) for x in numerators] == gauss_jordan(matrix, rhs)
 
 

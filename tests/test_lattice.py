@@ -23,7 +23,7 @@ from folcalc import (
     pair,
     solve_pullback,
 )
-from folcalc.errors import DegenerateConfigurationError, ValidationError
+from folcalc.errors import DegenerateConfigurationError, NotPseudoeffectiveError, ValidationError
 from folcalc.lattice import (
     _by_index,
     _positive_point,
@@ -305,6 +305,31 @@ class TestRecordSemantics:
         assert QDivisor(graph=g, coefficients={"C1": 1}) == d
         assert QDivisor(g, coefficients={"C1": 1}) == d
         assert IntersectionProfile(graph=g, degrees={"C1": 1}).degrees == {"C1": Fraction(1)}
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_computed_divisors_are_the_checked_ones(self, data):
+        # pull-backs, decompositions and divisor arithmetic skip the public checks
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        g = random_graph(rng, max_curves=6, self_range=(-5, 2))
+        d1, d2 = random_divisor(rng, g), random_divisor(rng, g)
+        s = Fraction(data.draw(st.integers(-4, 4)), data.draw(st.integers(1, 4)))
+        computed = [d1 + d2, d1 - d2, d1 - d1, d1 + -d1, -d1, s * d1]
+        degrees = {
+            label: Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for label in g.labels if rng.random() < 0.6
+        }
+        try:
+            computed.append(solve_pullback(g, IntersectionProfile(g, degrees)))
+        except DegenerateConfigurationError:
+            pass
+        try:
+            result = zariski_decompose(g, d1)
+            computed += [result.positive, result.negative]
+        except NotPseudoeffectiveError:
+            pass
+        for d in computed:
+            assert d.graph is g and d == QDivisor(d.graph, dict(d.coefficients))
+            assert all(type(v) is Fraction and v for v in d.coefficients.values())
 
 
 class TestIntersectionMatrix:

@@ -10,7 +10,7 @@ of the first pull-back coefficient.
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +110,22 @@ def check_against_references(matrix, rhs):
     n = len(matrix)
     if n <= 7 and all(matrix[i][j] == matrix[j][i] for i in range(n) for j in range(i)):
         assert is_negative_definite_matrix(matrix) == minors_negative_definite(matrix)
+
+
+def solve_rational(record, rhs):
+    """``record.solve`` on a rhs of ints and Fractions: the rhs over its lcm r, and r into den.
+
+    The kernel's own answer for the integer numerators must already be least; the
+    result is reduced once more by the common factor of r and the numerators.
+    """
+    r = lcm(*(Fraction(b).denominator for b in rhs))
+    solution = record.solve([int(b * r) for b in rhs])
+    if solution is None:
+        return None
+    numerators, den = solution
+    assert den > 0 and gcd(den, *numerators) == 1
+    h = gcd(r, *numerators)
+    return [x // h for x in numerators], den * r // h
 
 
 # --- strategies ------------------------------------------------------------
@@ -323,7 +339,7 @@ def test_one_pass_gives_verdict_and_solution():
     assert record.definite is True
     # x = (2/3, 1/3): numerators over their least common denominator
     assert record.solve([-1, 0]) == ([2, 1], 3)
-    assert record.solve([Fraction(-1, 2), 0]) == ([2, 1], 6)
+    assert solve_rational(record, [Fraction(-1, 2), 0]) == ([2, 1], 6)
     indefinite = [{0: 1, 1: 1}, {0: 1, 1: -2}]
     record = factor(indefinite)
     assert record.definite is False and record.solve([3, 0]) == ([2, 1], 1)
@@ -333,7 +349,7 @@ def test_one_pass_gives_verdict_and_solution():
 def test_rows_are_not_modified():
     rows = [{0: -2, 1: 1}, {0: 1, 1: -5}]
     copies = [dict(row) for row in rows]
-    factor(rows).solve([1, Fraction(1, 3)])
+    solve_rational(factor(rows), [1, Fraction(1, 3)])
     factor(rows, stop_early=True)
     assert rows == copies
 
@@ -345,7 +361,7 @@ def test_solution_is_numerators_over_least_denominator(system):
     rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
     record = factor(rows)
     assert record.det == abs(cofactor_det(matrix))
-    solution = record.solve(rhs)
+    solution = solve_rational(record, rhs)
     expected = gauss_jordan(matrix, rhs)
     if expected is None:
         assert solution is None
@@ -362,8 +378,8 @@ def test_one_record_replays_on_every_rhs(system, data):
     rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
     record = factor(rows)
     for b in [rhs] + data.draw(st.lists(rhs_for(len(matrix)), max_size=3)):
-        solution = record.solve(b)
-        assert solution == factor(rows).solve(b)  # one record, or a fresh one per rhs
+        solution = solve_rational(record, b)
+        assert solution == solve_rational(factor(rows), b)  # one record, or a fresh one per rhs
         expected = gauss_jordan(matrix, b)
         assert (None if solution is None else [Fraction(x, solution[1]) for x in solution[0]]) == expected
     if record.kernel is None:
@@ -387,7 +403,16 @@ def test_early_stop_is_the_verdict(system):
         full = factor(rows)
         assert early.definite and full.definite
         assert (early.pivots, early.updates) == (full.pivots, full.updates)
-        assert early.solve(rhs) == full.solve(rhs)
+        assert solve_rational(early, rhs) == solve_rational(full, rhs)
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2), Fraction(0), True, False, 1.5, 2.0])
+def test_replay_refuses_entries_that_are_not_ints(entry):
+    # an integral Fraction is refused too: the replay's // would round a Fraction silently
+    for record in (factor([{0: -2, 1: 1}, {0: 1, 1: -2}]), factor([{}, {1: -1}])):
+        with pytest.raises(ValidationError, match="ints only"):
+            record.solve([1, entry])
+    assert factor([{0: -2, 1: 1}, {0: 1, 1: -2}]).solve([1, 2]) == ([-4, -5], 3)
 
 
 def test_missing_pivot_stops_early():
