@@ -18,7 +18,7 @@ import itertools
 import json
 import sys
 from collections import Counter
-from typing import Iterator
+from collections.abc import Iterator
 
 import folcalc
 

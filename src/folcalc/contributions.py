@@ -25,7 +25,6 @@ import cmath
 from collections.abc import Iterable
 from fractions import Fraction
 from math import fsum, gcd, pi
-from typing import Union
 
 from .cyclic import CyclicType
 from .errors import InconsistentModelError, ValidationError
@@ -95,7 +94,7 @@ class GorensteinCanonical(Record):
     """Canonical, non-terminal point with Cartier canonical class."""
 
 
-SingularityDatum = Union[Terminal, Dihedral, Cusp, GorensteinCanonical]
+SingularityDatum = Terminal | Dihedral | Cusp | GorensteinCanonical
 
 
 def _sheaf_numerator(i: int, n: int, c: int) -> int:

@@ -9,6 +9,12 @@ The degrees of the torsion-free pull-backs of the reflexive eigensheaves
 against the string curves are the greedy digits of i in the mixed radix
 s_1 > s_2 > ... > s_r = 1, where s_0 = n, s_1 = q and
 s_j = b_{j-1} s_{j-1} - s_{j-2}.
+
+The expansion, the radix and the closed forms built on them need n and q
+alone. Only ``hj_string_graph`` and ``fchain_profile`` build lattice objects;
+they reach ``folcalc.lattice`` through the package, which loads it (and
+``folcalc.linalg``) on their first call, so a process that never builds a
+string graph never loads either.
 """
 
 from __future__ import annotations
@@ -16,8 +22,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+import folcalc
+
 from .errors import ValidationError
-from .lattice import DualGraph, IntersectionProfile
 from .rationals import Record, exact_int, require, setfield
 
 MAX_STRING_CURVES = 100_000  # longest resolution string; (1/n)(1, n-1) has n - 1 curves
@@ -104,7 +111,7 @@ def hj_expansion(t: CyclicType) -> HJExpansion:
     return HJExpansion(tuple(_hj_loop(t)[0]))
 
 
-def hj_string_graph(t: CyclicType) -> DualGraph:
+def hj_string_graph(t: CyclicType) -> folcalc.lattice.DualGraph:
     """The resolution string: curves C1..Cr, consecutive ones meeting once.
 
     Its rows are written straight from the entries, (1, -b_j, 1) around the
@@ -119,7 +126,8 @@ def hj_string_graph(t: CyclicType) -> DualGraph:
         rows = [{j - 1: 1, j: -b, j + 1: 1} for j, b in enumerate(entries)]
         del rows[0][-1]
         del rows[-1][len(entries)]
-        graph = DualGraph._from_rows(tuple(f"C{j}" for j in range(1, len(entries) + 1)), rows)
+        labels = tuple(f"C{j}" for j in range(1, len(entries) + 1))
+        graph = folcalc.lattice.DualGraph._from_rows(labels, rows)
         setfield(t, "_graph", graph)
     return graph
 
@@ -141,10 +149,10 @@ def wunram_degrees(t: CyclicType, i: int) -> WunramDegrees:
     return WunramDegrees(tuple(s), tuple(digits), tuple(remainders))
 
 
-def fchain_profile(t: CyclicType) -> IntersectionProfile:
+def fchain_profile(t: CyclicType) -> folcalc.lattice.IntersectionProfile:
     """Degrees (-1, 0, ..., 0) on the resolution string of t, the graph ``hj_string_graph(t)`` itself.
 
     Solving the pull-back system for this profile produces the numerical
     class of the foliation canonical divisor on the string.
     """
-    return IntersectionProfile(hj_string_graph(t), {"C1": Fraction(-1)})
+    return folcalc.lattice.IntersectionProfile(hj_string_graph(t), {"C1": Fraction(-1)})

@@ -23,8 +23,9 @@ denominator; a Fraction is built only for a result. Values cross into
 ``folcalc.linalg`` as ints and are checked once: ``solve_pullback`` puts the
 profile's degrees over their least common denominator and multiplies it into
 the solution's, and the divisors it, ``zariski`` and divisor arithmetic
-return are built by ``QDivisor._from_fractions``, which only drops zeros;
-the public ``QDivisor(...)`` checks every label and value.
+return are built by ``QDivisor._from_fractions``, which stores what it is
+given: each caller drops zeros while they are still ints (or, for a sum,
+as it merges), and the public ``QDivisor(...)`` checks every label and value.
 """
 
 from __future__ import annotations
@@ -169,13 +170,14 @@ class QDivisor(Record):
 
     @classmethod
     def _from_fractions(cls, graph: DualGraph, coefficients: dict[str, Fraction]) -> "QDivisor":
-        """The divisor of ``coefficients`` with its zeros dropped: the caller vouches for the rest.
+        """The divisor of ``coefficients``, stored as given: the caller vouches for every entry.
 
-        Every key must be a label of ``graph`` and every value a Fraction, as ``__init__`` checks.
+        Every key must be a label of ``graph`` and every value a nonzero Fraction, as
+        ``__init__`` checks; the caller drops zeros and hands over a dict no one else holds.
         """
         d = cls.__new__(cls)
         setfield(d, "graph", graph)
-        setfield(d, "coefficients", {label: v for label, v in coefficients.items() if v})
+        setfield(d, "coefficients", coefficients)
         return d
 
     def coefficient(self, label: str) -> Fraction:
@@ -190,7 +192,11 @@ class QDivisor(Record):
         _on_graph(self.graph, other)
         merged = dict(self.coefficients)
         for label, v in other.coefficients.items():
-            merged[label] = merged.get(label, 0) + v
+            total = merged.get(label, 0) + v
+            if total:
+                merged[label] = total
+            else:
+                del merged[label]  # only a shared label can cancel
         return QDivisor._from_fractions(self.graph, merged)
 
     def __sub__(self, other: "QDivisor") -> "QDivisor":
@@ -202,6 +208,8 @@ class QDivisor(Record):
 
     def __rmul__(self, scalar) -> "QDivisor":
         s = Fraction(require(scalar, (int, Fraction), "scalar"))
+        if not s:
+            return QDivisor._from_fractions(self.graph, {})
         return QDivisor._from_fractions(self.graph, {label: s * v for label, v in self.coefficients.items()})
 
     def __repr__(self) -> str:
@@ -302,7 +310,8 @@ def solve_pullback(graph: DualGraph, profile: IntersectionProfile) -> QDivisor:
         )
     xs, den = solution
     den *= rhs_den
-    return QDivisor._from_fractions(graph, {label: Fraction(x, den) for label, x in zip(graph.labels, xs)})
+    coefficients = {label: Fraction(x, den) for label, x in zip(graph.labels, xs) if x}
+    return QDivisor._from_fractions(graph, coefficients)
 
 
 def degree_vector(graph: DualGraph, coefficients: Mapping[int, int]) -> list[int]:

@@ -87,8 +87,9 @@ def zariski_decompose(graph: DualGraph, d: QDivisor) -> ZariskiResult:
     positive = {i: x * scale for i, x in d_coefficients.items()}
     for i, x in coeffs.items():
         positive[i] = positive.get(i, 0) - x
+    den *= scale
     positive, negative = (
-        QDivisor._from_fractions(graph, {labels[i]: Fraction(x, den * scale) for i, x in numerators.items()})
+        QDivisor._from_fractions(graph, {labels[i]: Fraction(x, den) for i, x in numerators.items() if x})
         for numerators in (positive, coeffs)
     )
     return ZariskiResult(positive=positive, negative=negative, support=negative.support)

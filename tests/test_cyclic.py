@@ -5,6 +5,7 @@ import pickle
 import sys
 import threading
 import time
+import typing
 from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
@@ -174,6 +175,12 @@ class TestFchainProfile:
     def test_12_5_string(self):
         profile = fchain_profile(CyclicType(12, 5))
         assert [profile.degrees.get(label, 0) for label in profile.graph.labels] == [-1, 0, 0]
+
+
+def test_annotations_naming_lattice_types_resolve():
+    # cyclic names them through the package (folcalc.lattice.DualGraph), not through an import of lattice
+    assert typing.get_type_hints(hj_string_graph) == {"t": CyclicType, "return": DualGraph}
+    assert typing.get_type_hints(fchain_profile) == {"t": CyclicType, "return": IntersectionProfile}
 
 
 @settings(max_examples=80, deadline=None)

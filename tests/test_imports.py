@@ -10,16 +10,64 @@ import pytest
 
 import folcalc
 
-BASE = ["folcalc", "folcalc.cli", "folcalc.errors", "folcalc.rationals"]
-CYCLIC = ["folcalc.cyclic", "folcalc.lattice", "folcalc.linalg"]
+LIBRARY = ["folcalc", "folcalc.errors", "folcalc.rationals"]  # what every library call loads
+BASE = LIBRARY + ["folcalc.cli"]
+LATTICE = ["folcalc.lattice", "folcalc.linalg"]
+CONTRIBUTIONS = ["folcalc.contributions", "folcalc.cyclic"]
 
-# every folcalc module a run of main(argv) leaves in sys.modules; {samples} is a file path
-RUNS = [
-    (["hj", "12", "5"], 0, BASE + CYCLIC),
-    (["bounds", "--mode", "weak-nef", "{samples}"], 0, BASE + ["folcalc.bounds"]),
-    (["jouanolou", "--dmax", "5"], 0, BASE + ["folcalc.jouanolou"]),
-    (["hj", "x"], 2, BASE),
-]
+# the JSON inputs the runs below name as {samples}, {graph}, ...; the cycle of four (-2)-curves is singular
+FILES = {
+    "samples": {"values": {str(m): m * m + 1 for m in range(8)}},
+    "graph": {
+        "curves": [{"label": "C1", "self": -3}, {"label": "C2", "self": -2}],
+        "edges": [["C1", "C2", 1]],
+    },
+    "profile": {"C1": -1},
+    "divisor": {"C1": 1, "C2": "1/2"},
+    "cycle": {
+        "curves": [{"label": f"C{j}", "self": -2} for j in range(1, 5)],
+        "edges": [[f"C{j}", f"C{j % 4 + 1}", 1] for j in range(1, 5)],
+    },
+    "weak": {"0": -1, "1": 2, "2": 5},
+    "canonical": {"0": 1, "1": 2, "2": 5},
+}
+
+# id -> (argv, exit code, every folcalc module the run of main(argv) leaves in sys.modules)
+RUNS = {
+    "hj": (["hj", "12", "5"], 0, BASE + ["folcalc.cyclic"]),
+    "wunram": (["wunram", "5", "2", "3"], 0, BASE + ["folcalc.cyclic"]),
+    "contrib-terminal": (
+        ["contrib", "--kind", "terminal", "--n", "5", "--q", "2", "--m", "3"], 0, BASE + CONTRIBUTIONS
+    ),
+    "contrib-cusp": (["contrib", "--kind", "cusp", "--m", "4"], 0, BASE + CONTRIBUTIONS),
+    "chi-local": (["chi-local", "--n", "3", "--q", "1", "--m", "2"], 0, BASE + CONTRIBUTIONS),
+    "pullback": (["pullback", "{graph}", "{profile}"], 0, BASE + LATTICE),
+    "zariski": (["zariski", "{graph}", "{divisor}"], 0, BASE + LATTICE + ["folcalc.zariski"]),
+    "bounds": (["bounds", "--mode", "weak-nef", "{samples}"], 0, BASE + ["folcalc.bounds"]),
+    "jouanolou": (["jouanolou", "--dmax", "5"], 0, BASE + ["folcalc.jouanolou"]),
+    "dihedral-verify": (
+        ["dihedral-verify", "--variant", "e1", "--a", "1", "--l", "1", "--modd", "3", "--p", "5"],
+        0,
+        BASE + CONTRIBUTIONS,
+    ),
+    "relate": (["relate", "{weak}", "{canonical}", "--cusps", "2"], 0, BASE + ["folcalc.bounds"]),
+    "degenerate": (["pullback", "{cycle}", "{profile}"], 1, BASE + LATTICE),
+    "malformed": (["hj", "x"], 2, BASE),
+}
+
+
+def main_script(directory, argv: list, code: int) -> str:
+    """Code that writes FILES under ``directory`` and runs main(argv), expecting exit ``code``, silently."""
+    paths = {}
+    for name, doc in FILES.items():
+        paths[name] = directory / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    argv = [a.format(**paths) for a in argv]
+    return (
+        "import contextlib, io\nfrom folcalc.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert main({argv!r}) == {code}"
+    )
 
 
 def _loaded(code: str) -> list:
@@ -36,17 +84,27 @@ def _loaded(code: str) -> list:
     return json.loads(out.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize(("argv", "code", "modules"), RUNS, ids=["hj", "bounds", "jouanolou", "malformed"])
+@pytest.mark.parametrize(("argv", "code", "modules"), RUNS.values(), ids=RUNS)
 def test_each_subcommand_loads_only_its_modules(tmp_path, argv, code, modules):
-    samples = tmp_path / "samples.json"
-    samples.write_text(json.dumps({"values": {str(m): m * m + 1 for m in range(8)}}))
-    argv = [a.format(samples=samples) for a in argv]
-    run = (
-        "import contextlib, io\nfrom folcalc.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        f"    assert main({argv!r}) == {code}"
-    )
-    assert _loaded(run) == sorted(modules)
+    assert _loaded(main_script(tmp_path, argv, code)) == sorted(modules)
+
+
+CLOSED_FORMS = (
+    "import folcalc as f\nt = f.CyclicType(12, 5)\n"
+    "f.hj_expansion(t), f.wunram_degrees(t, 7), f.a_terminal(t, 3)"
+)
+
+
+def test_closed_forms_load_no_lattice():
+    assert _loaded(CLOSED_FORMS) == sorted(LIBRARY + CONTRIBUTIONS)
+
+
+@pytest.mark.parametrize("first", ["f.hj_string_graph(t)", "f.fchain_profile(t).graph"])
+def test_the_string_graph_loads_lattice(first):
+    # whichever function builds the string first loads lattice and linalg, and t keeps that one graph
+    same = "assert f.fchain_profile(t).graph is graph is f.hj_string_graph(t)"
+    code = f"{CLOSED_FORMS}\ngraph = {first}\n{same}"
+    assert _loaded(code) == sorted(LIBRARY + CONTRIBUTIONS + LATTICE)
 
 
 def test_package_import_loads_no_submodule():
