@@ -26,19 +26,25 @@ only the reported gamma is built as a Fraction.
 
 The unit-fraction search runs on integers: the remaining target is a reduced
 pair p/q, and taking 1/n off it leaves (p*n - q)/(q*n) over their gcd. The
-last two slots need no scan, since 1/a + 1/b = p/q exactly when
+last two slots are solved outright, since 1/a + 1/b = p/q exactly when
 (p*a - q)(p*b - q) = q^2, so the pairs come from the divisors of q^2
-(Curtiss 1922). The search stops with ``SearchBudgetError`` past
-``MAX_CONFIGURATIONS`` configurations, and a unit-fraction search for one
-number of points stops once its two-slot levels would examine more than
-``MAX_SEARCH_STEPS`` divisors. The divisors of q^2 are counted before they
-are built or tested, and the trial divisors that factor q in batches of 1024
-as they are tried, so the budget bounds the work and not only the output. A
-trial division costs time in proportion to the size of q, so each trial
-divisor counts 1 + (bits of q) // 2048. A remaining denominator q of more than
-``rationals.MAX_DIGITS`` digits stops the search as well: q divides the lcm of
-the orders still to come, so every configuration below it would have an index
-candidate of at least q, too large to print.
+(Curtiss 1922). The divisors d = p*a - q for a in (q/p, 2q/p] are found by
+testing each candidate a directly when there are no more candidates than the
+divisors the level is charged for before any pair is tested, and from the
+prime powers of q^2 otherwise; both report the same count, so the step budget
+trips at the same place whichever runs. The search stops with
+``SearchBudgetError`` past ``MAX_CONFIGURATIONS`` configurations, and a
+unit-fraction search for one number of points stops once its two-slot levels
+would examine more than ``MAX_SEARCH_STEPS`` divisors. The divisors of q^2
+are counted before they are built or multiplied, the candidates are scanned
+only when that count already covers them, and the trial divisors that factor
+q are counted in batches of 1024 as they are tried, so the budget bounds the
+work and not only the output. A trial division costs time in proportion to
+the size of q, so each trial divisor counts 1 + (bits of q) // 2048. A
+remaining denominator q of more than ``rationals.MAX_DIGITS`` digits stops
+the search as well: q divides the lcm of the orders still to come, so every
+configuration below it would have an index candidate of at least q, too large
+to print.
 """
 
 from __future__ import annotations
@@ -346,19 +352,41 @@ def _prime_powers(q: int, spend: Callable[[int], None]) -> list[tuple[int, int]]
 def _two_slot_divisors(p: int, q: int, low: int, spend: Callable[[int], None]) -> list[int]:
     """The divisors d of q^2 with low <= d <= q and d = -q mod p, ascending.
 
-    The prime powers of q^2 are dealt into two halves of about equal divisor
-    counts; the divisors of one half are filed by residue mod p, and each
-    divisor of the other looks up the residue that completes -q (p is prime
-    to q, so every divisor of q^2 is invertible mod p). Work is reported to
-    ``spend`` before it is done: each list of divisors before a half is
-    built, and the number of products before any is tested against the
-    range.
+    Two methods give the list, and ``spend`` hears the same amounts in the
+    same order from both. First the prime powers of q^2 are dealt into two
+    halves of about equal divisor counts (the smaller half takes the next
+    prime, ties go to the first), and each list of divisors a half grows to
+    is reported. When the 2q//p - q//p candidates d = p*a - q, a in
+    (q/p, 2q/p], are no more than those lists, plus the pairs when p <= 2
+    (then every divisor of q^2 lies in the class of -q), each candidate is
+    tested directly, so the scan does no more work than is already reported.
+    Otherwise the halves are built: the divisors of one are filed by residue
+    mod p, and each divisor of the other looks up the residue that completes
+    -q (p is prime to q, so every divisor of q^2 is invertible mod p). Last,
+    the number of divisors of q^2 in the class of -q is reported, before any
+    pair is multiplied. d -> q^2/d maps the class to itself, so the scan
+    reports twice what it finds, less one for d = q, which pairs with itself
+    and lies in the class only when p <= 2.
     """
-    halves: tuple[list[int], list[int]] = ([1], [1])
+    sizes = [1, 1]
+    plan = []
+    built = 0
     for f, e in _prime_powers(q, spend):
-        half = min(halves, key=len)
-        spend(len(half) * (2 * e + 1))
-        half[:] = [d * f**j for d in half for j in range(2 * e + 1)]
+        half = int(sizes[1] < sizes[0])
+        listed = sizes[half] * (2 * e + 1)
+        spend(listed)
+        built += listed
+        sizes[half] = listed
+        plan.append((half, f, e))
+    if 2 * q // p - q // p <= built + (sizes[0] * sizes[1] if p <= 2 else 0):
+        qq = q * q
+        found = [d for d in range(p - q % p, q + 1, p) if qq % d == 0]
+        spend(2 * len(found) - (p <= 2))
+        return [d for d in found if d >= low]
+    halves = ([1], [1])
+    for half, f, e in plan:
+        powers = [f**j for j in range(2 * e + 1)]
+        halves[half][:] = [d * power for d in halves[half] for power in powers]
     left, right = halves
     by_residue: dict[int, list[int]] = {}
     for d in right:
@@ -377,12 +405,13 @@ def _reciprocal_tuples(
     p/q is reduced, p >= 0. Tuples come out in lexicographic order. The first
     entry n runs from ceil(q/p) (it must fit) to floor(slots*q/p) (it is the
     smallest); the remainder (p*n - q)/(q*n) goes down reduced by its gcd. One
-    slot is a unit-fraction test. Two slots are solved outright, with no
-    scan: for a <= b, 1/a + 1/b = p/q exactly when (p*a - q)(p*b - q) = q^2,
-    so d = p*a - q is a divisor d <= q of q^2 with d = -q mod p (then so is
-    e = q^2/d, as q is prime to p), a = (d + q)/p, b = (e + q)/p, and
-    ascending d gives ascending a. ``spend`` is told how many divisors each
-    two-slot level examines, trial divisors included. A level of two or more
+    slot is a unit-fraction test. Two slots are solved outright: for a <= b,
+    1/a + 1/b = p/q exactly when (p*a - q)(p*b - q) = q^2, so d = p*a - q is
+    a divisor d <= q of q^2 with d = -q mod p (then so is e = q^2/d, as q is
+    prime to p), a = (d + q)/p, b = (e + q)/p, and ascending d gives
+    ascending a. ``spend`` is told how many divisors each two-slot level
+    examines, trial divisors included, whether it scans the candidates for a
+    or builds the divisors (see ``_two_slot_divisors``). A level of two or more
     slots whose q has more than ``MAX_DIGITS`` digits raises
     ``SearchBudgetError``, with no location.
     The walk is depth first on an explicit stack, so no slot count meets the
@@ -491,14 +520,16 @@ def enumerate_configurations(inv: ModelInvariants, mode: str) -> list[Singularit
             # k points contribute k/2 - (1/2) sum 1/n, so sum 1/n = k - 2*target;
             # each one adds between 1/4 and 1/2, boxing k into [2*target, 4*target]
             for k in range(math.ceil(2 * target), bound_singularity_count(target) + 1):
-                for orders in enumerate_reciprocal_tuples(k, k - 2 * target):
-                    if len(configs) >= MAX_CONFIGURATIONS:
-                        raise SearchBudgetError(
-                            f"configuration search reached {len(configs) + 1} configurations, "
-                            f"over the budget of {MAX_CONFIGURATIONS}",
-                            location=f"contribution sum {s}",
-                        )
-                    configs.append(SingularityConfiguration(orders, dihedrals, cusps))
+                found = enumerate_reciprocal_tuples(k, k - 2 * target)
+                # the list is complete before it is read, so one check per call finds the
+                # same overflow that a check per configuration would
+                if len(configs) + len(found) > MAX_CONFIGURATIONS:
+                    raise SearchBudgetError(
+                        f"configuration search reached {MAX_CONFIGURATIONS + 1} configurations, "
+                        f"over the budget of {MAX_CONFIGURATIONS}",
+                        location=f"contribution sum {s}",
+                    )
+                configs.extend(SingularityConfiguration(orders, dihedrals, cusps) for orders in found)
     return configs
 
 

@@ -60,6 +60,46 @@ def fraction_reciprocal_tuples(slots, remaining, lo):
     return tuple(out)
 
 
+def halves_two_slot_divisors(p, q, low, spend):
+    """The divisor-halves route that every two-slot level took before the scan; the reference for it.
+
+    The prime powers of q^2 are dealt into two halves, the smaller one taking
+    the next prime; each divisor of one half looks up the residues mod p that
+    complete -q among the other. The list and every amount told to ``spend``
+    are what the two-slot level must still return and report.
+    """
+    halves = ([1], [1])
+    for f, e in bounds._prime_powers(q, spend):
+        half = min(halves, key=len)
+        spend(len(half) * (2 * e + 1))
+        half[:] = [d * f**j for d in half for j in range(2 * e + 1)]
+    left, right = halves
+    by_residue = {}
+    for d in right:
+        by_residue.setdefault(d % p, []).append(d)
+    r = -q % p
+    matches = [(a, by_residue.get(r * pow(a, -1, p) % p, ())) for a in left]
+    spend(sum(len(bs) for _, bs in matches))
+    return sorted(d for a, bs in matches for b in bs if low <= (d := a * b) <= q)
+
+
+def scan_is_cheaper(p, q):
+    """The documented switch: scan the R = 2q//p - q//p candidates when R is at most the
+    divisors the halves would list, plus the pairs when p <= 2 (then all of q^2's divisors pair)."""
+    sizes, built = [1, 1], 0
+    for _, e in bounds._prime_powers(q, lambda n: None):
+        half = int(sizes[1] < sizes[0])
+        built += sizes[half] * (2 * e + 1)
+        sizes[half] *= 2 * e + 1
+    return 2 * q // p - q // p <= built + (sizes[0] * sizes[1] if p <= 2 else 0)
+
+
+def two_slot_outcome(divisors, p, q, low):
+    """The list a two-slot route returns and the amounts it tells ``spend``, in order."""
+    spent = []
+    return divisors(p, q, low, spent.append), spent
+
+
 def reference_configurations(inv, mode):
     """The enumeration over fraction_reciprocal_tuples: collected in a set, sorted at the end."""
     s = inv.contribution_sum
@@ -385,6 +425,47 @@ class TestReciprocalTuples:
     def test_two_slot_divisor_path_matches_scan(self, c, lo):
         assert enumerate_reciprocal_tuples(2, c, lo) == brute_reciprocal_tuples(2, c, lo)
 
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.one_of(
+            # p up to 2q + 2: short candidate ranges, mostly scanned
+            st.integers(1, 10_000).flatmap(lambda q: st.tuples(st.integers(1, 2 * q + 2), st.just(q))),
+            # p <= 3 and q up to 10^6: long ranges, mostly left to the divisor halves
+            st.tuples(st.integers(1, 3), st.integers(1, 10**6)),
+            # p <= 2 and a small q: scanned, and d = q is among the divisors found
+            st.tuples(st.integers(1, 2), st.integers(1, 300)),
+        )
+        .filter(lambda pq: math.gcd(*pq) == 1)
+        .flatmap(lambda pq: st.tuples(st.just(pq[0]), st.just(pq[1]), st.integers(-pq[1], pq[1] + 2))),
+    )
+    def test_two_slot_switch_matches_the_halves(self, pql):
+        p, q, low = pql
+        assert two_slot_outcome(bounds._two_slot_divisors, p, q, low) == two_slot_outcome(
+            halves_two_slot_divisors, p, q, low
+        )
+
+    @pytest.mark.parametrize(
+        "p, q, low, scans",
+        [
+            (7, 12, 1, True),  # R = 2 candidates against 8 listed divisors
+            (1, 30030, 1, False),  # R = 30030 against 78 listed divisors and 729 pairs
+            (2, 15, 1, True),  # p = 2, q odd: every divisor of q^2 is odd, in the class of -q
+            (2, 10001, 1, False),
+            (3, 8, -5, True),  # low <= 0
+            (3, 1000001, -5, False),
+            (5, 12, 13, True),  # low > q: nothing returned, every pair still counted
+            (1, 30030, 30031, False),
+            (1, 12, 12, True),  # d = q pairs with itself and counts once
+            (1, 1, 1, True),
+            (5, 1, 1, True),  # R = 0: nothing to scan
+        ],
+    )
+    def test_two_slot_switch_cases(self, p, q, low, scans):
+        assert scan_is_cheaper(p, q) == scans
+        assert two_slot_outcome(bounds._two_slot_divisors, p, q, low) == two_slot_outcome(
+            halves_two_slot_divisors, p, q, low
+        )
+
     @pytest.mark.parametrize(
         "k, c, count, steps",
         [
@@ -395,6 +476,7 @@ class TestReciprocalTuples:
             (4, Fraction(5, 6), 33, 169),
             (10, Fraction(4), 17, 81),
             (12, Fraction(11, 2), 3, 12),
+            (7, Fraction(1), 294314, 3968180),  # the bulk of weak-nef sum 3
         ],
     )
     def test_tuple_and_step_counts(self, k, c, count, steps):
@@ -508,6 +590,15 @@ class TestEnumerateConfigurations:
         # the count is per unit-fraction call: the 3-slot search for 1 fits in 12
         monkeypatch.setattr(bounds, "MAX_SEARCH_STEPS", 12)
         assert enumerate_reciprocal_tuples(3, 1) == [(2, 3, 6), (2, 4, 4), (3, 3, 3)]
+
+    def test_step_budget_at_its_real_size(self):
+        # weak-nef sum 25/8: the 7-slot search for 3/4 runs past 5,000,000 divisors; the
+        # count at the trip is pinned, so a cheaper route to the same divisors counts the same
+        with pytest.raises(
+            SearchBudgetError, match="examined 5000091 divisors, over the budget of 5000000$"
+        ) as err:
+            enumerate_configurations(invariants(2, 0, 1, Fraction(25, 8)), WEAK_NEF)
+        assert err.value.location == "7 slots, sum 3/4"
 
     @pytest.mark.parametrize("prime_count", [15, 40])
     def test_search_step_budget_before_the_work(self, monkeypatch, prime_count):
