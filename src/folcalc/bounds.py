@@ -24,6 +24,13 @@ past which every pluricanonical system is birational. N1 and its threshold
 checks are evaluated on the numerators and denominators of K^2 and K.K_Y;
 only the reported gamma is built as a Fraction.
 
+The index and N1 stages check their arguments once, at the public entry
+point. ``index_bounds`` and ``compute_n1`` validate and then call a private
+core; ``pipeline`` calls the same cores directly on the configurations its
+own search built. The N1 core reads K^2 and K.K_Y, checks K^2 > 0 and
+reduces 2*(K.K_Y)/K^2 once per report, then builds one result per distinct
+index, which every configuration with that index shares.
+
 The unit-fraction search runs on integers: the remaining target is a reduced
 pair p/q, and taking 1/n off it leaves (p*n - q)/(q*n) over their gcd. The
 last two slots are solved outright, since 1/a + 1/b = p/q exactly when
@@ -51,8 +58,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import (
     InconsistentModelError,
@@ -533,12 +541,29 @@ def enumerate_configurations(inv: ModelInvariants, mode: str) -> list[Singularit
     return configs
 
 
+def _index_candidates(configs: list[SingularityConfiguration], mode: str) -> tuple[tuple[int, ...], int]:
+    """The index core: one candidate per configuration, in order, and the largest terminal order.
+
+    A candidate is the lcm of the configuration's terminal orders, doubled on
+    canonical models; the largest order is 1 when no configuration has one.
+    The configurations must be valid: ``index_bounds`` checks them, and
+    ``pipeline`` passes only those its own search built.
+    """
+    orders = list(map(attrgetter("terminal_orders"), configs))
+    candidates = tuple(itertools.starmap(math.lcm, orders))
+    if mode == CANONICAL:
+        candidates = tuple(2 * i for i in candidates)
+    return candidates, max(itertools.chain.from_iterable(orders), default=1)
+
+
 def index_bounds(configs, mode: str) -> IndexBoundsResult:
     """Order bound and per-configuration Cartier-index candidates.
 
     A multiple of every terminal order makes each terminal contribution
     vanish, so the candidate is their least common multiple; canonical models
-    double it because dihedral points are 2-Gorenstein.
+    double it because dihedral points are 2-Gorenstein. The configurations
+    are checked here and the candidates come from the same core that
+    ``pipeline`` calls on the configurations its search built.
     """
     _check_mode(mode)
     configs = list(require(configs, Iterable, "configs"))
@@ -556,10 +581,41 @@ def index_bounds(configs, mode: str) -> IndexBoundsResult:
     if orders and (set(map(type, orders)) != {int} or min(orders) < 2):
         for n in orders:
             exact_int(n, "terminal order", 2)  # raises at the first bad order
-    max_order = max(orders, default=1)
-    factor = 2 if mode == CANONICAL else 1
-    candidates = tuple(factor * math.lcm(*cfg.terminal_orders) for cfg in configs)
+    candidates, max_order = _index_candidates(configs, mode)
     return IndexBoundsResult(max_terminal_order=max_order, index_candidates=candidates)
+
+
+def _n1_results(inv: ModelInvariants, indices: Collection[int]) -> dict[int, N1Result]:
+    """The N1 core: one ``N1Result`` per index of ``indices`` (each at least 1, none repeated).
+
+    K^2 and K.K_Y are read, and K^2 is checked to be positive, once for all
+    the indices; a non-positive K^2 is located at the first index. Then
+    2*(K.K_Y)/K^2 = base/den in lowest terms, with den > 0, and for each
+    index i gamma before clamping is num/den with num = base + 3i*den, still
+    in lowest terms; N1 = 4i + ceil(gamma) + 1 and the square bound
+    i^2 K^2 >= 1 run on integers, and only a positive gamma is built as a
+    new Fraction (a clamped one is a shared Fraction(0)).
+    """
+    k2, kky = inv.k2, inv.k_dot_ky
+    k2_num, k2_den = k2.numerator, k2.denominator
+    if k2_num <= 0:
+        first = next(iter(indices))
+        raise NotGeneralTypeError(
+            "not general type: K^2 must be positive", location=f"index {format_rational(first)}"
+        )
+    base, den = 2 * kky.numerator * k2_den, kky.denominator * k2_num
+    g = math.gcd(base, den)
+    base, den = base // g, den // g
+    zero = Fraction(0)
+    results = {}
+    for i in indices:
+        num = base + 3 * i * den
+        if num > 0:
+            gamma, ceil = Fraction(num, den), -(-num // den)
+        else:
+            gamma, ceil = zero, 0
+        results[i] = N1Result(gamma, 4 * i + ceil + 1, i * i * k2_num >= k2_den, 4 * i + 1 > 4 * i)
+    return results
 
 
 def compute_n1(inv: ModelInvariants, i: int) -> N1Result:
@@ -568,30 +624,24 @@ def compute_n1(inv: ModelInvariants, i: int) -> N1Result:
     gamma = max(2*(K.K_Y)/K^2 + 3i, 0) and N1 = 4i + ceil(gamma) + 1. The two
     threshold facts the bound rests on are re-checked numerically: the square
     bound (4i)^2 K^2 >= 16 (equivalently i^2 K^2 >= 1) and the per-curve
-    margin (4i+1)/i > 4, which holds identically for i >= 1. All of it runs
-    on integers: gamma before clamping is num/den with
-    den = denominator(K.K_Y) * numerator(K^2) > 0 and
-    num = 2 * numerator(K.K_Y) * denominator(K^2) + 3i * den, and only the
-    reported gamma is built as a Fraction.
+    margin (4i+1)/i > 4, which holds identically for i >= 1. The index and
+    the invariants are checked here; the value comes from the same integer
+    core that ``pipeline`` calls once for all its distinct indices, so only
+    the reported gamma is built as a Fraction.
     """
     exact_int(i, "index", 1)
-    k2, kky = require(inv, ModelInvariants, "inv").k2, inv.k_dot_ky
-    if k2.numerator <= 0:
-        raise NotGeneralTypeError(
-            "not general type: K^2 must be positive", location=f"index {format_rational(i)}"
-        )
-    den = kky.denominator * k2.numerator
-    num = 2 * kky.numerator * k2.denominator + 3 * i * den
-    return N1Result(
-        gamma=Fraction(num, den) if num > 0 else Fraction(0),
-        n1=4 * i + max(-(-num // den), 0) + 1,
-        square_threshold_holds=i * i * k2.numerator >= k2.denominator,
-        curve_threshold_holds=4 * i + 1 > 4 * i,
-    )
+    return _n1_results(require(inv, ModelInvariants, "inv"), (i,))[i]
 
 
 def pipeline(samples: HilbertSamples, mode: str) -> BoundReport:
-    """Samples -> invariants -> configurations -> indices -> worst-case N1."""
+    """Samples -> invariants -> configurations -> indices -> worst-case N1.
+
+    The configurations come from the pipeline's own search, so they are
+    valid by construction and go straight to the index core, without the
+    checks of ``index_bounds``. N1 depends on the index alone: the N1 core
+    reads the invariants and checks K^2 once, then builds one result per
+    distinct index, which every configuration with that index shares.
+    """
     inv = extract_invariants(samples, mode)
     configs = enumerate_configurations(inv, mode)
     if not configs:
@@ -599,18 +649,16 @@ def pipeline(samples: HilbertSamples, mode: str) -> BoundReport:
             "no singularity configuration matches the contribution sum",
             location=f"contribution sum {format_rational(inv.contribution_sum)}",
         )
-    idx = index_bounds(configs, mode)
-    candidates = idx.index_candidates
-    n1_by_index = {i: compute_n1(inv, i) for i in dict.fromkeys(candidates)}
-    results = tuple(n1_by_index[i] for i in candidates)
+    candidates, max_order = _index_candidates(configs, mode)
+    n1_by_index = _n1_results(inv, dict.fromkeys(candidates))
     return BoundReport(
         mode=mode,
         invariants=inv,
         configurations=tuple(configs),
-        max_terminal_order=idx.max_terminal_order,
+        max_terminal_order=max_order,
         index_candidates=candidates,
-        results=results,
-        n1_worst=max(r.n1 for r in results),
+        results=tuple(map(n1_by_index.__getitem__, candidates)),
+        n1_worst=max(r.n1 for r in n1_by_index.values()),
     )
 
 

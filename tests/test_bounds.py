@@ -1,13 +1,15 @@
 """Invariant extraction, configuration enumeration, and the explicit bound."""
 
 import functools
+import json
 import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import folcalc as f
@@ -872,12 +874,14 @@ class TestPipeline:
         data = [f.Terminal(f.CyclicType(2, 1))] * 8
         samples = HilbertSamples({m: f.global_chi(2, 1, 1, data, m) for m in range(7)}, period_hint=2)
         calls = []
+        n1_core = bounds._n1_results
 
-        def counting_n1(inv, i):
-            calls.append(i)
-            return compute_n1(inv, i)
+        def counting_n1(inv, indices):
+            indices = list(indices)
+            calls.extend(indices)
+            return n1_core(inv, indices)
 
-        monkeypatch.setattr(bounds, "compute_n1", counting_n1)
+        monkeypatch.setattr(bounds, "_n1_results", counting_n1)
         report = pipeline(samples, WEAK_NEF)
         assert len(report.configurations) == 168
         assert sorted(calls) == sorted(set(report.index_candidates))
@@ -893,6 +897,114 @@ class TestPipeline:
         broken = {m: v + (Fraction(1, 20) if m % 2 else 0) for m, v in values.items()}
         with pytest.raises(InconsistentSamplesError, match="no singularity configuration"):
             pipeline(HilbertSamples(broken, period_hint=2), WEAK_NEF)
+
+
+def reference_index(configs, mode):
+    """The index stage from its definition: an lcm fold per configuration, and the largest order."""
+    factor = 2 if mode == CANONICAL else 1
+    candidates = tuple(factor * functools.reduce(math.lcm, cfg.terminal_orders, 1) for cfg in configs)
+    return candidates, max([n for cfg in configs for n in cfg.terminal_orders], default=1)
+
+
+def assert_pipeline_matches_the_public_stages(report):
+    """``pipeline`` calls the cores unchecked; the checked public stages and the references agree."""
+    configs = list(report.configurations)
+    idx = index_bounds(configs, report.mode)
+    assert report.index_candidates == idx.index_candidates
+    assert report.max_terminal_order == idx.max_terminal_order
+    assert (idx.index_candidates, idx.max_terminal_order) == reference_index(configs, report.mode)
+    inv = report.invariants
+    assert report.results == tuple(compute_n1(inv, i) for i in report.index_candidates)
+    assert all(r == fraction_compute_n1(inv, i) for i, r in zip(report.index_candidates, report.results))
+    assert report.n1_worst == max(compute_n1(inv, i).n1 for i in report.index_candidates)
+
+
+CORPUS_SEARCHES = [
+    entry
+    for entry in json.loads((Path(__file__).resolve().parent / "cli_corpus.json").read_text(encoding="utf-8"))
+    if entry["source"].startswith("bounds pool") and entry["source"].endswith("json")
+]
+
+
+@st.composite
+def model_tables(draw):
+    """Samples of a model with up to two terminal points, dihedral points and cusps; K^2 may be tiny."""
+    mode = draw(st.sampled_from([WEAK_NEF, CANONICAL]))
+    orders = draw(st.lists(st.integers(2, 5), max_size=2))
+    terminals = [f.CyclicType(n, draw(st.sampled_from([q for q in range(1, n) if math.gcd(n, q) == 1])))
+                 for n in orders]
+    dihedrals = draw(st.integers(0, 1)) if mode == CANONICAL else 0
+    cusps = draw(st.integers(0, 2)) if mode == CANONICAL else 0
+    k2 = draw(st.fractions(min_value=Fraction(1, 60), max_value=4, max_denominator=60))
+    k_dot_ky = draw(st.fractions(min_value=-60, max_value=10, max_denominator=60))
+    return model_table(mode, terminals, dihedrals, cusps, k2, k_dot_ky, draw(st.integers(-2, 3)))
+
+
+def model_table(mode, terminals, dihedrals, cusps, k2, k_dot_ky, chi_o):
+    data = (
+        [f.Terminal(t) for t in terminals]
+        + [f.Dihedral(a_exp=1, l=1, m_odd=1, p=1)] * dihedrals
+        + [f.Cusp()] * cusps
+    )
+    period = math.lcm(2 if mode == CANONICAL else 1, *(t.n for t in terminals))
+    values = {m: f.global_chi(k2, k_dot_ky, chi_o, data, m) for m in range(3 * period + 1)}
+    return mode, HilbertSamples(values, period_hint=period)
+
+
+# canonical with a dihedral point and two cusps, gamma clamped at 0 for every index
+CLAMPED = model_table(CANONICAL, [f.CyclicType(3, 1), f.CyclicType(5, 2)], 1, 2, Fraction(1, 100), -37, 1)
+# canonical, smooth but for a cusp: index 2 and 4 K^2 < 1, so the square threshold fails
+SQUARE_FAILS = model_table(CANONICAL, [], 0, 1, Fraction(1, 5), 3, 0)
+
+
+class TestCores:
+    """``pipeline`` reaches the index and N1 cores without the public checks."""
+
+    @pytest.mark.parametrize("entry", CORPUS_SEARCHES, ids=[e["source"] for e in CORPUS_SEARCHES])
+    def test_bounds_pool_searches(self, entry):
+        doc = json.loads(entry["files"]["samples.json"])
+        samples = HilbertSamples({int(m): Fraction(v) for m, v in doc["values"].items()}, doc["period_hint"])
+        assert_pipeline_matches_the_public_stages(pipeline(samples, entry["argv"][2]))
+
+    def test_the_pool_covers_both_modes(self):
+        assert len(CORPUS_SEARCHES) == 36
+        assert {e["argv"][2] for e in CORPUS_SEARCHES} == {WEAK_NEF, CANONICAL}
+
+    @settings(max_examples=60, deadline=None)
+    @given(model_tables())
+    @example(CLAMPED)
+    @example(SQUARE_FAILS)
+    def test_model_tables(self, table):
+        mode, samples = table
+        assert_pipeline_matches_the_public_stages(pipeline(samples, mode))
+
+    def test_examples_reach_the_edge_branches(self):
+        clamped = pipeline(CLAMPED[1], CANONICAL)
+        assert clamped.invariants.cusp_count == 2
+        assert any(c.dihedral_count and c.cusp_count for c in clamped.configurations)
+        assert {r.gamma for r in clamped.results} == {0}
+        square = pipeline(SQUARE_FAILS[1], CANONICAL)
+        assert not all(r.square_threshold_holds for r in square.results)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(2, 40), max_size=5), min_size=1, max_size=6),
+        st.sampled_from([WEAK_NEF, CANONICAL]),
+    )
+    def test_index_bounds_on_unsorted_orders(self, orders, mode):
+        configs = [SingularityConfiguration(tuple(o)) for o in orders]
+        result = index_bounds(configs, mode)
+        assert (result.index_candidates, result.max_terminal_order) == reference_index(configs, mode)
+
+    def test_largest_order_is_not_the_last(self):
+        result = index_bounds([SingularityConfiguration((7, 3)), SingularityConfiguration((2,))], WEAK_NEF)
+        assert result.max_terminal_order == 7
+        assert result.index_candidates == (21, 2)
+
+    def test_n1_core_checks_k2_once_at_the_first_index(self):
+        with pytest.raises(NotGeneralTypeError) as err:
+            bounds._n1_results(invariants(-1, 0, 1, 0), {5: None, 3: None})
+        assert err.value.location == "index 5"
 
 
 class TestRelateModels:

@@ -23,8 +23,11 @@ def first_difference(entry, out: str) -> str:
     if k is None:
         return "no stored run of lines (the digests are truncated)"
     lines = out.splitlines()
-    where = f"line {k + 1}" if block == 1 else f"lines {k * block + 1}-{(k + 1) * block}"
-    return f"{where}, which begins {lines[k * block]!r}" if k * block < len(lines) else f"{where}: output ends"
+    if k * block >= len(lines):
+        return f"line {len(lines) + 1}: the output ends"
+    if block == 1:
+        return f"line {k + 1}: {lines[k]!r}"
+    return f"lines {k * block + 1}-{(k + 1) * block} of {len(lines)}, which begin {lines[k * block]!r}"
 
 
 def test_corpus_sources():
