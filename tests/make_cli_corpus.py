@@ -62,6 +62,10 @@ def run_entry(argv: list[str], files: dict[str, str], workdir: str) -> tuple[int
     return code, out.getvalue(), err.getvalue()
 
 
+def load() -> list[dict]:
+    return json.loads(CORPUS.read_text(encoding="utf-8"))
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

@@ -6,7 +6,6 @@ import math
 import random
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -39,6 +38,7 @@ from folcalc.errors import (
 from folcalc.linalg import solve_exact
 from folcalc.rationals import MAX_DIGITS
 
+import make_cli_corpus
 from conftest import brute_reciprocal_tuples, make_synthetic_model, model_samples
 
 
@@ -921,7 +921,7 @@ def assert_pipeline_matches_the_public_stages(report):
 
 CORPUS_SEARCHES = [
     entry
-    for entry in json.loads((Path(__file__).resolve().parent / "cli_corpus.json").read_text(encoding="utf-8"))
+    for entry in make_cli_corpus.load()
     if entry["source"].startswith("bounds pool") and entry["source"].endswith("json")
 ]
 

@@ -4,14 +4,13 @@ The corpus and how it was made are described in ``make_cli_corpus.py``.
 """
 
 import itertools
-import json
-from pathlib import Path
 
 import pytest
 
+import make_cli_corpus
 from make_cli_corpus import block_digests, run_entry, sha256
 
-CORPUS = json.loads((Path(__file__).resolve().parent / "cli_corpus.json").read_text(encoding="utf-8"))
+CORPUS = make_cli_corpus.load()
 
 
 def first_difference(entry, out: str) -> str:
