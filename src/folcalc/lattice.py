@@ -16,28 +16,28 @@ there is no floating point, and all functions are safe to call concurrently
 both build the string graph ``cyclic.hj_string_graph`` keeps on a
 ``CyclicType``; either record or graph gives the same answers, and a divisor
 or profile on one graph is accepted on the other, since they are equal).
-Inside, Z . C sums run on integers: a divisor's coefficients become integer
-numerators over one positive common denominator (``_by_index``), and
-``degree_vector`` maps those to integer numerators of Z . C_j over the same
-denominator; a Fraction is built only for a result. Values cross into
-``folcalc.linalg`` as ints and are checked once: ``solve_pullback`` puts the
-profile's degrees over their least common denominator and multiplies it into
-the solution's, and the divisors it, ``zariski`` and divisor arithmetic
-return are built by ``QDivisor._from_fractions``, which stores what it is
-given: each caller drops zeros while they are still ints (or, for a sum,
-as it merges), and the public ``QDivisor(...)`` checks every label and value.
+Divisors and profiles have one format: integer numerators by curve index over
+one denominator den > 0, with no zero numerator and gcd(den, numerators) = 1.
+It is canonical, so equal divisors store equal pairs. The public constructors
+check each label, then its value, and take the lcm of the denominators;
+computed divisors (pull-backs, ``zariski``, arithmetic) come from
+``QDivisor._reduced``, which drops zeros and divides out one gcd. All work
+runs on the pair: ``degree_vector`` maps Z's numerators to those of Z . C_j
+over the same den, ``solve_pullback`` hands the profile's numerators to
+``folcalc.linalg``, and ``divisor_to_json`` prints from the ints. A Fraction is
+built only for a public scalar or a read of ``coefficients`` or ``degrees``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 
 from .errors import DegenerateConfigurationError, ValidationError
 from .linalg import factor
-from .rationals import Record, exact_int, format_rational, parse_rational, require, setfield
+from .rationals import Record, exact_int, format_ratio, parse_rational, require, setfield
 
 
 class Curve(Record):
@@ -143,89 +143,96 @@ class DualGraph:
         return f"DualGraph({list(self.labels)!r})"
 
 
-def _coeff_map(graph: DualGraph, coefficients: Mapping[str, object], what: str) -> dict[str, Fraction]:
+def _over_one_denominator(record, graph: DualGraph, values: Mapping[str, object], what: str) -> None:
+    """Check ``values``, {label: rational}, label before value; store them on ``record`` in canonical form."""
     require(graph, DualGraph, "graph")
-    out: dict[str, Fraction] = {}
-    for label, value in require(coefficients, Mapping, what).items():
-        graph.index_of(label)
+    parsed: dict[int, Fraction] = {}
+    for label, value in require(values, Mapping, what).items():
+        i = graph.index_of(label)
         v = value if isinstance(value, Fraction) else parse_rational(value)
         if v:
-            out[label] = v
-    return out
+            parsed[i] = v
+    den = lcm(*(v.denominator for v in parsed.values()))  # so gcd(den, numerators) = 1 already
+    setfield(record, "graph", graph)
+    setfield(record, "_numerators", {i: v.numerator * (den // v.denominator) for i, v in parsed.items()})
+    setfield(record, "_den", den)
+
+
+def _as_fractions(record) -> dict[str, Fraction]:
+    """``record``'s {label: Fraction} map, built from its numerators in their stored order."""
+    labels, den = record.graph.labels, record._den
+    return {labels[i]: Fraction(x, den) for i, x in record._numerators.items()}
 
 
 class QDivisor(Record):
-    """Formal rational combination of the curves of a graph.
+    """Formal rational combination of the curves of a graph, missing labels reading as 0.
 
-    Zero coefficients are dropped, so equality of divisors is equality of the
-    stored maps. Missing labels read as coefficient 0.
+    Stored as ``_numerators``, {curve index: nonzero int}, over ``_den`` in the
+    canonical form of the module docstring; ``coefficients`` is built on each read.
     """
 
     graph: DualGraph
     coefficients: Mapping[str, Fraction]
 
     def __init__(self, graph: DualGraph, coefficients: Mapping[str, Fraction] = MappingProxyType({})):
-        setfield(self, "graph", graph)
-        setfield(self, "coefficients", _coeff_map(graph, coefficients, "divisor coefficients"))
+        _over_one_denominator(self, graph, coefficients, "divisor coefficients")
 
     @classmethod
-    def _from_fractions(cls, graph: DualGraph, coefficients: dict[str, Fraction]) -> "QDivisor":
-        """The divisor of ``coefficients``, stored as given: the caller vouches for every entry.
+    def _reduced(cls, graph: DualGraph, numerators: dict[int, int], den: int) -> "QDivisor":
+        """The divisor of numerators[i] / den on curve i, zeros dropped and reduced by one gcd.
 
-        Every key must be a label of ``graph`` and every value a nonzero Fraction, as
-        ``__init__`` checks; the caller drops zeros and hands over a dict no one else holds.
+        The caller vouches for every key being a curve index of ``graph``, and for den > 0.
         """
+        g = gcd(den, *numerators.values())
         d = cls.__new__(cls)
         setfield(d, "graph", graph)
-        setfield(d, "coefficients", coefficients)
+        setfield(d, "_numerators", {i: x // g for i, x in numerators.items() if x})
+        setfield(d, "_den", den // g)
         return d
 
+    coefficients = property(_as_fractions)
+
     def coefficient(self, label: str) -> Fraction:
-        self.graph.index_of(label)
-        return self.coefficients.get(label, Fraction(0))
+        return Fraction(self._numerators.get(self.graph.index_of(label), 0), self._den)
 
     @property
     def support(self) -> tuple[str, ...]:
-        return tuple(label for label in self.graph.labels if label in self.coefficients)
+        return tuple(label for i, label in enumerate(self.graph.labels) if i in self._numerators)
 
     def __add__(self, other: "QDivisor") -> "QDivisor":
         _on_graph(self.graph, other)
-        merged = dict(self.coefficients)
-        for label, v in other.coefficients.items():
-            total = merged.get(label, 0) + v
-            if total:
-                merged[label] = total
-            else:
-                del merged[label]  # only a shared label can cancel
-        return QDivisor._from_fractions(self.graph, merged)
+        merged = {i: x * other._den for i, x in self._numerators.items()}
+        for i, x in other._numerators.items():
+            merged[i] = merged.get(i, 0) + x * self._den
+        return QDivisor._reduced(self.graph, merged, self._den * other._den)
 
     def __sub__(self, other: "QDivisor") -> "QDivisor":
         _on_graph(self.graph, other)
         return self + (-other)
 
     def __neg__(self) -> "QDivisor":
-        return QDivisor._from_fractions(self.graph, {label: -v for label, v in self.coefficients.items()})
+        return QDivisor._reduced(self.graph, {i: -x for i, x in self._numerators.items()}, self._den)
 
     def __rmul__(self, scalar) -> "QDivisor":
         s = Fraction(require(scalar, (int, Fraction), "scalar"))
-        if not s:
-            return QDivisor._from_fractions(self.graph, {})
-        return QDivisor._from_fractions(self.graph, {label: s * v for label, v in self.coefficients.items()})
+        numerators = {i: s.numerator * x for i, x in self._numerators.items()}
+        return QDivisor._reduced(self.graph, numerators, s.denominator * self._den)
 
     def __repr__(self) -> str:
-        body = " + ".join(f"({format_rational(v)})*{k}" for k, v in sorted(self.coefficients.items()))
+        body = " + ".join(f"({text})*{label}" for label, text in divisor_to_json(self).items())
         return f"QDivisor({body or '0'})"
 
 
 class IntersectionProfile(Record):
-    """Prescribed intersection numbers D . C_i, one per curve (missing = 0)."""
+    """Prescribed intersection numbers D . C_i (missing = 0), stored as a ``QDivisor`` is."""
 
     graph: DualGraph
     degrees: Mapping[str, Fraction]
 
     def __init__(self, graph: DualGraph, degrees: Mapping[str, Fraction] = MappingProxyType({})):
-        setfield(self, "graph", graph)
-        setfield(self, "degrees", _coeff_map(graph, degrees, "profile degrees"))
+        _over_one_denominator(self, graph, degrees, "profile degrees")
+
+    degrees = property(_as_fractions)
 
 
 def _on_graph(graph: DualGraph, *parts, kind: type = QDivisor) -> None:
@@ -296,12 +303,9 @@ def solve_pullback(graph: DualGraph, profile: IntersectionProfile) -> QDivisor:
     """
     _on_graph(graph, profile, kind=IntersectionProfile)
     record = _factored(graph)
-    degrees = profile.degrees
-    rhs_den = lcm(*(x.denominator for x in degrees.values()))
     rhs = [0] * len(graph.labels)
-    index = graph._index
-    for label, x in degrees.items():
-        rhs[index[label]] = x.numerator * (rhs_den // x.denominator)
+    for i, x in profile._numerators.items():
+        rhs[i] = x
     solution = record.solve(rhs)
     if solution is None:
         raise DegenerateConfigurationError(
@@ -309,9 +313,7 @@ def solve_pullback(graph: DualGraph, profile: IntersectionProfile) -> QDivisor:
             location=", ".join(label for label, z in zip(graph.labels, record.kernel) if z),
         )
     xs, den = solution
-    den *= rhs_den
-    coefficients = {label: Fraction(x, den) for label, x in zip(graph.labels, xs) if x}
-    return QDivisor._from_fractions(graph, coefficients)
+    return QDivisor._reduced(graph, dict(enumerate(xs)), den * profile._den)
 
 
 def degree_vector(graph: DualGraph, coefficients: Mapping[int, int]) -> list[int]:
@@ -328,21 +330,11 @@ def degree_vector(graph: DualGraph, coefficients: Mapping[int, int]) -> list[int
     return out
 
 
-def _by_index(d: QDivisor) -> tuple[dict[int, int], int]:
-    """d's coefficients as ({curve index: numerator}, den), den > 0 their common denominator."""
-    coefficients = d.coefficients
-    den = lcm(*(x.denominator for x in coefficients.values()))
-    index = d.graph._index
-    return {index[label]: x.numerator * (den // x.denominator) for label, x in coefficients.items()}, den
-
-
 def pair(d1: QDivisor, d2: QDivisor) -> Fraction:
     """Bilinear symmetric intersection number of two divisors."""
     _on_graph(getattr(d1, "graph", None), d1, d2)
-    coefficients2, den2 = _by_index(d2)
-    degrees = degree_vector(d2.graph, coefficients2)
-    coefficients1, den1 = _by_index(d1)
-    return Fraction(sum(x * degrees[i] for i, x in coefficients1.items()), den1 * den2)
+    degrees = degree_vector(d2.graph, d2._numerators)
+    return Fraction(sum(x * degrees[i] for i, x in d1._numerators.items()), d1._den * d2._den)
 
 
 def degree_against_curve(d: QDivisor, label: str) -> Fraction:
@@ -374,18 +366,16 @@ class HodgeReport(Record):
 
 def _trivial_combination(d1: QDivisor, d2: QDivisor) -> tuple[Fraction, Fraction] | None:
     """Nonzero (b1, b2) with (b1*d1 + b2*d2) . C = 0 for every curve, if one exists."""
-    coefficients1, den1 = _by_index(d1)
-    coefficients2, den2 = _by_index(d2)
-    v1 = degree_vector(d1.graph, coefficients1)
-    v2 = degree_vector(d2.graph, coefficients2)
+    v1 = degree_vector(d1.graph, d1._numerators)
+    v2 = degree_vector(d2.graph, d2._numerators)
     if not any(v1):
         return (Fraction(1), Fraction(0))
     if not any(v2):
         return (Fraction(0), Fraction(1))
     j0 = next(j for j, v in enumerate(v1) if v)
-    # v2 / den2 = lam * v1 / den1 entrywise, tested by cross-multiplication
+    # v2 / d2._den = lam * v1 / d1._den entrywise, tested by cross-multiplication
     if all(v2[j] * v1[j0] == v2[j0] * v1[j] for j in range(len(v1))):
-        return (Fraction(v2[j0] * den1, v1[j0] * den2), Fraction(-1))
+        return (Fraction(v2[j0] * d1._den, v1[j0] * d2._den), Fraction(-1))
     return None
 
 
@@ -481,7 +471,8 @@ def divisor_from_json(graph: DualGraph, obj) -> QDivisor:
 
 
 def divisor_to_json(d: QDivisor) -> dict:
-    return {label: format_rational(v) for label, v in sorted(require(d, QDivisor, "d").coefficients.items())}
+    labels, den = require(d, QDivisor, "d").graph.labels, d._den
+    return {label: format_ratio(x, den) for label, x in sorted((labels[i], x) for i, x in d._numerators.items())}
 
 
 def profile_from_json(graph: DualGraph, obj) -> IntersectionProfile:

@@ -38,25 +38,31 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd
 
 from .errors import FrozenRecordError, ValidationError
 
 MAX_DIGITS = 4300
 
 
-def format_rational(value) -> str:
-    """Canonical lowest-terms string, e.g. ``-2/5`` or ``-1``.
+def format_ratio(num: int, den: int) -> str:
+    """Canonical lowest-terms string of num / den (ints, den nonzero), e.g. ``-2/5`` or ``-1``.
 
-    A numerator or denominator of more than ``MAX_DIGITS`` digits, which
-    ``str`` cannot print, is refused with ``ValidationError``.
+    A reduced numerator or denominator of more than ``MAX_DIGITS`` digits,
+    which ``str`` cannot print, is refused with ``ValidationError``.
     """
-    # a Fraction is already in lowest terms; Fraction(Fraction) costs an ABC check
-    if type(value) is not Fraction:
-        value = Fraction(value)
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    num, den = num // g, den // g
     try:
-        return str(value)
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
         raise ValidationError(f"value has more than {MAX_DIGITS} digits, too many to print") from None
+
+
+def format_rational(value) -> str:
+    """``format_ratio`` of a rational's numerator and denominator."""
+    value = value if type(value) is Fraction else Fraction(value)  # Fraction(Fraction) costs an ABC check
+    return format_ratio(value.numerator, value.denominator)
 
 
 def parse_rational(value) -> Fraction:

@@ -14,13 +14,14 @@ M_S is the pairing on the new support, r is 0 on the old support and
 -M_S is a nonsingular M-matrix, positive definite with nonpositive off-diagonal
 entries (Berman-Plemmons 1979, *Nonnegative Matrices in the Mathematical Sciences*).
 
-The pass loop runs on integers. Let den be the common denominator of D's
-coefficients. Then ``target[j]``, the numerator of D . C_j over den, is the
-rhs of each solve, so the solution is den * N. The kernel returns it as integer
-numerators over its least common denominator ``scale``, so N and N . C_j become
-numerators over den * scale, and curve j is adopted when ``target[j] * scale <
-n_degrees[j]``. Only the final N and P = D - N are built as Fractions, both
-from those numerators: P_j = (d_j * scale - x_j) / (den * scale).
+The pass loop runs on integers, on D as it is stored: numerators d_j over one
+den (see ``folcalc.lattice``). ``target[j]``, the numerator of D . C_j over
+den, is the rhs of each solve, so the solution is den * N. The kernel returns
+it as integer numerators over its least common denominator ``scale``, so N and
+N . C_j become numerators over den * scale, and curve j is adopted when
+``target[j] * scale < n_degrees[j]``. N and P = D - N leave as those
+numerators, P_j = d_j * scale - x_j, over den * scale, reduced by
+``QDivisor._reduced``; no Fraction is built here outside ``pseudo_threshold``.
 
 "Pseudoeffective relative to the configuration" means exactly that this
 procedure succeeds; cone membership on an actual surface is not decidable
@@ -32,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotPseudoeffectiveError, ValidationError
-from .lattice import DualGraph, QDivisor, _by_index, _on_graph, degree_vector, principal_rows
+from .lattice import DualGraph, QDivisor, _on_graph, degree_vector, principal_rows
 from .linalg import factor
 from .rationals import Record, parse_rational, setfield
 
@@ -60,8 +61,7 @@ def zariski_decompose(graph: DualGraph, d: QDivisor) -> ZariskiResult:
     """
     _on_graph(graph, d)
     labels = graph.labels
-    d_coefficients, den = _by_index(d)
-    target = degree_vector(graph, d_coefficients)
+    target = degree_vector(graph, d._numerators)
     support: list[int] = []
     coeffs: dict[int, int] = {}
     scale = 1
@@ -84,15 +84,11 @@ def zariski_decompose(graph: DualGraph, d: QDivisor) -> ZariskiResult:
         if not adopted:
             break
         support = sorted(support + adopted)
-    positive = {i: x * scale for i, x in d_coefficients.items()}
+    positive = {i: x * scale for i, x in d._numerators.items()}
     for i, x in coeffs.items():
         positive[i] = positive.get(i, 0) - x
-    den *= scale
-    positive, negative = (
-        QDivisor._from_fractions(graph, {labels[i]: Fraction(x, den) for i, x in numerators.items() if x})
-        for numerators in (positive, coeffs)
-    )
-    return ZariskiResult(positive=positive, negative=negative, support=negative.support)
+    negative = QDivisor._reduced(graph, coeffs, d._den * scale)
+    return ZariskiResult(QDivisor._reduced(graph, positive, d._den * scale), negative, negative.support)
 
 
 def pseudo_threshold(d1_sq, d1_d2, alpha) -> Fraction:

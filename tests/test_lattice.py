@@ -25,7 +25,6 @@ from folcalc import (
 )
 from folcalc.errors import DegenerateConfigurationError, NotPseudoeffectiveError, ValidationError
 from folcalc.lattice import (
-    _by_index,
     _positive_point,
     _trivial_combination,
     degree_vector,
@@ -90,6 +89,15 @@ def fraction_trivial_combination(d1, d2):
 def some_divisors(rng, graph):
     """Divisors with small, pairwise distinct prime and exponent-form denominators."""
     return [random_divisor(rng, graph), prime_denominator_divisor(rng, graph), exponent_divisor(rng, graph)]
+
+
+def assert_canonical(record):
+    """A divisor's or profile's stored pair: den > 0, no zero numerator, gcd 1, curve indices in range."""
+    numerators, den = record._numerators, record._den
+    assert type(den) is int and den > 0
+    assert all(type(x) is int and x for x in numerators.values())
+    assert math.gcd(den, *numerators.values()) == 1
+    assert all(type(i) is int and 0 <= i < len(record.graph) for i in numerators)
 
 
 def naive_negative_definite(matrix):
@@ -228,6 +236,23 @@ class TestDivisorScaling:
         assert 2 * d == QDivisor(g, {"C1": 2, "C2": Fraction(2, 3)})
         assert Fraction(3, 2) * d == QDivisor(g, {"C1": Fraction(3, 2), "C2": Fraction(1, 2)})
 
+    def test_results_are_stored_reduced(self):
+        g = hj_graph(3, 2)
+        d = QDivisor(g, {"C1": 1, "C2": Fraction(1, 3)})
+        assert (d._numerators, d._den) == ({0: 3, 1: 1}, 3)
+        for result in (3 * d, d + Fraction(2) * d, Fraction(3, 2) * (d + d)):
+            assert (result._numerators, result._den) == ({0: 3, 1: 1}, 1)
+        half = Fraction(1, 2) * QDivisor(g, {"C1": 2, "C2": 4})
+        assert (half._numerators, half._den) == ({0: 1, 1: 2}, 1)
+        assert_canonical(d - Fraction(1, 3) * QDivisor(g, {"C2": 1}))
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0)])
+    def test_zero_scalar_gives_the_empty_divisor(self, zero):
+        g = hj_graph(3, 2)
+        z = zero * QDivisor(g, {"C1": 1, "C2": Fraction(1, 3)})
+        assert z == QDivisor(g) and (z._numerators, z._den) == ({}, 1)
+        assert z.support == () and repr(z) == "QDivisor(0)"
+
     @pytest.mark.parametrize("scalar", [0.1, 2.0, True, False])
     def test_floats_and_bools_rejected(self, scalar):
         d = QDivisor(hj_graph(3, 2), {"C1": 1})
@@ -318,8 +343,12 @@ class TestRecordSemantics:
         degrees = {
             label: Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for label in g.labels if rng.random() < 0.6
         }
+        profile = IntersectionProfile(g, degrees)
+        t = f.CyclicType(data.draw(st.integers(2, 40)), 1)
+        for p in (profile, f.fchain_profile(t)):
+            assert_canonical(p)
         try:
-            computed.append(solve_pullback(g, IntersectionProfile(g, degrees)))
+            computed.append(solve_pullback(g, profile))
         except DegenerateConfigurationError:
             pass
         try:
@@ -330,6 +359,7 @@ class TestRecordSemantics:
         for d in computed:
             assert d.graph is g and d == QDivisor(d.graph, dict(d.coefficients))
             assert all(type(v) is Fraction and v for v in d.coefficients.values())
+            assert_canonical(d)
 
 
 class TestIntersectionMatrix:
@@ -631,7 +661,7 @@ class TestIntegerDegrees:
         for _ in range(150):
             g = random_graph(rng, max_curves=6, self_range=(-5, 2))
             for d in some_divisors(rng, g) + [QDivisor(g)]:
-                numerators, den = _by_index(d)
+                numerators, den = d._numerators, d._den
                 assert den > 0 and all(type(x) is int for x in numerators.values())
                 degrees = degree_vector(g, numerators)
                 assert all(type(v) is int for v in degrees)

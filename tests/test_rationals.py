@@ -5,11 +5,13 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from folcalc import HilbertSamples
 from folcalc.cli import main
 from folcalc.errors import ValidationError
-from folcalc.rationals import MAX_DIGITS, format_rational, parse_integer_keys, parse_rational
+from folcalc.rationals import MAX_DIGITS, format_ratio, format_rational, parse_integer_keys, parse_rational
 
 
 @pytest.mark.parametrize(
@@ -59,6 +61,18 @@ def test_value_too_long_to_print_refused():
         format_rational(Fraction(1, 10**4300))
     with pytest.raises(ValidationError, match=f"more than {MAX_DIGITS} digits"):
         format_rational(-(10**4300))
+    # format_rational prints through format_ratio: ints past the cap get the same message
+    assert format_ratio(3 * 10**4299, -3) == "-1" + "0" * 4299
+    message = f"value has more than {MAX_DIGITS} digits, too many to print"
+    for num, den in [(10**4300, 7), (-(10**4300), 1), (7, 10**4300)]:
+        with pytest.raises(ValidationError) as refused:
+            format_ratio(num, den)
+        assert str(refused.value) == message
+
+
+@given(st.integers(), st.integers().filter(bool))
+def test_format_ratio_prints_the_fraction(num, den):
+    assert format_ratio(num, den) == format_rational(Fraction(num, den))
 
 
 def test_long_decimal_refused():
