@@ -562,25 +562,21 @@ def index_bounds(configs, mode: str) -> IndexBoundsResult:
     A multiple of every terminal order makes each terminal contribution
     vanish, so the candidate is their least common multiple; canonical models
     double it because dihedral points are 2-Gorenstein. The configurations
-    are checked here and the candidates come from the same core that
+    are checked here: first each item, a ``SingularityConfiguration`` whose
+    ``terminal_orders`` is a tuple, then each order, an int >= 2 (so 2.0 and
+    True are refused). The candidates come from the same core that
     ``pipeline`` calls on the configurations its search built.
     """
     _check_mode(mode)
     configs = list(require(configs, Iterable, "configs"))
     if not configs:
         raise ValidationError("need at least one configuration")
-    # as for the orders below: one pass over the types, and a check per item only if it fails
-    kinds = {(type(cfg), type(getattr(cfg, "terminal_orders", None))) for cfg in configs}
-    if kinds != {(SingularityConfiguration, tuple)}:
-        for cfg in configs:
-            cfg = require(cfg, SingularityConfiguration, "configuration")
-            require(cfg.terminal_orders, tuple, "terminal_orders")
-    orders = [n for cfg in configs for n in cfg.terminal_orders]
-    # one pass over the types and one for the least order, instead of a call per order; the
-    # type is compared, not the value, so 2.0 and True are refused
-    if orders and (set(map(type, orders)) != {int} or min(orders) < 2):
-        for n in orders:
-            exact_int(n, "terminal order", 2)  # raises at the first bad order
+    for cfg in configs:
+        require(cfg, SingularityConfiguration, "configuration")
+        require(cfg.terminal_orders, tuple, "terminal_orders")
+    for cfg in configs:
+        for n in cfg.terminal_orders:
+            exact_int(n, "terminal order", 2)
     candidates, max_order = _index_candidates(configs, mode)
     return IndexBoundsResult(max_terminal_order=max_order, index_candidates=candidates)
 

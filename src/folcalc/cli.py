@@ -23,7 +23,7 @@ from collections.abc import Iterator
 import folcalc
 
 from .errors import FolcalcError, ValidationError
-from .rationals import format_ratio, format_rational, parse_integer, parse_integer_keys
+from .rationals import format_rational, parse_integer, parse_integer_keys
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,8 +101,7 @@ def _cmd_pullback(args):
     graph = folcalc.lattice.graph_from_json(_load_json(args.graph))
     profile = folcalc.lattice.profile_from_json(graph, _load_json(args.profile))
     solution = folcalc.lattice.solve_pullback(graph, profile)
-    numerators, den = solution._numerators, solution._den  # an absent curve's 0 prints as "0"
-    return {label: format_ratio(numerators.get(i, 0), den) for i, label in enumerate(graph.labels)}
+    return {**dict.fromkeys(graph.labels, "0"), **folcalc.lattice.divisor_to_json(solution)}
 
 
 def _cmd_zariski(args):

@@ -63,9 +63,8 @@ class HJExpansion(Record):
     def __post_init__(self):
         if not require(self.entries, tuple, "entries"):
             raise ValidationError("a Hirzebruch-Jung expansion needs at least one entry")
-        if set(map(type, self.entries)) != {int} or min(self.entries) < 2:
-            for b in self.entries:
-                exact_int(b, "Hirzebruch-Jung entry", 2)  # raises at the first bad entry
+        for b in self.entries:
+            exact_int(b, "Hirzebruch-Jung entry", 2)
 
     def evaluate(self) -> Fraction:
         """Collapse b_1 - 1/(b_2 - ...) back to a single fraction."""

@@ -18,14 +18,15 @@ both build the string graph ``cyclic.hj_string_graph`` keeps on a
 or profile on one graph is accepted on the other, since they are equal).
 Divisors and profiles have one format: integer numerators by curve index over
 one denominator den > 0, with no zero numerator and gcd(den, numerators) = 1.
-It is canonical, so equal divisors store equal pairs. The public constructors
-check each label, then its value, and take the lcm of the denominators;
-computed divisors (pull-backs, ``zariski``, arithmetic) come from
-``QDivisor._reduced``, which drops zeros and divides out one gcd. All work
-runs on the pair: ``degree_vector`` maps Z's numerators to those of Z . C_j
-over the same den, ``solve_pullback`` hands the profile's numerators to
-``folcalc.linalg``, and ``divisor_to_json`` prints from the ints. A Fraction is
-built only for a public scalar or a read of ``coefficients`` or ``degrees``.
+It is canonical, so equal divisors store equal pairs and ``==`` compares the
+pairs. The public constructors check each label, then its value, and take the
+lcm of the denominators; computed divisors (pull-backs, ``zariski``,
+arithmetic) come from ``QDivisor._reduced``, which drops zeros and divides out
+one gcd. All work runs on the pair: ``degree_vector`` maps Z's numerators to
+those of Z . C_j over the same den, ``solve_pullback`` hands the profile's
+numerators to ``folcalc.linalg``, and ``divisor_to_json`` prints from the
+ints. A Fraction is built only for a public scalar or a read of
+``coefficients`` or ``degrees``.
 """
 
 from __future__ import annotations
@@ -164,6 +165,11 @@ def _as_fractions(record) -> dict[str, Fraction]:
     return {labels[i]: Fraction(x, den) for i, x in record._numerators.items()}
 
 
+def _stored(record) -> tuple:
+    """What ``==`` compares: the graph and the stored pair, which is canonical."""
+    return record.graph, record._numerators, record._den
+
+
 class QDivisor(Record):
     """Formal rational combination of the curves of a graph, missing labels reading as 0.
 
@@ -191,6 +197,7 @@ class QDivisor(Record):
         return d
 
     coefficients = property(_as_fractions)
+    _values = _stored
 
     def coefficient(self, label: str) -> Fraction:
         return Fraction(self._numerators.get(self.graph.index_of(label), 0), self._den)
@@ -233,6 +240,7 @@ class IntersectionProfile(Record):
         _over_one_denominator(self, graph, degrees, "profile degrees")
 
     degrees = property(_as_fractions)
+    _values = _stored
 
 
 def _on_graph(graph: DualGraph, *parts, kind: type = QDivisor) -> None:

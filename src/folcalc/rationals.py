@@ -17,9 +17,10 @@ with a ``ValidationError`` "what: expected Kind, got type".
 class annotates, read once at class creation (a class-level value is a trailing
 default). It compares them within one class only, hashes and prints them in
 declaration order and refuses assignment with ``FrozenRecordError``. Its
-``__init__`` makes a positional call (padded from the defaults) or a call that
-names every field the instance ``__dict__`` at once, matches other calls field
-by field and then calls ``__post_init__``; hot records write their own
+``__init__`` has one binding path for every call shape: the defaults, then the
+positional arguments, then the keywords, refusing a call that leaves a field
+unbound, names one twice, passes too many or names an unknown one; then it
+calls ``__post_init__``. Records built on hot paths write their own
 ``__init__`` with ``setfield``.
 
 Rationals travel through JSON as lowest-terms strings ("p/q", plain "p" for
@@ -131,19 +132,13 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         names, defaults = self._fields, self._defaults
-        missing = len(names) - len(args)
-        if not kwargs and 0 <= missing <= len(defaults):
-            values = dict(zip(names, args + defaults[len(defaults) - missing:]))
-        elif not args and kwargs.keys() == set(names):
-            values = kwargs
-        else:
-            values = dict(zip(names[len(names) - len(defaults):], defaults))
-            values.update(zip(names, args))
-            values.update(kwargs)
-            named_twice = not kwargs.keys().isdisjoint(names[:len(args)])
-            if missing < 0 or named_twice or values.keys() != set(names):
-                given = f"{len(args)} positional arguments and the keywords {sorted(kwargs)}"
-                raise ValidationError(f"{type(self).__name__} takes the fields {names}, not {given}")
+        values = dict(zip(names[len(names) - len(defaults):], defaults))
+        values.update(zip(names, args))
+        values.update(kwargs)
+        named_twice = not kwargs.keys().isdisjoint(names[:len(args)])
+        if len(args) > len(names) or named_twice or values.keys() != set(names):
+            given = f"{len(args)} positional arguments and the keywords {sorted(kwargs)}"
+            raise ValidationError(f"{type(self).__name__} takes the fields {names}, not {given}")
         setfield(self, "__dict__", values)
         self.__post_init__()
 

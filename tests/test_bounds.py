@@ -719,6 +719,27 @@ class TestIndexBounds:
         result = index_bounds([a, b, a, SingularityConfiguration(terminal_orders=(3,))], WEAK_NEF)
         assert result.index_candidates == (3, 10, 3, 3)
 
+    @pytest.mark.parametrize(
+        ("configs", "message"),
+        [
+            ([SingularityConfiguration((1,)), 5], "configuration: expected SingularityConfiguration, got int"),
+            (
+                [SingularityConfiguration((1,)), SingularityConfiguration([2])],
+                "terminal_orders: expected tuple, got list",
+            ),
+            (
+                [SingularityConfiguration((2.0,)), SingularityConfiguration((1,))],
+                "terminal order must be an integer >= 2, not float",
+            ),
+        ],
+        ids=["item-type-before-any-order", "orders-type-before-any-order", "first-bad-order"],
+    )
+    def test_refusal_order(self, configs, message):
+        # every item is checked before any order, and the orders in input order
+        with pytest.raises(ValidationError) as err:
+            index_bounds(configs, WEAK_NEF)
+        assert str(err.value) == message
+
 
 class TestComputeN1:
     def test_reference_values(self):

@@ -310,6 +310,28 @@ class TestRecordSemantics:
         assert d != p and p != d
         assert d != {"C1": Fraction(1)} and p != {"C1": Fraction(1)}
 
+    def test_equality_reads_the_stored_pair(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("== built the Fraction map")
+
+        g = hj_graph(7, 3)
+        twin = hj_graph(7, 3)
+        assert twin is not g and twin == g
+        d = QDivisor(g, {"C1": Fraction(1, 2), "C3": -3})
+        p = IntersectionProfile(g, {"C1": Fraction(1, 2), "C3": -3})
+        monkeypatch.setattr(QDivisor, "coefficients", property(refuse))
+        monkeypatch.setattr(IntersectionProfile, "degrees", property(refuse))
+        # divisors and profiles on equal but distinct graphs compare equal
+        assert d == QDivisor(twin, {"C3": Fraction(-6, 2), "C1": Fraction(2, 4)})
+        assert p == IntersectionProfile(twin, {"C3": -3, "C1": Fraction(1, 2)})
+        assert d != QDivisor(g, {"C1": Fraction(1, 2)}) and d != 2 * d
+        # the same graph and pair, yet a divisor is never a profile
+        assert (d._numerators, d._den) == (p._numerators, p._den)
+        assert d != p and p != d
+        for record in (d, p):
+            with pytest.raises(TypeError):
+                hash(record)
+
     def test_repr(self):
         g = hj_graph(5, 2)
         assert repr(QDivisor(g, {"C2": Fraction(-1, 5), "C1": 2})) == "QDivisor((2)*C1 + (-1/5)*C2)"

@@ -6,6 +6,8 @@ record equals only a record of its own class; hash and repr follow the
 declared fields, whatever order the keywords came in; fields cannot be
 assigned or deleted; pickle and copy round trips compare equal; and the repr
 is, byte for byte, what the dataclass records of earlier versions printed.
+The one binding path of ``Record.__init__`` is compared, on drawn call
+shapes, with the three-branch binding it replaced.
 """
 
 import copy
@@ -14,12 +16,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import folcalc as f
 from folcalc import bounds, contributions, cyclic, jouanolou, lattice, zariski
 from folcalc.bounds import IndexBoundsResult, N1Result
 from folcalc.errors import FrozenRecordError, ValidationError
-from folcalc.rationals import Record
+from folcalc.rationals import Record, setfield
 
 GRAPH = f.DualGraph([f.Curve("C1", -2), f.Curve("C2", -3)], [("C1", "C2", 1)])
 D1 = f.QDivisor(GRAPH, {"C1": 1, "C2": Fraction(1, 2)})
@@ -214,3 +218,65 @@ def test_pickle_and_copy_round_trips(record):
 @pytest.mark.parametrize(("record", "text"), SAMPLES, ids=IDS)
 def test_repr_is_the_dataclass_repr(record, text):
     assert repr(record) == text
+
+
+def three_branch_init(self, *args, **kwargs):
+    """The earlier ``Record.__init__``: a positional call padded from the defaults, a call naming
+    every field, and field-by-field binding for the rest; the reference for the one path."""
+    names, defaults = self._fields, self._defaults
+    missing = len(names) - len(args)
+    if not kwargs and 0 <= missing <= len(defaults):
+        values = dict(zip(names, args + defaults[len(defaults) - missing:]))
+    elif not args and kwargs.keys() == set(names):
+        values = kwargs
+    else:
+        values = dict(zip(names[len(names) - len(defaults):], defaults))
+        values.update(zip(names, args))
+        values.update(kwargs)
+        named_twice = not kwargs.keys().isdisjoint(names[:len(args)])
+        if missing < 0 or named_twice or values.keys() != set(names):
+            given = f"{len(args)} positional arguments and the keywords {sorted(kwargs)}"
+            raise ValidationError(f"{type(self).__name__} takes the fields {names}, not {given}")
+    setfield(self, "__dict__", values)
+    self.__post_init__()
+
+
+def bind_three_branches(cls, *args, **kwargs):
+    record = cls.__new__(cls)
+    three_branch_init(record, *args, **kwargs)
+    return record
+
+
+# records bound by the generic __init__; each sample gives every field, a defaulted one a non-default value
+BOUND_GENERICALLY = [
+    f.HilbertSamples({1: 2, 0: Fraction(1, 2)}, 2),
+    f.ModelInvariants(Fraction(1), Fraction(-1, 3), 1, Fraction(1, 4), 3),
+    f.Dihedral(2, 1, 3, 5, "e2"),
+    f.JouanolouEntry(3, Fraction(4, 13), 39),
+]
+
+
+def outcome(bind):
+    """What a binding leaves: the fields and repr of the record, or the type and text of its error."""
+    try:
+        record = bind()
+    except Exception as exc:  # the two bindings must fail alike, whatever the error
+        return type(exc), str(exc)
+    return vars(record), repr(record)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BOUND_GENERICALLY), st.data())
+def test_one_binding_path_matches_the_three_branches(sample, data):
+    cls, names = type(sample), sample._fields
+    # a field's value is its sample's, or one that __post_init__ may refuse
+    value = st.sampled_from([None, -1, 2.0, "e1", ()])
+    valid = vars(sample)
+    count = data.draw(st.integers(0, len(names) + 1), label="positional count")
+    args = tuple(
+        valid.get(name) if data.draw(st.booleans()) else data.draw(value) for name in (*names, "extra")[:count]
+    )
+    # a keyword subset may name a positional field again, and may add unknown names
+    keywords = data.draw(st.sets(st.sampled_from((*names, "unknown", "extra"))), label="keywords")
+    kwargs = {name: valid.get(name) if data.draw(st.booleans()) else data.draw(value) for name in keywords}
+    assert outcome(lambda: cls(*args, **kwargs)) == outcome(lambda: bind_three_branches(cls, *args, **kwargs))
