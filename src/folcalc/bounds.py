@@ -294,11 +294,12 @@ def extract_invariants(samples: HilbertSamples, mode: str) -> ModelInvariants:
         scope = f"any period <= {MAX_PERIOD}"
     else:
         periods = [_resolved_hint(samples.period_hint, mode)]
-        scope = f"period {periods[0]}"
+        scope = f"period {format_rational(periods[0])}"
         needed = _needed_samples(periods[0])
         missing = [m for m in needed if m not in values]
         if missing:
-            raise ValidationError(f"samples must include m = {needed}; missing {missing}")
+            listed = (", ".join(map(format_rational, ms)) for ms in (needed, missing))
+            raise ValidationError("samples must include m = [{}]; missing [{}]".format(*listed))
     refusals = []
     for period in periods:
         inv = _try_period(values, mode, period, table)
@@ -588,9 +589,9 @@ def _n1_results(inv: ModelInvariants, indices: Collection[int]) -> dict[int, N1R
     the indices; a non-positive K^2 is located at the first index. Then
     2*(K.K_Y)/K^2 = base/den in lowest terms, with den > 0, and for each
     index i gamma before clamping is num/den with num = base + 3i*den, still
-    in lowest terms; N1 = 4i + ceil(gamma) + 1 and the square bound
-    i^2 K^2 >= 1 run on integers, and only a positive gamma is built as a
-    new Fraction (a clamped one is a shared Fraction(0)).
+    in lowest terms. The clamp is max(num, 0), so a clamped gamma is
+    Fraction(0, den) = 0; N1 = 4i + ceil(gamma) + 1 and the square bound
+    i^2 K^2 >= 1 run on integers.
     """
     k2, kky = inv.k2, inv.k_dot_ky
     k2_num, k2_den = k2.numerator, k2.denominator
@@ -602,15 +603,11 @@ def _n1_results(inv: ModelInvariants, indices: Collection[int]) -> dict[int, N1R
     base, den = 2 * kky.numerator * k2_den, kky.denominator * k2_num
     g = math.gcd(base, den)
     base, den = base // g, den // g
-    zero = Fraction(0)
     results = {}
     for i in indices:
-        num = base + 3 * i * den
-        if num > 0:
-            gamma, ceil = Fraction(num, den), -(-num // den)
-        else:
-            gamma, ceil = zero, 0
-        results[i] = N1Result(gamma, 4 * i + ceil + 1, i * i * k2_num >= k2_den, 4 * i + 1 > 4 * i)
+        num = max(base + 3 * i * den, 0)
+        ceil = -(-num // den)
+        results[i] = N1Result(Fraction(num, den), 4 * i + ceil + 1, i * i * k2_num >= k2_den, 4 * i + 1 > 4 * i)
     return results
 
 

@@ -6,9 +6,6 @@ identical inputs always produce identical bytes. Exit status 0 means success,
 propagated from the library (degenerate configuration, inconsistent samples,
 and so on); failures carry a machine-readable {code, message, location}
 object on stderr.
-
-Handlers reach library modules as attributes of the package, which loads
-each on first use, so a process loads only what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -71,6 +68,9 @@ _KINDS = {
 
 
 # --- handlers ---------------------------------------------------------------
+#
+# Handlers reach library modules as attributes of the package, which loads
+# each on first use, so a process loads only what its subcommand needs.
 
 
 def _cmd_hj(args):

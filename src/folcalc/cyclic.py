@@ -25,7 +25,7 @@ from math import gcd
 import folcalc
 
 from .errors import ValidationError
-from .rationals import Record, exact_int, require, setfield
+from .rationals import Record, exact_int, format_rational, require, setfield
 
 MAX_STRING_CURVES = 100_000  # longest resolution string; (1/n)(1, n-1) has n - 1 curves
 
@@ -102,7 +102,8 @@ def _hj_loop(t: CyclicType) -> tuple[list[int], list[int]]:
         a, b = b, k * b - a
         if not b:
             return entries, s
-    raise ValidationError(f"(1/{t.n})(1,{t.q}) resolves into more than {MAX_STRING_CURVES} curves")
+    n, q = format_rational(t.n), format_rational(t.q)
+    raise ValidationError(f"(1/{n})(1,{q}) resolves into more than {MAX_STRING_CURVES} curves")
 
 
 def hj_expansion(t: CyclicType) -> HJExpansion:

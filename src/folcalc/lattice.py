@@ -8,7 +8,9 @@ the configuration are formal rational combinations of the curves and pair
 bilinearly through that matrix. Prescribing the intersection number of an
 unknown combination against every curve is an exact linear solve against the
 pairing matrix; it has a unique solution exactly when the matrix is
-invertible (negative definiteness suffices).
+invertible (negative definiteness suffices). A graph eliminates its whole
+pairing at most once, to the end, for whichever comes first of a pull-back
+and a whole-graph definiteness check, and keeps it for every later one.
 
 Everything here is pure and exact: public scalars are ``fractions.Fraction``,
 there is no floating point, and all functions are safe to call concurrently
@@ -65,11 +67,12 @@ class DualGraph:
     lattices are allowed. ``curves`` is derived from the rows on each read;
     ``intersection_matrix`` builds the dense form.
 
-    The first elimination of the whole pairing that runs to completion is
-    kept in ``_factorization`` (see ``folcalc.linalg``), so later pull-backs
-    and full-support definiteness checks replay it instead of eliminating
-    again. It stays with the graph for as long as the graph lives, takes no
-    part in ``==`` or ``hash``, and gives the answers a fresh equal graph gives.
+    The whole pairing is eliminated at most once, to the end, by whichever
+    question comes first: a pull-back or a whole-graph definiteness check.
+    That factorization is kept in ``_factorization`` (see ``folcalc.linalg``),
+    and every later one of those questions replays it. It stays with the
+    graph for as long as the graph lives, takes no part in ``==`` or
+    ``hash``, and gives the answers a fresh equal graph gives.
     """
 
     __slots__ = ("labels", "sparse_rows", "_index", "_factorization")
@@ -260,14 +263,11 @@ def intersection_matrix(graph: DualGraph) -> list[list[int]]:
     return dense
 
 
-def _factored(graph: DualGraph, stop_early: bool = False):
-    """The graph's factorization of its whole pairing, made and kept on first use.
-
-    With ``stop_early`` a pairing that is not negative definite gives None, and nothing is kept.
-    """
+def _factored(graph: DualGraph):
+    """The graph's full factorization of its whole pairing, made and kept on first use."""
     record = graph._factorization
     if record is None:
-        record = graph._factorization = factor(graph.sparse_rows, stop_early=stop_early)
+        record = graph._factorization = factor(graph.sparse_rows)
     return record
 
 
@@ -275,16 +275,17 @@ def is_negative_definite(graph: DualGraph, support: Iterable[str]) -> bool:
     """Whether the principal submatrix on ``support`` is negative definite.
 
     Decided by the signs of the pivots of one sparse exact elimination; see
-    ``folcalc.linalg``. On the whole graph the verdict is read from its kept
-    factorization when there is one.
+    ``folcalc.linalg``. On the whole graph the verdict is that of its kept
+    factorization, made here if no pull-back has made it yet; a proper
+    support is eliminated afresh and stops at the first pivot that rules
+    definiteness out.
     """
     require(graph, DualGraph, "graph")
     chosen = {graph.index_of(label) for label in require(support, Iterable, "support")}
     if not chosen:
         raise ValidationError("support must be nonempty")
     if len(chosen) == len(graph.labels):
-        record = _factored(graph, stop_early=True)
-        return record is not None and record.definite
+        return _factored(graph).definite
     return factor(principal_rows(graph, sorted(chosen)), stop_early=True) is not None
 
 

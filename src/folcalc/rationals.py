@@ -100,7 +100,9 @@ def exact_int(value, what: str, low: int | None = None, high: int | None = None)
     """
     if type(value) is int and (low is None or low <= value) and (high is None or value <= high):
         return value
-    span = "" if low is None else f" >= {low}" if high is None else f" in [{low}, {high}]"
+    span = "" if low is None else f" >= {format_rational(low)}"
+    if high is not None:
+        span = f" in [{format_rational(low)}, {format_rational(high)}]"
     if type(value) is int:
         raise ValidationError(f"{what} out of range: must be an integer{span}")
     raise ValidationError(f"{what} must be an integer{span}, not {type(value).__name__}")

@@ -35,7 +35,7 @@ from fractions import Fraction
 from .errors import NotPseudoeffectiveError, ValidationError
 from .lattice import DualGraph, QDivisor, _on_graph, degree_vector, principal_rows
 from .linalg import factor
-from .rationals import Record, parse_rational, setfield
+from .rationals import Record, parse_rational
 
 
 class ZariskiResult(Record):
@@ -44,11 +44,6 @@ class ZariskiResult(Record):
     positive: QDivisor
     negative: QDivisor
     support: tuple[str, ...]
-
-    def __init__(self, positive: QDivisor, negative: QDivisor, support: tuple[str, ...]):
-        setfield(self, "positive", positive)
-        setfield(self, "negative", negative)
-        setfield(self, "support", support)
 
 
 def zariski_decompose(graph: DualGraph, d: QDivisor) -> ZariskiResult:

@@ -440,6 +440,14 @@ class TestFileCommands:
 
 
 class TestOutputDiscipline:
+    def test_help_is_for_users(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["--help"])
+        assert exited.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "Exit status 0 means success, 2 a validation problem" in text
+        assert "Handlers" not in text
+
     def test_byte_deterministic(self, capsys, tmp_path):
         samples = {"values": {str(m): m * m + 1 for m in range(8)}, "period_hint": 2}
         path = tmp_path / "samples.json"

@@ -1,8 +1,9 @@
 """A graph is eliminated once: its kept factorization against fresh graphs and references.
 
-``DualGraph`` keeps the first complete elimination of its pairing, and later
-``solve_pullback`` calls and whole-graph ``is_negative_definite`` checks
-replay it. Every answer from a graph that has been asked before must equal
+``DualGraph`` eliminates its whole pairing at most once, to the end, for
+whichever comes first of a ``solve_pullback`` call and a whole-graph
+``is_negative_definite`` check, and every later one replays it. Every
+answer from a graph that has been asked before must equal
 the answer from a fresh equal graph, Fraction Gauss-Jordan and the cofactor
 minors of ``tests/test_linalg.py``. A singular pairing names the support of
 an exact kernel vector.
@@ -171,9 +172,10 @@ def test_indefinite_graph_checked_first_then_solved():
     # pivots -1 then 3: nonsingular, not definite
     graph = DualGraph([Curve("A", -1), Curve("B", -1)], [("A", "B", 2)])
     assert not is_negative_definite(graph, graph.labels)
-    assert graph._factorization is None  # the check stopped early and kept nothing
+    record = graph._factorization
+    assert record is not None and not record.definite  # the check ran to the end and kept it
     assert pullback(graph, {"A": 1}) == ("ok", [Fraction(1, 3), Fraction(2, 3)])
-    assert graph._factorization is not None
+    assert graph._factorization is record
     assert not is_negative_definite(graph, graph.labels)
     assert pullback(graph, {"B": 3}) == ("ok", [Fraction(2), Fraction(1)])
 
@@ -181,8 +183,10 @@ def test_indefinite_graph_checked_first_then_solved():
 def test_singular_graph_checked_first_then_solved():
     graph = DualGraph(*cycle(["A", "B", "C"]))
     assert not is_negative_definite(graph, graph.labels)
-    assert graph._factorization is None  # a missing pivot stops the check early too
+    record = graph._factorization
+    assert record is not None and not record.definite  # a missing pivot is kept with its kernel
     assert pullback(graph, {"A": 1}) == ("degenerate", "A, B, C")
+    assert graph._factorization is record
     assert not is_negative_definite(graph, graph.labels)
 
 
@@ -193,6 +197,40 @@ def test_definite_check_keeps_its_factorization_for_solves():
     assert record is not None and record.definite
     assert pullback(graph, {"A": -1}) == pullback(fresh(graph), {"A": -1})
     assert graph._factorization is record
+
+
+ORDERS = {
+    "verdict first": ["verdict", "pullback", "verdict", "pullback"],
+    "pullback first": ["pullback", "verdict", "pullback"],
+}
+
+
+@pytest.mark.parametrize("order", ORDERS.values(), ids=ORDERS)
+@pytest.mark.parametrize(
+    "curves, edges, definite",
+    [
+        (*cycle(["A", "B", "C", "D"], -3), True),
+        ([Curve("A", -1), Curve("B", -1)], [("A", "B", 2)], False),
+        (*cycle(["A", "B", "C"]), False),
+    ],
+    ids=["definite", "indefinite", "singular"],
+)
+def test_the_whole_pairing_is_eliminated_once(monkeypatch, curves, edges, definite, order):
+    calls = []
+
+    def counted(rows, **kwargs):
+        calls.append(rows)
+        return factor(rows, **kwargs)
+
+    graph = DualGraph(curves, edges)
+    expected = pullback(fresh(graph), {"A": 1})
+    monkeypatch.setattr("folcalc.lattice.factor", counted)
+    for question in order:
+        if question == "verdict":
+            assert is_negative_definite(graph, graph.labels) is definite
+        else:
+            assert pullback(graph, {"A": 1}) == expected
+    assert [rows is graph.sparse_rows for rows in calls] == [True]
 
 
 def test_proper_support_does_not_touch_the_kept_factorization():

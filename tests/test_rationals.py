@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from folcalc import HilbertSamples
+from folcalc import CyclicType, HilbertSamples, a_cyclic_sheaf, extract_invariants, hj_expansion, wunram_degrees
 from folcalc.cli import main
 from folcalc.errors import ValidationError
 from folcalc.rationals import MAX_DIGITS, format_ratio, format_rational, parse_integer_keys, parse_rational
@@ -68,6 +68,45 @@ def test_value_too_long_to_print_refused():
         with pytest.raises(ValidationError) as refused:
             format_ratio(num, den)
         assert str(refused.value) == message
+
+
+def test_messages_with_ints_too_long_to_print_refused(capsys, tmp_path):
+    # each message prints an int that comes from the input: a range end, a string's n, a needed multiple
+    huge = 10**4300
+    message = f"value has more than {MAX_DIGITS} digits, too many to print"
+    for call in [
+        lambda: CyclicType(huge + 1, huge + 5),
+        lambda: wunram_degrees(CyclicType(huge + 1, 1), -1),
+        lambda: a_cyclic_sheaf(CyclicType(huge + 1, 1), -1),
+        lambda: hj_expansion(CyclicType(huge, huge - 1)),
+        lambda: extract_invariants(HilbertSamples({0: 1, 1: 2}, huge - 1), "canonical"),
+    ]:
+        with pytest.raises(ValidationError) as refused:
+            call()
+        assert str(refused.value) == message
+    path = tmp_path / "samples.json"
+    path.write_text(json.dumps({"values": {"0": 1, "1": 2, "2": 5, "3": 10}, "period_hint": "4" + "0" * 4299}))
+    code = main(["bounds", "--mode", "weak-nef", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert json.loads(captured.err) == {"code": "invalid-input", "location": None, "message": message}
+    # ints of normal size print as before
+    for call, text in [
+        (lambda: CyclicType(10, 11), "q out of range: must be an integer in [1, 9]"),
+        (lambda: CyclicType(1, 1), "n out of range: must be an integer >= 2"),
+        (lambda: wunram_degrees(CyclicType(5, 2), 1.0), "i must be an integer in [0, 4], not float"),
+        (
+            lambda: hj_expansion(CyclicType(10**6, 10**6 - 1)),
+            "(1/1000000)(1,999999) resolves into more than 100000 curves",
+        ),
+        (
+            lambda: extract_invariants(HilbertSamples({0: 1, 1: 2, 2: 5, 3: 10}, 4), "weak-nef"),
+            "samples must include m = [0, 1, 4, 8, 12]; missing [4, 8, 12]",
+        ),
+    ]:
+        with pytest.raises(ValidationError) as refused:
+            call()
+        assert str(refused.value) == text
 
 
 @given(st.integers(), st.integers().filter(bool))

@@ -110,9 +110,7 @@ DEFAULTS = {
     f.IntersectionProfile: {"degrees": {}},
 }
 # records built on hot paths, whose own __init__ Python binds: a wrong call is a TypeError there
-OWN_INIT = {
-    f.Curve, f.CyclicType, f.SingularityConfiguration, f.QDivisor, f.IntersectionProfile, N1Result, f.ZariskiResult
-}
+OWN_INIT = {f.Curve, f.CyclicType, f.SingularityConfiguration, f.QDivisor, f.IntersectionProfile, N1Result}
 # a dict among the fields, directly or inside a field
 UNHASHABLE = {f.HilbertSamples, f.QDivisor, f.IntersectionProfile, f.ZariskiResult}
 
