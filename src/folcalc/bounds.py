@@ -8,15 +8,16 @@ On one residue class mod the period L the local part is constant, so three
 samples P(x0), P(x0 + L), P(x0 + 2L) there give the quadratic by finite
 differences: the second difference is 2*L^2 times the leading coefficient.
 Without a hint the least period up to ``MAX_PERIOD`` that fits every sample
-is taken. The check that every sample sits on the quadratic up to one
-constant per residue runs on integers: the quadratic's coefficients are put
-over one common denominator once per period, each residue's constant is
-kept as an unreduced integer pair and pairs are compared by
-cross-multiplication. The contribution sum at m = 1 then caps how many
-singular points can exist (each contributes at least 1/4), the possible
-configurations are enumerated as unit-fraction decompositions, every
-configuration yields a Cartier-index candidate, and the worst case over
-configurations feeds the explicit bound
+is taken. The fit and the check that every sample sits on the quadratic up
+to one constant per residue run on integers: the table is put over one
+denominator once, and at each period the quadratic and every sample's
+constant are scaled by one integer, 2*L^2 times that denominator, so the
+constants of a residue are compared with ``==``; Fractions are built only
+for the invariants of the period that fits. The contribution sum at m = 1
+then caps how many singular points can exist (each contributes at least
+1/4), the possible configurations are enumerated as unit-fraction
+decompositions, every configuration yields a Cartier-index candidate, and
+the worst case over configurations feeds the explicit bound
 
     N1 = 4*i + ceil(gamma) + 1,   gamma = max(2*(K.K_Y)/K^2 + 3*i, 0),
 
@@ -187,13 +188,6 @@ class BoundReport(Record):
     n1_worst: int
 
 
-def _quadratic_through(x0: int, step: int, v0, v1, v2) -> tuple[Fraction, Fraction, Fraction]:
-    """(a, b, c) with a m^2 + b m + c = v_k at m = x0 + k*step, by finite differences."""
-    a = (v2 - 2 * v1 + v0) / (2 * step * step)
-    b = (v1 - v0) / step - a * (2 * x0 + step)
-    return a, b, v0 - (a * x0 + b) * x0
-
-
 def _check_mode(mode: str) -> str:
     if mode not in (WEAK_NEF, CANONICAL):
         raise ValidationError(f"mode must be {WEAK_NEF!r} or {CANONICAL!r}")
@@ -213,61 +207,56 @@ def _needed_samples(period: int) -> list[int]:
 
 
 def _try_period(
-    values: Mapping[int, Fraction], mode: str, period: int, table: list[tuple[int, int, int]]
+    numerators: Mapping[int, int], den: int, mode: str, period: int
 ) -> ModelInvariants | tuple[int, str]:
-    """Extraction attempt at one period.
+    """Extraction attempt at one period, on the samples v_m/den (``numerators`` maps m to v_m, ascending).
 
-    ``table`` holds the samples as (m, numerator, denominator) in ascending m.
     When the samples refuse the period, the result is the first multiple M
     whose sample breaks it (-1 when a needed sample is missing) and the
     location "period L, m = M" (or "period L").
 
-    The residue check runs on integers. With the quadratic's coefficients
-    over their least common denominator, qa = a/D and qb = b/D, the constant
-    left by a sample num/den at m is (num*D - den*(a*m + b)*m) / (den*D);
-    every constant shares the factor 1/D, so each is kept as the unreduced
-    pair (num*D - den*(a*m + b)*m, den) and two pairs are compared by
-    cross-multiplying.
+    Everything runs on integers over one scale S = 2*L^2*den. Through the
+    samples v0, v1, v2 at x0, x0 + L, x0 + 2L the quadratic times S is
+    A*m^2 + B*m + C, with A = v2 - 2*v1 + v0, B = 2L*(v1 - v0) - A*(2*x0 + L)
+    and C = 2L^2*v0 - (A*x0 + B)*x0. The sample at m leaves the constant
+    2L^2*v_m - (A*m + B)*m, times S, compared with ``==`` per residue mod L;
+    the cusp count is (chi(O)*S - C)/S. Only once the period fits are
+    Fractions built: K^2 = 2A/S, K.K_Y = -2B/S and the contribution sum.
     """
-    if any(m not in values for m in _needed_samples(period)):
+    if any(m not in numerators for m in _needed_samples(period)):
         return -1, f"period {period}"
     # canonical models fit at L, 2L, 3L, away from the cusp shift at m = 0
     x0 = period if mode == CANONICAL else 0
-    qa, qb, qc = _quadratic_through(x0, period, *(values[x0 + k * period] for k in range(3)))
-    k2 = 2 * qa
-    k_dot_ky = -2 * qb
-    chi_o_value = values[0]
-    if chi_o_value.denominator != 1:
+    v0, v1, v2 = (numerators[x0 + k * period] for k in range(3))
+    two_l2 = 2 * period * period
+    scale = two_l2 * den
+    a = v2 - 2 * v1 + v0
+    b = 2 * period * (v1 - v0) - a * (2 * x0 + period)
+    chi_o, rest = divmod(numerators[0], den)
+    if rest:
         raise InconsistentSamplesError("chi(O) sample at m = 0 must be an integer", location="m = 0")
-    chi_o = int(chi_o_value)
     cusp_count = None
     if mode == CANONICAL:
-        b4 = chi_o - qc
-        if b4.denominator != 1 or b4 < 0:
+        cusp_count, rest = divmod(chi_o * scale - two_l2 * v0 + (a * x0 + b) * x0, scale)
+        if rest or cusp_count < 0:
             return 0, f"period {period}, m = 0"
-        cusp_count = int(b4)
     # every sample must sit on the same quadratic up to a constant per residue
-    lcd = math.lcm(qa.denominator, qb.denominator)
-    a = qa.numerator * (lcd // qa.denominator)
-    b = qb.numerator * (lcd // qb.denominator)
-    constants: dict[int, tuple[int, int]] = {}
-    for m, num, den in table:
+    constants: dict[int, int] = {}
+    for m, v in numerators.items():
         if mode == CANONICAL and m == 0:
             continue  # the cusp shift breaks periodicity only at m = 0
-        c = num * lcd - den * (a * m + b) * m
-        c0, den0 = constants.setdefault(m % period, (c, den))
-        if c0 * den != c * den0:
+        c = two_l2 * v - (a * m + b) * m
+        if constants.setdefault(m % period, c) != c:
             return m, f"period {period}, m = {m}"
-    if k2 <= 0:
+    if a <= 0:
         raise NotGeneralTypeError(
             "not general type: extracted K^2 is not positive", location=f"period {period}"
         )
-    s = -values[1] + (k2 - k_dot_ky) / 2 + chi_o
     return ModelInvariants(
-        k2=k2,
-        k_dot_ky=k_dot_ky,
+        k2=Fraction(2 * a, scale),
+        k_dot_ky=Fraction(-2 * b, scale),
         chi_o=chi_o,
-        contribution_sum=s,
+        contribution_sum=Fraction(a + b - two_l2 * numerators[1], scale) + chi_o,
         cusp_count=cusp_count,
     )
 
@@ -277,17 +266,19 @@ def extract_invariants(samples: HilbertSamples, mode: str) -> ModelInvariants:
 
     The quasi-period L is the hint when one is supplied (doubled on canonical
     models when odd); otherwise the least period up to ``MAX_PERIOD`` under
-    which every sample is consistent. Needs samples at 0, 1, L, 2L and 3L.
-    The quadratic part comes from the first and second differences of the
-    samples at 0, L, 2L (weak nef) or L, 2L, 3L (canonical); every other
-    sample must then differ from it by one constant per residue mod L. When
-    no period fits, ``location`` names the closest refusal: the one whose
-    breaking multiple m is largest (refusals without one rank lowest, ties
-    go to the smaller period).
+    which every sample is consistent. Needs samples at 0, 1, L, 2L and 3L. The
+    table goes over one denominator, the lcm of the samples', once; every
+    period is tried on its integer numerators. The quadratic part comes from
+    the first and second differences of the samples at 0, L, 2L (weak nef) or
+    L, 2L, 3L (canonical); every other sample must then differ from it by one
+    constant per residue mod L. When no period fits, ``location`` names the
+    closest refusal: the one whose breaking multiple m is largest (refusals
+    without one rank lowest, ties go to the smaller period).
     """
     _check_mode(mode)
     values = require(samples, HilbertSamples, "samples").values
-    table = [(m, v.numerator, v.denominator) for m, v in values.items()]
+    den = math.lcm(*(v.denominator for v in values.values()))
+    numerators = {m: v.numerator * (den // v.denominator) for m, v in values.items()}
     if samples.period_hint is None:
         start, step = (1, 1) if mode == WEAK_NEF else (2, 2)
         periods = range(start, MAX_PERIOD + 1, step)
@@ -302,7 +293,7 @@ def extract_invariants(samples: HilbertSamples, mode: str) -> ModelInvariants:
             raise ValidationError("samples must include m = [{}]; missing [{}]".format(*listed))
     refusals = []
     for period in periods:
-        inv = _try_period(values, mode, period, table)
+        inv = _try_period(numerators, den, mode, period)
         if isinstance(inv, ModelInvariants):
             return inv
         refusals.append(inv)
@@ -660,12 +651,15 @@ def relate_models(weak_nef_chi: Mapping[int, int], canonical_chi: Mapping[int, i
 
     The weak nef table must sit below the canonical one by the cusp count at
     m = 0 and agree everywhere else. Keys are ints or decimal-integer
-    strings; bools, floats and other strings are rejected, and so are two
-    keys of one table that name the same multiple.
+    strings naming multiples m >= 0; bools, floats, other strings and
+    negative multiples are rejected, and so are two keys of one table that
+    name the same multiple.
     """
     exact_int(cusps, "cusp count", 0)
-    weak = {m: parse_rational(v) for m, v in parse_integer_keys(weak_nef_chi, "weak nef table").items()}
-    canon = {m: parse_rational(v) for m, v in parse_integer_keys(canonical_chi, "canonical table").items()}
+    weak, canon = (
+        {exact_int(m, f"{what} key", 0): parse_rational(v) for m, v in parse_integer_keys(chi, what).items()}
+        for chi, what in ((weak_nef_chi, "weak nef table"), (canonical_chi, "canonical table"))
+    )
     if set(weak) != set(canon):
         raise ValidationError("both tables must cover the same multiples")
     if 0 not in weak:

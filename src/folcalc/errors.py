@@ -49,7 +49,8 @@ class NotGeneralTypeError(FolcalcError):
 
 
 class InconsistentModelError(FolcalcError):
-    """Model data is numerically inconsistent (non-integral Euler characteristic)."""
+    """Model data is numerically inconsistent: a chi that is not an integer, a negative contribution
+    sum, a failed dihedral crepant cancellation or a root-of-unity sum that is not conjugation-symmetric."""
 
     code = "inconsistent-model"
 

@@ -29,6 +29,7 @@ from folcalc import (
     relate_models,
 )
 from folcalc.errors import (
+    FolcalcError,
     InconsistentModelError,
     InconsistentSamplesError,
     NotGeneralTypeError,
@@ -129,18 +130,26 @@ def reference_configurations(inv, mode):
     )
 
 
+# the Fraction fit that the integer one of bounds._try_period replaced, copied verbatim; the reference for it
+def _quadratic_through(x0: int, step: int, v0, v1, v2) -> tuple[Fraction, Fraction, Fraction]:
+    """(a, b, c) with a m^2 + b m + c = v_k at m = x0 + k*step, by finite differences."""
+    a = (v2 - 2 * v1 + v0) / (2 * step * step)
+    b = (v1 - v0) / step - a * (2 * x0 + step)
+    return a, b, v0 - (a * x0 + b) * x0
+
+
 def fraction_try_period(values, mode, period):
     """The Fraction residue check that the integer one replaced; the reference for it."""
     needed = {0, 1, period, 2 * period, 3 * period}
     if not needed.issubset(values):
         return f"period {period}"
     x0 = period if mode == CANONICAL else 0
-    qa, qb, qc = bounds._quadratic_through(x0, period, *(values[x0 + k * period] for k in range(3)))
+    qa, qb, qc = _quadratic_through(x0, period, *(values[x0 + k * period] for k in range(3)))
     k2 = 2 * qa
     k_dot_ky = -2 * qb
     chi_o_value = values[0]
     if chi_o_value.denominator != 1:
-        raise InconsistentSamplesError("chi(O) sample at m = 0 must be an integer")
+        raise InconsistentSamplesError("chi(O) sample at m = 0 must be an integer", location="m = 0")
     chi_o = int(chi_o_value)
     cusp_count = None
     if mode == CANONICAL:
@@ -156,9 +165,41 @@ def fraction_try_period(values, mode, period):
         if constants.setdefault(m % period, c) != c:
             return f"period {period}, m = {m}"
     if k2 <= 0:
-        raise NotGeneralTypeError("not general type: extracted K^2 is not positive")
+        raise NotGeneralTypeError(
+            "not general type: extracted K^2 is not positive", location=f"period {period}"
+        )
     s = -values[1] + (k2 - k_dot_ky) / 2 + chi_o
     return ModelInvariants(k2, k_dot_ky, chi_o, s, cusp_count)
+
+
+def fraction_extract(samples, mode):
+    """The period scan over fraction_try_period, with its closest-refusal ranking; the reference for
+    extract_invariants."""
+    values = samples.values
+    if samples.period_hint is None:
+        start = 1 if mode == WEAK_NEF else 2
+        periods = range(start, bounds.MAX_PERIOD + 1, start)
+        scope = f"any period <= {bounds.MAX_PERIOD}"
+    else:
+        hint = samples.period_hint
+        periods = [2 * hint if mode == CANONICAL and hint % 2 else hint]
+        scope = f"period {periods[0]}"
+        needed = sorted({0, 1, periods[0], 2 * periods[0], 3 * periods[0]})
+        missing = [m for m in needed if m not in values]
+        if missing:
+            raise ValidationError(f"samples must include m = {needed}; missing {missing}")
+    refusals = []
+    for period in periods:
+        result = fraction_try_period(values, mode, period)
+        if isinstance(result, ModelInvariants):
+            return result
+        # a refusal names its breaking multiple last; one without a multiple ranks lowest
+        _, found, m = result.partition(", m = ")
+        refusals.append((int(m) if found else -1, result))
+    raise InconsistentSamplesError(
+        f"samples incompatible with quasi-polynomial of {scope}",
+        location=max(refusals, key=lambda r: r[0])[1],
+    )
 
 
 def fraction_compute_n1(inv, i):
@@ -182,10 +223,23 @@ def outcome(call, *args):
         return type(err), err.message
 
 
+def scan_outcome(call, *args):
+    """The result of a call, or the type, message and location of the FolcalcError it raised."""
+    try:
+        return call(*args)
+    except FolcalcError as err:
+        return type(err), err.message, err.location
+
+
+def over_one_denominator(values):
+    """The sample table as ``extract_invariants`` hands it to ``_try_period``: numerators and their lcm."""
+    den = math.lcm(*(v.denominator for v in values.values()))
+    return {m: v.numerator * (den // v.denominator) for m, v in values.items()}, den
+
+
 def integer_try_period(values, mode, period):
     """The integer residue check, its refusal reduced to the location string."""
-    table = [(m, v.numerator, v.denominator) for m, v in values.items()]
-    result = bounds._try_period(values, mode, period, table)
+    result = bounds._try_period(*over_one_denominator(values), mode, period)
     return result if isinstance(result, ModelInvariants) else result[1]
 
 
@@ -202,9 +256,30 @@ rationals = st.fractions(min_value=-(10**4), max_value=10**4, max_denominator=50
 def test_difference_fit_matches_solver(a, b, c, period, canonical):
     x0 = period if canonical else 0
     points = [(m, a * m * m + b * m + c) for m in (x0, x0 + period, x0 + 2 * period)]
-    fit = bounds._quadratic_through(x0, period, *(v for _, v in points))
+    fit = _quadratic_through(x0, period, *(v for _, v in points))
     assert fit == solver_fit(points) == (a, b, c)
     assert all(type(x) is Fraction for x in fit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.fractions(min_value=Fraction(1, 50), max_value=10**4, max_denominator=50),
+    rationals,
+    st.integers(-50, 50),
+    st.integers(1, 12),
+    st.sampled_from([WEAK_NEF, CANONICAL]),
+    st.data(),
+)
+def test_integer_fit_recovers_the_drawn_quadratic(a, b, c, period, mode, data):
+    # an honest table: a m^2 + b m plus one constant per residue, c on residue 0, and the cusps at m = 0
+    constants = [c] + data.draw(st.lists(rationals, min_size=period - 1, max_size=period - 1))
+    up_to = 3 * period + data.draw(st.integers(0, 6))
+    values = {m: a * m * m + b * m + constants[m % period] for m in range(up_to + 1)}
+    cusps = data.draw(st.integers(0, 5)) if mode == CANONICAL else None
+    values[0] += cusps or 0
+    inv = bounds._try_period(*over_one_denominator(values), mode, period)
+    assert (inv.k2, inv.k_dot_ky, inv.chi_o, inv.cusp_count) == (2 * a, -2 * b, values[0], cusps)
+    assert inv.contribution_sum == -values[1] + a + b + values[0]
 
 
 @st.composite
@@ -230,6 +305,57 @@ def quasi_polynomial_tables(draw):
     for m in draw(st.lists(st.sampled_from(sorted(values)), max_size=3)):
         values.pop(m, None)
     return HilbertSamples(values).values
+
+
+# primes between 1000 and 1400: any two of them multiply to more than 10^6
+LARGE_PRIMES = [p for p in range(1001, 1400, 2) if all(p % d for d in range(3, 38, 2))]
+
+
+@st.composite
+def large_denominator_tables(draw):
+    """A quasi-polynomial table whose samples carry distinct denominators with an lcm of at least 10^6.
+
+    Returns the table and its true period L. a, b and each residue's constant
+    have distinct prime denominators above 1000, except that the constant of
+    residue 0 is an integer half of the time (otherwise no mode can fit
+    chi(O), which is an integer). So every sample at 0 < m < 1000 has a
+    denominator of at least 1009 * 1013, and samples of different residues
+    have different ones. At most one fault is made: one sample moved, a shift
+    at m = 0, or up to three samples dropped; the samples at m = 0 and m = 1
+    always stay.
+    """
+    period = draw(st.integers(1, 8))
+    primes = draw(st.lists(st.sampled_from(LARGE_PRIMES), min_size=period + 2, max_size=period + 2, unique=True))
+    qa, qb, *constants = [
+        Fraction(draw(st.integers(-50 * p, 50 * p).filter(lambda n, p=p: n % p)), p) for p in primes
+    ]
+    if draw(st.booleans()):
+        constants[0] = Fraction(draw(st.integers(-50, 50)))
+    up_to = draw(st.integers(max(4, 3 * period), 4 * period + 6))  # every fit at L needs 3L
+    values = {m: qa * m * m + qb * m + constants[m % period] for m in range(up_to + 1)}
+    values[0] = Fraction(math.floor(values[0]))  # chi(O) is an integer
+    fault = draw(st.sampled_from([None, "move", "shift", "drop"]))
+    if fault == "move":
+        m = draw(st.sampled_from(sorted(values)))
+        values[m] += draw(st.fractions(min_value=-50, max_value=50, max_denominator=12).filter(bool))
+    elif fault == "shift":
+        values[0] += draw(st.sampled_from([1, 2, 3, -1, Fraction(1, 2)]))
+    elif fault == "drop":
+        for m in draw(st.lists(st.sampled_from(sorted(values)[2:]), min_size=1, max_size=3)):
+            values.pop(m, None)
+    return values, period
+
+
+@settings(max_examples=300, deadline=None)
+@given(large_denominator_tables(), st.sampled_from([WEAK_NEF, CANONICAL]), st.data())
+def test_one_denominator_scan_matches_fraction_scan(table, mode, data):
+    values, period = table
+    # no hint, the true period as the hint, or any hint
+    hint = data.draw(st.sampled_from([None, period]) | st.integers(1, 12))
+    samples = HilbertSamples(values, period_hint=hint)
+    assert math.lcm(*(v.denominator for v in samples.values.values())) >= 10**6
+    assert len({v.denominator for v in samples.values.values()}) > 1
+    assert scan_outcome(extract_invariants, samples, mode) == scan_outcome(fraction_extract, samples, mode)
 
 
 @settings(max_examples=300, deadline=None)
@@ -339,8 +465,7 @@ class TestExtractInvariants:
 
     def test_scan_location_ranking(self, monkeypatch):
         def refusal(values, mode, period):
-            table = [(m, v.numerator, v.denominator) for m, v in values.items()]
-            return bounds._try_period(values, mode, period, table)
+            return bounds._try_period(*over_one_denominator(values), mode, period)
 
         # periods 1 and 2 both break at m = 5 and period 3 lacks m = 9: the tie goes to period 1
         values = {m: Fraction(m * m + 2) for m in range(0, 9)}
@@ -363,6 +488,15 @@ class TestExtractInvariants:
         with pytest.raises(InconsistentSamplesError) as err:
             extract_invariants(HilbertSamples({0: 1, 1: 2}), WEAK_NEF)
         assert err.value.location == "period 1"
+
+    def test_mixed_denominators_with_and_without_hint(self):
+        # (1/2)(1,1) + (1/3)(1,1) + one cusp: samples over 1, 2, 3, 4, 6 and 12; the scan refuses 2 and 4
+        data = [f.Terminal(f.CyclicType(2, 1)), f.Terminal(f.CyclicType(3, 1)), f.Cusp()]
+        values = {m: f.global_chi(Fraction(7, 6), Fraction(1, 6), 1, data, m) for m in range(19)}
+        assert {v.denominator for v in values.values()} == {1, 2, 3, 4, 6, 12}
+        expected = invariants(Fraction(7, 6), Fraction(1, 6), 1, Fraction(19, 12), 1)
+        for hint in (6, 3, None):
+            assert extract_invariants(HilbertSamples(values, period_hint=hint), CANONICAL) == expected
 
     def test_missing_required_samples_with_hint(self):
         values = {0: 1, 1: 2, 2: 5}
@@ -1058,6 +1192,19 @@ class TestRelateModels:
         # " 1" would silently replace "1", and the shifted tables would then match
         with pytest.raises(ValidationError, match="weak nef table: two keys name the multiple 1"):
             relate_models({"0": 1, "1": 2, " 1": 3}, {"0": 3, "1": 3}, 2)
+
+    @pytest.mark.parametrize(
+        "weak, canon, named",
+        [
+            ({"-1": 2, "0": 1}, {"-1": 2, "0": 2}, "weak nef"),
+            ({-1: 2, 0: 1}, {-1: 2, 0: 2}, "weak nef"),
+            ({"0": 1, "1": 2}, {"0": 2, "1": 2, "-3": 0}, "canonical"),
+        ],
+    )
+    def test_negative_multiples_rejected(self, weak, canon, named):
+        # the first two pairs would match under the shift; a sample table refuses the same key
+        with pytest.raises(ValidationError, match=f"^{named} table key out of range: must be an integer >= 0$"):
+            relate_models(weak, canon, 1)
 
     @pytest.mark.parametrize("key", [1.5, 1.0, "x", "1.5", True, None])
     def test_non_integer_keys_rejected(self, key):

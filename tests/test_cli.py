@@ -438,6 +438,19 @@ class TestFileCommands:
         doc = run_json(capsys, "relate", str(weak), str(canon), "--cusps", "2")
         assert doc == {"match": True}
 
+    def test_relate_negative_multiple_refused(self, capsys, tmp_path):
+        weak = tmp_path / "weak.json"
+        canon = tmp_path / "canon.json"
+        weak.write_text(json.dumps({"-1": 2, "0": 1}))
+        canon.write_text(json.dumps({"-1": 2, "0": 2}))
+        code, out, err = run(capsys, "relate", str(weak), str(canon), "--cusps", "1")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "code": "invalid-input",
+            "location": None,
+            "message": "weak nef table key out of range: must be an integer >= 0",
+        }
+
 
 class TestOutputDiscipline:
     def test_help_is_for_users(self, capsys):
