@@ -71,7 +71,7 @@ from .errors import (
     ValidationError,
 )
 from .rationals import (
-    MAX_DIGITS, Record, exact_int, format_rational, parse_integer_keys, parse_rational, require, setfield
+    MAX_DIGITS, Record, _pointer, exact_int, format_rational, parse_integer_keys, parse_rational, require, setfield
 )
 
 WEAK_NEF = "weak-nef"
@@ -95,10 +95,15 @@ class HilbertSamples(Record):
 
     def __post_init__(self):
         items = require(self.values, Mapping, "Hilbert samples").items()
-        clean = {exact_int(m, "sample key", 0): parse_rational(v) for m, v in items}
+        clean = dict(_table_item(m, v, "sample key") for m, v in items)
         setfield(self, "values", dict(sorted(clean.items())))
         if self.period_hint is not None:
             exact_int(self.period_hint, "period hint", 1)
+
+
+def _table_item(m, value, what: str) -> tuple[int, Fraction]:
+    """One entry of a table of multiples, checked: m an int >= 0 (refused naming ``what``), then its rational."""
+    return exact_int(m, what, 0), parse_rational(value)
 
 
 class ModelInvariants(Record):
@@ -653,15 +658,27 @@ def relate_models(weak_nef_chi: Mapping[int, int], canonical_chi: Mapping[int, i
     m = 0 and agree everywhere else. Keys are ints or decimal-integer
     strings naming multiples m >= 0; bools, floats, other strings and
     negative multiples are rejected, and so are two keys of one table that
-    name the same multiple.
+    name the same multiple. A refused key or value is the ``location``, as a
+    JSON Pointer into its table.
     """
     exact_int(cusps, "cusp count", 0)
     weak, canon = (
-        {exact_int(m, f"{what} key", 0): parse_rational(v) for m, v in parse_integer_keys(chi, what).items()}
-        for chi, what in ((weak_nef_chi, "weak nef table"), (canonical_chi, "canonical table"))
+        _chi_table(chi, what) for chi, what in ((weak_nef_chi, "weak nef table"), (canonical_chi, "canonical table"))
     )
     if set(weak) != set(canon):
         raise ValidationError("both tables must cover the same multiples")
     if 0 not in weak:
         raise ValidationError("tables must contain m = 0")
     return all(weak[m] - canon[m] == (-cusps if m == 0 else 0) for m in weak)
+
+
+def _chi_table(chi: Mapping, what: str) -> dict[int, Fraction]:
+    """``chi`` as {m: Fraction}: every key read, then each entry checked, a refusal located at its key."""
+    table = {}
+    for key, (m, v) in zip(chi, parse_integer_keys(chi, what).items()):
+        try:
+            table[m] = _table_item(m, v, f"{what} key")[1]
+        except ValidationError as err:
+            err.location = _pointer(key)
+            raise
+    return table

@@ -20,7 +20,7 @@ from collections.abc import Iterator
 import folcalc
 
 from .errors import FolcalcError, ValidationError
-from .rationals import format_rational, parse_integer, parse_integer_keys
+from .rationals import _pointer, format_rational, parse_integer, parse_integer_keys
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,6 +50,15 @@ def _load_json(path: str):
         raise ValidationError(f"malformed JSON: {exc}", location=path) from exc
     except OSError as exc:
         raise ValidationError(str(exc), location=path) from exc
+
+
+def _at(path: str, pointer: str, check, *args):
+    """``check(*args)``, refusing as it does, at ``path#pointer`` followed by the pointer it gives, if any."""
+    try:
+        return check(*args)
+    except ValidationError as err:
+        err.location = f"{path}#{pointer}{err.location or ''}"
+        raise
 
 
 def _cyclic_from_args(args) -> folcalc.cyclic.CyclicType:
@@ -97,16 +106,20 @@ def _cmd_chi_local(args):
     return {"chi": format_rational(value)}
 
 
+def _graph(path: str) -> folcalc.lattice.DualGraph:
+    return _at(path, "", folcalc.lattice.graph_from_json, _load_json(path))
+
+
 def _cmd_pullback(args):
-    graph = folcalc.lattice.graph_from_json(_load_json(args.graph))
-    profile = folcalc.lattice.profile_from_json(graph, _load_json(args.profile))
+    graph = _graph(args.graph)
+    profile = _at(args.profile, "", folcalc.lattice.profile_from_json, graph, _load_json(args.profile))
     solution = folcalc.lattice.solve_pullback(graph, profile)
     return {**dict.fromkeys(graph.labels, "0"), **folcalc.lattice.divisor_to_json(solution)}
 
 
 def _cmd_zariski(args):
-    graph = folcalc.lattice.graph_from_json(_load_json(args.graph))
-    divisor = folcalc.lattice.divisor_from_json(graph, _load_json(args.divisor))
+    graph = _graph(args.graph)
+    divisor = _at(args.divisor, "", folcalc.lattice.divisor_from_json, graph, _load_json(args.divisor))
     result = folcalc.zariski.zariski_decompose(graph, divisor)
     return {
         "P": folcalc.lattice.divisor_to_json(result.positive),
@@ -115,14 +128,20 @@ def _cmd_zariski(args):
     }
 
 
-def _samples_from_json(obj) -> folcalc.bounds.HilbertSamples:
-    if not isinstance(obj, dict) or "values" not in obj or not isinstance(obj["values"], dict):
-        raise ValidationError('samples JSON must be an object with a "values" map')
-    values = parse_integer_keys(obj["values"], "sample table")
+def _samples_from_json(path: str, obj) -> folcalc.bounds.HilbertSamples:
+    """The samples of the document ``obj`` read from ``path``, refused in the record's order, each at its place."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("values"), dict):
+        where = "/values" if isinstance(obj, dict) else ""
+        raise ValidationError('samples JSON must be an object with a "values" map', location=f"{path}#{where}")
+    table = obj["values"]
+    values = _at(path, "/values", parse_integer_keys, table, "sample table")
     hint = obj.get("period_hint")
     if hint is not None:
-        hint = parse_integer(hint)
-    return folcalc.bounds.HilbertSamples(values=values, period_hint=hint)
+        hint = _at(path, "/period_hint", parse_integer, hint)
+    for key, (m, v) in zip(table, values.items()):  # the record checks each entry so, in this order
+        _at(path, "/values" + _pointer(key), folcalc.bounds._table_item, m, v, "sample key")
+    # all the record has left to refuse is the hint's range
+    return _at(path, "/period_hint", folcalc.bounds.HilbertSamples, values, hint)
 
 
 def _config_to_json(cfg: folcalc.bounds.SingularityConfiguration) -> dict:
@@ -134,7 +153,7 @@ def _config_to_json(cfg: folcalc.bounds.SingularityConfiguration) -> dict:
 
 
 def _cmd_bounds(args):
-    samples = _samples_from_json(_load_json(args.samples))
+    samples = _samples_from_json(args.samples, _load_json(args.samples))
     report = folcalc.bounds.pipeline(samples, args.mode)
     # N1 depends on the index alone: one record per distinct index, shared by its configurations
     rows = {
@@ -208,7 +227,18 @@ def _cmd_relate(args):
             raise ValidationError("chi table JSON must map multiples to integers", location=path)
         return obj
 
-    match = folcalc.bounds.relate_models(table(args.weak), table(args.canonical), args.cusps)
+    weak, canonical = table(args.weak), table(args.canonical)
+    try:
+        match = folcalc.bounds.relate_models(weak, canonical, args.cusps)
+    except ValidationError as err:
+        if err.location is not None:  # a pointer into the table that holds the refused entry
+            try:
+                folcalc.bounds._chi_table(weak, "weak nef table")  # read first, so any refusal is its own
+                path = args.canonical
+            except ValidationError:
+                path = args.weak
+            err.location = f"{path}#{err.location}"
+        raise
     return {"match": match}
 
 

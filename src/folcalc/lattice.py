@@ -40,7 +40,7 @@ from types import MappingProxyType
 
 from .errors import DegenerateConfigurationError, ValidationError
 from .linalg import factor
-from .rationals import Record, exact_int, format_ratio, parse_rational, require, setfield
+from .rationals import MAX_DIGITS, Record, _pointer, exact_int, format_ratio, parse_rational, require, setfield
 
 
 class Curve(Record):
@@ -242,6 +242,7 @@ class IntersectionProfile(Record):
     def __init__(self, graph: DualGraph, degrees: Mapping[str, Fraction] = MappingProxyType({})):
         _over_one_denominator(self, graph, degrees, "profile degrees")
 
+    _reduced = QDivisor.__dict__["_reduced"]  # the same classmethod, bound to this class
     degrees = property(_as_fractions)
     _values = _stored
 
@@ -453,30 +454,113 @@ def chi_additivity_check(triples: Iterable[Sequence[int]]) -> bool:
 # graph:   {"curves": [{"label": str, "self": int}, ...],
 #           "edges": [[str, str, int], ...]}
 # divisor / profile: flat map {label: "p/q" | int, ...}
+#
+# The reader below builds the graph's labels and sparse rows, and a divisor's
+# or profile's numerators over the lcm of its denominators, straight from the
+# document. It refuses what the constructors refuse, with their messages and
+# in their order, and locates each refusal at its JSON Pointer.
+
+
+def _ratio(value) -> tuple[int, int]:
+    """``value`` as ``(num, den)``, den > 0 and not reduced, read as ``parse_rational`` reads it.
+
+    An int, and an ASCII "-?digits" or "-?digits/digits" string with a nonzero
+    denominator, are split and read with ``int``; anything else, every
+    refusal included, goes to ``parse_rational``.
+    """
+    if type(value) is int:
+        return value, 1
+    if type(value) is str and len(value) <= MAX_DIGITS and value.isascii():
+        num, slash, den = value.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit():
+            if not slash:
+                return int(num), 1
+            if den.isdigit() and den.strip("0"):
+                return int(num), int(den)
+    v = parse_rational(value)
+    return v.numerator, v.denominator
 
 
 def graph_from_json(obj) -> DualGraph:
-    if not isinstance(obj, dict) or not isinstance(obj.get("curves"), list):
-        raise ValidationError('graph JSON must be an object with a "curves" list')
-    if not isinstance(obj.get("edges", []), list):
-        raise ValidationError('graph JSON "edges" must be a list')
-    curves = []
-    for entry in obj["curves"]:
+    if not isinstance(obj, dict) or not isinstance(curves := obj.get("curves"), list):
+        location = "/curves" if isinstance(obj, dict) else ""
+        raise ValidationError('graph JSON must be an object with a "curves" list', location=location)
+    edges = obj.get("edges", [])
+    if not isinstance(edges, list):
+        raise ValidationError('graph JSON "edges" must be a list', location="/edges")
+    labels = []
+    rows = []
+    for k, entry in enumerate(curves):
         if not isinstance(entry, dict) or "label" not in entry or "self" not in entry:
-            raise ValidationError('each curve needs "label" and "self" fields')
-        curves.append(Curve(str(entry["label"]), entry["self"]))
-    edges = []
-    for edge in obj.get("edges", ()):
+            raise ValidationError('each curve needs "label" and "self" fields', location=f"/curves/{k}")
+        label, s = entry["label"], entry["self"]
+        if type(s) is not int:
+            try:
+                exact_int(s, "self-intersection")
+            except ValidationError as err:
+                err.location = f"/curves/{k}/self"
+                raise
+        labels.append(label if type(label) is str else str(label))
+        rows.append({k: s} if s else {})
+    for k, edge in enumerate(edges):
         if not isinstance(edge, (list, tuple)) or len(edge) != 3:
-            raise ValidationError("each edge must be [label, label, multiplicity]")
-        edges.append((str(edge[0]), str(edge[1]), edge[2]))
-    return DualGraph(curves, edges)
+            raise ValidationError("each edge must be [label, label, multiplicity]", location=f"/edges/{k}")
+    index = {label: i for i, label in enumerate(labels)}
+    if len(index) != len(labels):
+        first = {}  # located at the first label that repeats an earlier one
+        k = next(k for k, label in enumerate(labels) if first.setdefault(label, k) != k)
+        raise ValidationError("curve labels must be unique", location=f"/curves/{k}/label")
+    zero = False
+    for k, (a, b, mult) in enumerate(edges):
+        a, b = str(a), str(b)
+        i, j = index.get(a), index.get(b)
+        if i is None or j is None:
+            location = f"/edges/{k}/{0 if i is None else 1}"
+            raise ValidationError(f"edge {a!r}-{b!r} uses an unknown label", location=location)
+        if i == j:
+            message = f"edge {a!r}-{b!r} is a loop; use the self-intersection instead"
+            raise ValidationError(message, location=f"/edges/{k}")
+        if type(mult) is not int or mult <= 0:
+            try:
+                exact_int(mult, "edge multiplicity", 0)
+            except ValidationError as err:
+                err.location = f"/edges/{k}/2"
+                raise
+            zero = True
+        rows[i][j] = rows[j][i] = rows[i].get(j, 0) + mult
+    if zero:  # a 0 multiplicity wrote a 0 entry where no other edge adds to it
+        rows = [{j: v for j, v in row.items() if v} for row in rows]
+    return DualGraph._from_rows(tuple(labels), rows)
+
+
+def _read_values(cls, graph: DualGraph, obj, kind: str):
+    """The ``cls`` record of ``obj``, {label: rational}: every value is read before any label is looked up."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{kind} JSON must be an object mapping labels to rationals", location="")
+    pairs = {}
+    for key, value in obj.items():
+        label = key if type(key) is str else str(key)
+        try:
+            ratio = _ratio(value)
+        except ValidationError as err:
+            err.location = _pointer(label)
+            raise
+        if label in pairs:
+            raise ValidationError(f"{kind} JSON: two keys name the curve {label!r}", location=_pointer(label))
+        pairs[label] = ratio
+    index = require(graph, DualGraph, "graph")._index
+    den = lcm(*(d for _, d in pairs.values()))
+    numerators = {}
+    for label, (num, d) in pairs.items():
+        i = index.get(label)
+        if i is None:
+            raise ValidationError(f"unknown curve label {label!r}", location=_pointer(label))
+        numerators[i] = num * (den // d)
+    return cls._reduced(graph, numerators, den)
 
 
 def divisor_from_json(graph: DualGraph, obj) -> QDivisor:
-    if not isinstance(obj, dict):
-        raise ValidationError("divisor JSON must be an object mapping labels to rationals")
-    return QDivisor(graph, {str(k): parse_rational(v) for k, v in obj.items()})
+    return _read_values(QDivisor, graph, obj, "divisor")
 
 
 def divisor_to_json(d: QDivisor) -> dict:
@@ -485,6 +569,4 @@ def divisor_to_json(d: QDivisor) -> dict:
 
 
 def profile_from_json(graph: DualGraph, obj) -> IntersectionProfile:
-    if not isinstance(obj, dict):
-        raise ValidationError("profile JSON must be an object mapping labels to rationals")
-    return IntersectionProfile(graph, {str(k): parse_rational(v) for k, v in obj.items()})
+    return _read_values(IntersectionProfile, graph, obj, "profile")

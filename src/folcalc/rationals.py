@@ -166,6 +166,11 @@ class Record:
     __setattr__ = __delattr__ = _refuse
 
 
+def _pointer(*parts) -> str:
+    """The JSON Pointer (RFC 6901) of a member path: ``_pointer("curves", 2, "self")`` is "/curves/2/self"."""
+    return "".join("/" + str(part).replace("~", "~0").replace("/", "~1") for part in parts)
+
+
 def parse_integer(value) -> int:
     """Parse an int (given directly or as a decimal string); floats are rejected."""
     if isinstance(value, str):
@@ -181,12 +186,17 @@ def parse_integer_keys(table, what: str) -> dict:
 
     Two keys that name the same integer ("3" and "03", "1" and " 1", 3 and
     "3") are refused with a ``ValidationError`` naming ``what`` and the integer,
-    so no value is dropped silently.
+    so no value is dropped silently. A refused key, unreadable or the second
+    of such a pair, is the ``location``, as a JSON Pointer into ``table``.
     """
     parsed = {}
     for key, value in require(table, Mapping, what).items():
-        m = parse_integer(key)
+        try:
+            m = parse_integer(key)
+        except ValidationError as err:
+            err.location = _pointer(key)
+            raise
         if m in parsed:
-            raise ValidationError(f"{what}: two keys name the multiple {m}")
+            raise ValidationError(f"{what}: two keys name the multiple {m}", location=_pointer(key))
         parsed[m] = value
     return parsed
