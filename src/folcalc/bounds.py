@@ -95,15 +95,16 @@ class HilbertSamples(Record):
 
     def __post_init__(self):
         items = require(self.values, Mapping, "Hilbert samples").items()
-        clean = dict(_table_item(m, v, "sample key") for m, v in items)
+        clean = {m: _table_value(m, v, "sample key") for m, v in items}
         setfield(self, "values", dict(sorted(clean.items())))
         if self.period_hint is not None:
             exact_int(self.period_hint, "period hint", 1)
 
 
-def _table_item(m, value, what: str) -> tuple[int, Fraction]:
-    """One entry of a table of multiples, checked: m an int >= 0 (refused naming ``what``), then its rational."""
-    return exact_int(m, what, 0), parse_rational(value)
+def _table_value(m, value, what: str) -> Fraction:
+    """The rational of an entry m: value of a table of multiples, once m is an int >= 0 (refused naming ``what``)."""
+    exact_int(m, what, 0)
+    return parse_rational(value)
 
 
 class ModelInvariants(Record):
@@ -677,7 +678,7 @@ def _chi_table(chi: Mapping, what: str) -> dict[int, Fraction]:
     table = {}
     for key, (m, v) in zip(chi, parse_integer_keys(chi, what).items()):
         try:
-            table[m] = _table_item(m, v, f"{what} key")[1]
+            table[m] = _table_value(m, v, f"{what} key")
         except ValidationError as err:
             err.location = _pointer(key)
             raise

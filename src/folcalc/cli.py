@@ -5,7 +5,8 @@ identical inputs always produce identical bytes. Exit status 0 means success,
 2 a validation problem (malformed input, bad flags), 1 a domain failure
 propagated from the library (degenerate configuration, inconsistent samples,
 and so on); failures carry a machine-readable {code, message, location}
-object on stderr.
+object on stderr. A refused value of an input file is located at the file
+and the JSON Pointer of the value, as in "graph.json#/curves/2/self".
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def _samples_from_json(path: str, obj) -> folcalc.bounds.HilbertSamples:
     if hint is not None:
         hint = _at(path, "/period_hint", parse_integer, hint)
     for key, (m, v) in zip(table, values.items()):  # the record checks each entry so, in this order
-        _at(path, "/values" + _pointer(key), folcalc.bounds._table_item, m, v, "sample key")
+        _at(path, "/values" + _pointer(key), folcalc.bounds._table_value, m, v, "sample key")
     # all the record has left to refuse is the hint's range
     return _at(path, "/period_hint", folcalc.bounds.HilbertSamples, values, hint)
 

@@ -29,6 +29,21 @@ those of Z . C_j over the same den, ``solve_pullback`` hands the profile's
 numerators to ``folcalc.linalg``, and ``divisor_to_json`` prints from the
 ints. A Fraction is built only for a public scalar or a read of
 ``coefficients`` or ``degrees``.
+
+The JSON edge (``graph_from_json``, ``divisor_from_json``,
+``profile_from_json``) has its own reader. A graph document becomes its
+labels and sparse rows with no ``Curve`` built, and finishes through
+``DualGraph._from_rows``. Each divisor or profile value becomes an int pair
+(num, den): an int is (v, 1), a plain ASCII "-?digits" or "-?digits/digits"
+string is split and read with ``int``, and anything else goes to
+``parse_rational``; the numerators are put over the lcm of those unreduced
+denominators and reduced by one gcd in ``QDivisor._reduced``, which gives
+the canonical pair. The reader refuses what the constructors refuse, with
+their messages and in their order (every value before any label; every
+curve, its fields before its ``self``, then every edge's shape, before the
+unique-label check and the edge lookups), and, last, two keys that name one
+label. Its refusals carry a ``location``, the JSON Pointer (RFC 6901) of the
+refused member, such as "/curves/2/self" or "/C1"; the CLI prefixes the file.
 """
 
 from __future__ import annotations
@@ -455,10 +470,7 @@ def chi_additivity_check(triples: Iterable[Sequence[int]]) -> bool:
 #           "edges": [[str, str, int], ...]}
 # divisor / profile: flat map {label: "p/q" | int, ...}
 #
-# The reader below builds the graph's labels and sparse rows, and a divisor's
-# or profile's numerators over the lcm of its denominators, straight from the
-# document. It refuses what the constructors refuse, with their messages and
-# in their order, and locates each refusal at its JSON Pointer.
+# One reader, described in the module docstring, serves all three.
 
 
 def _ratio(value) -> tuple[int, int]:
@@ -507,8 +519,8 @@ def graph_from_json(obj) -> DualGraph:
             raise ValidationError("each edge must be [label, label, multiplicity]", location=f"/edges/{k}")
     index = {label: i for i, label in enumerate(labels)}
     if len(index) != len(labels):
-        first = {}  # located at the first label that repeats an earlier one
-        k = next(k for k, label in enumerate(labels) if first.setdefault(label, k) != k)
+        seen = set()  # located at the first label that repeats an earlier one
+        k = next(k for k, label in enumerate(labels) if label in seen or seen.add(label))
         raise ValidationError("curve labels must be unique", location=f"/curves/{k}/label")
     zero = False
     for k, (a, b, mult) in enumerate(edges):
@@ -528,34 +540,40 @@ def graph_from_json(obj) -> DualGraph:
                 raise
             zero = True
         rows[i][j] = rows[j][i] = rows[i].get(j, 0) + mult
-    if zero:  # a 0 multiplicity wrote a 0 entry where no other edge adds to it
+    if zero:  # a 0 multiplicity may have written a 0 entry, which no row keeps
         rows = [{j: v for j, v in row.items() if v} for row in rows]
     return DualGraph._from_rows(tuple(labels), rows)
 
 
 def _read_values(cls, graph: DualGraph, obj, kind: str):
-    """The ``cls`` record of ``obj``, {label: rational}: every value is read before any label is looked up."""
+    """The ``cls`` record of ``obj``, {label: rational}.
+
+    Every value is read before any label is looked up, and every label is
+    looked up before two keys that name one label (1 and "1") are refused,
+    so a document refused before that check was added is refused as it was.
+    """
     if not isinstance(obj, dict):
         raise ValidationError(f"{kind} JSON must be an object mapping labels to rationals", location="")
-    pairs = {}
-    for key, value in obj.items():
-        label = key if type(key) is str else str(key)
+    labels = [key if type(key) is str else str(key) for key in obj]
+    ratios = []
+    for label, value in zip(labels, obj.values()):
         try:
-            ratio = _ratio(value)
+            ratios.append(_ratio(value))
         except ValidationError as err:
             err.location = _pointer(label)
             raise
-        if label in pairs:
-            raise ValidationError(f"{kind} JSON: two keys name the curve {label!r}", location=_pointer(label))
-        pairs[label] = ratio
     index = require(graph, DualGraph, "graph")._index
-    den = lcm(*(d for _, d in pairs.values()))
+    den = lcm(*(d for _, d in ratios))
     numerators = {}
-    for label, (num, d) in pairs.items():
+    for label, (num, d) in zip(labels, ratios):
         i = index.get(label)
         if i is None:
             raise ValidationError(f"unknown curve label {label!r}", location=_pointer(label))
         numerators[i] = num * (den // d)
+    if len(numerators) != len(labels):
+        seen = set()  # located at the first key that repeats an earlier label
+        label = next(label for label in labels if label in seen or seen.add(label))
+        raise ValidationError(f"{kind} JSON: two keys name the curve {label!r}", location=_pointer(label))
     return cls._reduced(graph, numerators, den)
 
 

@@ -8,7 +8,8 @@ refused, as is a value outside the allowed range, each with a
 ``ValidationError`` naming the argument and the range. ``parse_integer``
 applies the same check to anything that is not a string, and
 ``parse_integer_keys`` reads the keys of a table of multiples with it,
-refusing two keys that name one multiple. ``require`` is the one check for
+refusing two keys that name one multiple and locating the refused key by its
+JSON Pointer (``_pointer``, RFC 6901). ``require`` is the one check for
 every other kind of argument (a record such as a ``CyclicType``, an int or a
 Fraction, a mapping, an iterable); anything else, a bool always, is refused
 with a ``ValidationError`` "what: expected Kind, got type".

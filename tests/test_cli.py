@@ -351,6 +351,81 @@ class TestFileCommands:
         assert message in error["message"]
         assert error["location"] == location.format(**paths)
 
+    # a refused value is located at its file and JSON Pointer, "file#/pointer"; order as the library checks
+    LOCATED = {
+        "graph-self": (
+            ["pullback", "{graph}", "{profile}"],
+            {"graph": {"curves": [{"label": "C1", "self": -2}, {"label": "C2", "self": "-2"}]}, "profile": {}},
+            "{graph}#/curves/1/self", "self-intersection must be an integer, not str",
+        ),
+        "profile-value": (
+            ["pullback", "{graph}", "{profile}"],
+            {"graph": TABLE_FILES["graph.json"], "profile": {"C1": "1/2", "C2": "1/0"}},
+            "{profile}#/C2", "not an exact rational: '1/0'",
+        ),
+        "divisor-label": (
+            ["zariski", "{graph}", "{divisor}"],
+            {"graph": TABLE_FILES["graph.json"], "divisor": {"C1": "1/2", "C/3": 1}},
+            "{divisor}#/C~13", "unknown curve label 'C/3'",
+        ),
+        "samples-value": (
+            ["bounds", "--mode", "weak-nef", "{samples}"],
+            {"samples": {"values": {"0": 1, "1": 2, "2": 1.5}, "period_hint": 1}},
+            "{samples}#/values/2", "not an exact rational: 1.5",
+        ),
+        "samples-key-before-hint": (
+            ["bounds", "--mode", "weak-nef", "{samples}"],
+            {"samples": {"values": {"0": 1, "x": 2}, "period_hint": "y"}},
+            "{samples}#/values/x", "not an integer: 'x'",
+        ),
+        "samples-hint-before-value": (
+            ["bounds", "--mode", "weak-nef", "{samples}"],
+            {"samples": {"values": {"0": 1, "1": "z"}, "period_hint": "y"}},
+            "{samples}#/period_hint", "not an integer: 'y'",
+        ),
+        "samples-negative-key-before-value": (
+            ["bounds", "--mode", "weak-nef", "{samples}"],
+            {"samples": {"values": {"-1": 1, "1": "z"}}},
+            "{samples}#/values/-1", "sample key out of range: must be an integer >= 0",
+        ),
+        "samples-hint-range-last": (
+            ["bounds", "--mode", "weak-nef", "{samples}"],
+            {"samples": {"values": {"0": 1, "1": 2}, "period_hint": 0}},
+            "{samples}#/period_hint", "period hint out of range: must be an integer >= 1",
+        ),
+        "samples-root": (
+            ["bounds", "--mode", "weak-nef", "{samples}"],
+            {"samples": {"values": [1, 2]}},
+            "{samples}#/values", 'samples JSON must be an object with a "values" map',
+        ),
+        "relate-canonical-value": (
+            ["relate", "{weak}", "{canonical}", "--cusps", "2"],
+            {"weak": {"0": -1, "1": 4}, "canonical": {"0": 1, "1": True}},
+            "{canonical}#/1", "not an exact rational: True",
+        ),
+        "relate-weak-before-canonical": (
+            ["relate", "{weak}", "{canonical}", "--cusps", "2"],
+            {"weak": {"0": -1, "1": "x"}, "canonical": {"0": "y", "1": 4}},
+            "{weak}#/1", "not an exact rational: 'x'",
+        ),
+        "relate-cusps-first": (
+            ["relate", "{weak}", "{canonical}", "--cusps", "-1"],
+            {"weak": {"0": -1, "1": "x"}, "canonical": {"0": 1, "1": 4}},
+            "", "cusp count out of range: must be an integer >= 0",
+        ),
+    }
+
+    @pytest.mark.parametrize("argv, docs, location, message", LOCATED.values(), ids=LOCATED)
+    def test_refusal_names_file_and_pointer(self, capsys, tmp_path, argv, docs, location, message):
+        paths = {name: tmp_path / f"{name}.json" for name in docs}
+        for name, doc in docs.items():
+            paths[name].write_text(json.dumps(doc))
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "code": "invalid-input", "location": location.format(**paths) or None, "message": message
+        }
+
     @pytest.mark.parametrize("samples", [{"period_hint": 2}, {"values": [1, 2, 5]}, [1, 2, 5]])
     def test_bounds_samples_without_values_map(self, capsys, tmp_path, samples):
         path = tmp_path / "samples.json"
