@@ -167,9 +167,9 @@ class Record:
     __setattr__ = __delattr__ = _refuse
 
 
-def _pointer(*parts) -> str:
-    """The JSON Pointer (RFC 6901) of a member path: ``_pointer("curves", 2, "self")`` is "/curves/2/self"."""
-    return "".join("/" + str(part).replace("~", "~0").replace("/", "~1") for part in parts)
+def _pointer(key) -> str:
+    """The JSON Pointer (RFC 6901) of the member ``key`` of an object: ``_pointer("a/b")`` is "/a~1b"."""
+    return "/" + str(key).replace("~", "~0").replace("/", "~1")
 
 
 def parse_integer(value) -> int:

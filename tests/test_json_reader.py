@@ -3,6 +3,8 @@
 ``graph_from_json``, ``divisor_from_json`` and ``profile_from_json`` refuse a
 malformed document with the message and in the order the public constructors
 would, so the first refusal of a document with several faults is pinned here.
+The reader's integer fast path is checked against ``parse_rational``, and its
+records against the public constructors; its refusals carry JSON Pointers.
 """
 
 from fractions import Fraction
@@ -29,10 +31,14 @@ GRAPH = graph_from_json(
 )
 
 
-def refusal(read, *args) -> str:
+def refused(read, *args) -> ValidationError:
     with pytest.raises(ValidationError) as caught:
         read(*args)
-    return caught.value.message
+    return caught.value
+
+
+def refusal(read, *args) -> str:
+    return refused(read, *args).message
 
 
 class TestRefusalOrder:
@@ -248,12 +254,6 @@ def value_maps(labels):
 
 
 # --- duplicate labels and locations ----------------------------------------
-
-
-def refused(read, *args) -> ValidationError:
-    with pytest.raises(ValidationError) as caught:
-        read(*args)
-    return caught.value
 
 
 def resolve(doc, pointer: str):
