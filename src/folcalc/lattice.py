@@ -35,15 +35,18 @@ The JSON edge (``graph_from_json``, ``divisor_from_json``,
 labels and sparse rows with no ``Curve`` built, and finishes through
 ``DualGraph._from_rows``. Each divisor or profile value becomes an int pair
 (num, den): an int is (v, 1), a plain ASCII "-?digits" or "-?digits/digits"
-string is split and read with ``int``, and anything else goes to
-``parse_rational``; the numerators are put over the lcm of those unreduced
-denominators and reduced by one gcd in ``QDivisor._reduced``, which gives
-the canonical pair. The reader refuses what the constructors refuse, with
-their messages and in their order (every value before any label; every
-curve, its fields before its ``self``, then every edge's shape, before the
-unique-label check and the edge lookups), and, last, two keys that name one
-label. Its refusals carry a ``location``, the JSON Pointer (RFC 6901) of the
-refused member, such as "/curves/2/self" or "/C1"; the CLI prefixes the file.
+string is split and read with ``int``, a plain ASCII "-?digits.digits"
+string of at most ``MAX_DIGITS`` characters is its digits over a power of
+ten, and anything else goes to ``parse_rational``; the numerators are put
+over the lcm of those unreduced denominators and reduced by one gcd in
+``QDivisor._reduced``, which gives the canonical pair. The reader refuses
+what the constructors refuse, with their messages and in their order (every
+value before any label; every curve, its fields, then its label, which must
+be a string, then its ``self``; then every edge's shape, before the
+unique-label check and the edge lookups, where an end that is not a string
+names no curve), and, last, two keys that name one label. Its refusals carry
+a ``location``, the JSON Pointer (RFC 6901) of the refused member, such as
+"/curves/2/self" or "/C1"; the CLI prefixes the file.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 
 from .errors import DegenerateConfigurationError, ValidationError
-from .linalg import factor
+from .linalg import Factorization, factor
 from .rationals import MAX_DIGITS, Record, _pointer, exact_int, format_ratio, parse_rational, require, setfield
 
 
@@ -292,9 +295,10 @@ def is_negative_definite(graph: DualGraph, support: Iterable[str]) -> bool:
 
     Decided by the signs of the pivots of one sparse exact elimination; see
     ``folcalc.linalg``. On the whole graph the verdict is that of its kept
-    factorization, made here if no pull-back has made it yet; a proper
-    support is eliminated afresh and stops at the first pivot that rules
-    definiteness out.
+    factorization, made here if no pull-back has made it yet. A proper
+    support is eliminated afresh: a ``Factorization`` of the graph's rows
+    takes the support's rows in index order and stops at the first pivot that
+    rules definiteness out.
     """
     require(graph, DualGraph, "graph")
     chosen = {graph.index_of(label) for label in require(support, Iterable, "support")}
@@ -302,19 +306,7 @@ def is_negative_definite(graph: DualGraph, support: Iterable[str]) -> bool:
         raise ValidationError("support must be nonempty")
     if len(chosen) == len(graph.labels):
         return _factored(graph).definite
-    return factor(principal_rows(graph, sorted(chosen)), stop_early=True) is not None
-
-
-def principal_rows(graph: DualGraph, idxs: Sequence[int]) -> list[dict[int, int]]:
-    """Sparse rows of the principal submatrix on the curve indices ``idxs``.
-
-    Row and column k of the result stand for curve ``idxs[k]``.
-    """
-    position = {i: k for k, i in enumerate(idxs)}
-    return [
-        {position[j]: v for j, v in graph.sparse_rows[i].items() if j in position}
-        for i in idxs
-    ]
+    return Factorization(graph.sparse_rows).take(sorted(chosen), stop_early=True)
 
 
 def solve_pullback(graph: DualGraph, profile: IntersectionProfile) -> QDivisor:
@@ -477,8 +469,9 @@ def _ratio(value) -> tuple[int, int]:
     """``value`` as ``(num, den)``, den > 0 and not reduced, read as ``parse_rational`` reads it.
 
     An int, and an ASCII "-?digits" or "-?digits/digits" string with a nonzero
-    denominator, are split and read with ``int``; anything else, every
-    refusal included, goes to ``parse_rational``.
+    denominator, are split and read with ``int``; an ASCII "-?digits.digits"
+    string is (int(whole + fraction), 10 ** len(fraction)). Anything else,
+    every refusal included, goes to ``parse_rational``.
     """
     if type(value) is int:
         return value, 1
@@ -489,6 +482,9 @@ def _ratio(value) -> tuple[int, int]:
                 return int(num), 1
             if den.isdigit() and den.strip("0"):
                 return int(num), int(den)
+        whole, point, fraction = value.partition(".")
+        if point and fraction.isdigit() and (whole[1:] if whole[:1] == "-" else whole).isdigit():
+            return int(whole + fraction), 10 ** len(fraction)
     v = parse_rational(value)
     return v.numerator, v.denominator
 
@@ -506,13 +502,19 @@ def graph_from_json(obj) -> DualGraph:
         if not isinstance(entry, dict) or "label" not in entry or "self" not in entry:
             raise ValidationError('each curve needs "label" and "self" fields', location=f"/curves/{k}")
         label, s = entry["label"], entry["self"]
+        if type(label) is not str:
+            try:
+                require(label, str, "label")
+            except ValidationError as err:
+                err.location = f"/curves/{k}/label"
+                raise
         if type(s) is not int:
             try:
                 exact_int(s, "self-intersection")
             except ValidationError as err:
                 err.location = f"/curves/{k}/self"
                 raise
-        labels.append(label if type(label) is str else str(label))
+        labels.append(label)
         rows.append({k: s} if s else {})
     for k, edge in enumerate(edges):
         if not isinstance(edge, (list, tuple)) or len(edge) != 3:
@@ -524,8 +526,8 @@ def graph_from_json(obj) -> DualGraph:
         raise ValidationError("curve labels must be unique", location=f"/curves/{k}/label")
     zero = False
     for k, (a, b, mult) in enumerate(edges):
-        a, b = str(a), str(b)
-        i, j = index.get(a), index.get(b)
+        i = index.get(a) if type(a) is str else None  # an end that is no str names no curve
+        j = index.get(b) if type(b) is str else None
         if i is None or j is None:
             location = f"/edges/{k}/{0 if i is None else 1}"
             raise ValidationError(f"edge {a!r}-{b!r} uses an unknown label", location=location)

@@ -23,6 +23,13 @@ N . C_j become numerators over den * scale, and curve j is adopted when
 numerators, P_j = d_j * scale - x_j, over den * scale, reduced by
 ``QDivisor._reduced``; no Fraction is built here outside ``pseudo_threshold``.
 
+All passes share one ``linalg.Factorization`` of the graph's rows. Each pass
+has it take the curves it adopts: they are brought up to date against the
+support's pivot rows and their columns eliminated, and the support is never
+eliminated again. So the passes of a cascade down a string of r curves make
+O(r) row updates in all, where a fresh elimination per pass would make O(r)
+per pass. The solve replays the whole record on ``target`` each pass.
+
 "Pseudoeffective relative to the configuration" means exactly that this
 procedure succeeds; cone membership on an actual surface is not decidable
 from the finite data here.
@@ -33,8 +40,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NotPseudoeffectiveError, ValidationError
-from .lattice import DualGraph, QDivisor, _on_graph, degree_vector, principal_rows
-from .linalg import factor
+from .lattice import DualGraph, QDivisor, _on_graph, degree_vector
+from .linalg import Factorization
 from .rationals import Record, parse_rational
 
 
@@ -51,34 +58,33 @@ def zariski_decompose(graph: DualGraph, d: QDivisor) -> ZariskiResult:
 
     Its one failure is NotPseudoeffectiveError when the accumulated support
     stops being negative definite (``location`` names the curves adopted in
-    that pass); N >= 0 needs no check (see the module docstring). Each pass
-    makes one ``factor`` call, which stops early on a support that is not definite.
+    that pass); N >= 0 needs no check (see the module docstring). The passes
+    grow one elimination: each has it take the curves it adopts, and the take
+    stops early when the grown support is not definite.
     """
     _on_graph(graph, d)
     labels = graph.labels
     target = degree_vector(graph, d._numerators)
+    elimination = Factorization(graph.sparse_rows)
     support: list[int] = []
     coeffs: dict[int, int] = {}
     scale = 1
-    adopted: list[int] = []
     for _ in range(len(labels) + 1):
-        if support:
-            record = factor(principal_rows(graph, support), stop_early=True)
-            if record is None:
-                raise NotPseudoeffectiveError(
-                    "not pseudoeffective relative to configuration: "
-                    "support is not negative definite",
-                    location=", ".join(labels[i] for i in adopted),
-                )
-            xs, scale = record.solve([target[i] for i in support])
-            coeffs = dict(zip(support, xs))
         n_degrees = degree_vector(graph, coeffs)
         adopted = [
             j for j in range(len(labels)) if j not in coeffs and target[j] * scale < n_degrees[j]
         ]
         if not adopted:
             break
+        if not elimination.take(adopted, stop_early=True):
+            raise NotPseudoeffectiveError(
+                "not pseudoeffective relative to configuration: "
+                "support is not negative definite",
+                location=", ".join(labels[i] for i in adopted),
+            )
         support = sorted(support + adopted)
+        xs, scale = elimination.solve(target)
+        coeffs = {i: xs[i] for i in support}
     positive = {i: x * scale for i, x in d._numerators.items()}
     for i, x in coeffs.items():
         positive[i] = positive.get(i, 0) - x

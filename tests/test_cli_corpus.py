@@ -80,7 +80,8 @@ FILE_COMMANDS = list(
 def test_every_leaf_refusal_names_its_file_and_pointer(tmp_path):
     """Each of the first 30 leaves of each input file, replaced by 1.5, true or "x", is refused at its pointer.
 
-    A curve label is read with ``str``, so a replaced label is accepted and the
+    A label that is not a string is refused at its pointer. The string "x" is
+    a label in its own right, so a label replaced by "x" is accepted and the
     refusal falls on the first edge end that still names the old label.
     """
     assert sorted(" ".join(e["argv"][:3]) for e in FILE_COMMANDS) == [
@@ -100,7 +101,9 @@ def test_every_leaf_refusal_names_its_file_and_pointer(tmp_path):
                     assert where in files and at.startswith("/"), (entry["argv"], pointer, value, error)
                     if (where, at) != (name, pointer):
                         old_label = resolve(json.loads(text), pointer)
-                        assert pointer.endswith("/label") and where == name, (entry["argv"], pointer, value, error)
+                        assert value == "x" and pointer.endswith("/label") and where == name, (
+                            entry["argv"], pointer, value, error
+                        )
                         assert at.startswith("/edges/") and resolve(json.loads(text), at) == old_label
                     located += 1
     assert located == 318

@@ -126,12 +126,12 @@ def reference_graph(obj):
     for entry in obj["curves"]:
         if not isinstance(entry, dict) or "label" not in entry or "self" not in entry:
             raise ValidationError('each curve needs "label" and "self" fields')
-        curves.append(Curve(str(entry["label"]), entry["self"]))
+        curves.append(Curve(entry["label"], entry["self"]))
     edges = []
     for edge in obj.get("edges", ()):
         if not isinstance(edge, (list, tuple)) or len(edge) != 3:
             raise ValidationError("each edge must be [label, label, multiplicity]")
-        edges.append((str(edge[0]), str(edge[1]), edge[2]))
+        edges.append(tuple(edge))
     return DualGraph(curves, edges)
 
 
@@ -154,13 +154,15 @@ NUMERALS = st.one_of(
     st.just(""),
     st.sampled_from(["1_000", "1__0", "_1", "٣", "١٢", "１", "²", "0"]),
     st.builds("{}.{}".format, DIGITS, DIGITS),
+    st.builds("{}.{}".format, DIGITS, LONG),  # a fractional part about the digit limit
+    st.sampled_from(["0.0", "00.50", ".5", "5.", "1.", "0._5", "1.5.0", "١.٥", "1.٥"]),
     st.builds("{}e{}".format, DIGITS, st.sampled_from(["5", "-3", "+2", "0", "4301", "99999", "1_0", ""])),
 )
 
 
 @st.composite
 def rational_texts(draw):
-    """Strings near the "-?digits(/digits)?" form: signs, spaces, separators, other digits, lengths."""
+    """Strings near the "-?digits(/digits)?" and "-?digits.digits" forms: signs, spaces, separators, other digits, lengths."""
     sign = draw(st.sampled_from(["", "-", "+", "--", "- "]))
     tail = draw(st.one_of(st.just(""), st.just("/"), NUMERALS.map("/{}".format), st.sampled_from(["/0", "/00", "/-2"])))
     pad = draw(st.sampled_from(["", " ", "\t", "\n "]))
@@ -183,6 +185,15 @@ class TestFastPathOracle:
     @example("0/5")
     @example("-0")
     @example("00012/0004")
+    @example("-0.0")
+    @example("00.50")
+    @example("-12.0625")
+    @example("0." + "5" * 4298)  # 4300 characters: read on the fast path
+    @example("0." + "5" * 4299)
+    @example("-0." + "5" * 4298)
+    @example("+1.5")
+    @example(" 1.5")
+    @example("1.5e3")
     def test_ratio_is_parse_rational(self, value):
         # the pair is not reduced, so it is compared by value, with den > 0 and both ints
         expected = outcome(parse_rational, value)
@@ -229,12 +240,12 @@ def graph_documents(draw):
     labels = draw(st.lists(LABELS, max_size=5, unique=draw(st.booleans()) or draw(st.booleans())))
     curves = []
     for label in labels:
-        entry = {"label": draw(sometimes(st.just(label), st.sampled_from([1, None, 1.5]))),
+        entry = {"label": draw(sometimes(st.just(label), st.sampled_from([1, None, 1.5, True, ["A"]]))),
                  "self": draw(sometimes(st.integers(-4, 1)))}
         if draw(st.integers(0, 19)) == 0:
             del entry[draw(st.sampled_from(["label", "self"]))]
         curves.append(entry)
-    ends = st.sampled_from(labels + ["Z"]) if labels else st.just("Z")
+    ends = sometimes(st.sampled_from(labels + ["Z"]) if labels else st.just("Z"), st.sampled_from([True, 1, None, 1.5, ["A"]]))
     edge = st.builds(lambda a, b, m: [a, b, m], ends, ends, sometimes(st.integers(0, 2)))
     edges = draw(st.lists(sometimes(edge, st.sampled_from([["A", "B"], "AB", 3, ["A", "B", 1, 0]])), max_size=6))
     doc = {"curves": curves, "edges": edges}
@@ -279,6 +290,31 @@ class TestDuplicateLabels:
         assert read(graph, {1: "1/2"}) == read(graph, {"1": "1/2"})
 
 
+class TestNonStringLabels:
+    """A label or an edge end that is not a string names no curve: it is refused, not read with ``str``."""
+
+    @pytest.mark.parametrize("label", [True, None, 1, 1.5, ["A"], {"A": 1}])
+    def test_label_refused_as_the_constructor_refuses_it(self, label):
+        doc = {"curves": [{"label": "A", "self": -2}, {"label": label, "self": -2}], "edges": [["A", "True", 1]]}
+        err = refused(graph_from_json, doc)
+        expected = refused(Curve, label, -2)
+        assert (err.code, err.message, err.location) == ("invalid-input", expected.message, "/curves/1/label")
+
+    @pytest.mark.parametrize("end", [True, None, 1, 1.5, ["A"]])
+    def test_edge_end_refused_at_its_pointer(self, end):
+        curves = [{"label": "A", "self": -2}, {"label": "True", "self": -2}, {"label": "1", "self": -2}]
+        for k, edge in enumerate(([end, "A", 1], ["A", end, 1])):
+            err = refused(graph_from_json, {"curves": curves, "edges": [edge]})
+            assert err.message == f"edge {edge[0]!r}-{edge[1]!r} uses an unknown label"
+            assert err.location == f"/edges/0/{k}"
+            assert refused(DualGraph, [Curve(c["label"], -2) for c in curves], [tuple(edge)]).message == err.message
+
+    def test_label_checked_before_self(self):
+        # the constructor checks a curve's label before its self-intersection, and so does the reader
+        err = refused(graph_from_json, {"curves": [{"label": 1, "self": 1.5}]})
+        assert (err.message, err.location) == ("label: expected str, got int", "/curves/0/label")
+
+
 class TestLocations:
     CURVES = [{"label": "A", "self": -2}, {"label": "a/b~", "self": -3}]
 
@@ -291,6 +327,9 @@ class TestLocations:
             ({"curves": [{"label": "A", "self": -2}, {"self": -2}]}, "/curves/1"),
             ({"curves": [{"label": "A", "self": -2}, {"label": "B", "self": 1.5}]}, "/curves/1/self"),
             ({"curves": CURVES + [{"label": "A", "self": -1}]}, "/curves/2/label"),
+            ({"curves": CURVES + [{"label": True, "self": 1.5}]}, "/curves/2/label"),
+            ({"curves": CURVES, "edges": [[True, "A", 1]]}, "/edges/0/0"),
+            ({"curves": CURVES, "edges": [["A", None, 1]]}, "/edges/0/1"),
             ({"curves": CURVES, "edges": [["A", "a/b~", 1], ["A"]]}, "/edges/1"),
             ({"curves": CURVES, "edges": [["Z", "A", 1]]}, "/edges/0/0"),
             ({"curves": CURVES, "edges": [["A", "Z", 1]]}, "/edges/0/1"),

@@ -137,7 +137,10 @@ class TestGraphConstruction:
         # a graph with labels 1 and "a" could not sort its labels to print a divisor on it
         with pytest.raises(ValidationError, match="label: expected str"):
             Curve(label, -2)
-        assert graph_from_json({"curves": [{"label": 1, "self": -2}]}).labels == ("1",)
+        # the JSON reader refuses it too, at its pointer, rather than naming the curve str(label)
+        with pytest.raises(ValidationError, match="label: expected str") as caught:
+            graph_from_json({"curves": [{"label": label, "self": -2}]})
+        assert caught.value.location == "/curves/0/label"
 
     @pytest.mark.parametrize("mult", [True, 1.0])
     def test_non_integer_multiplicity_rejected(self, mult):

@@ -10,7 +10,7 @@ of the first pull-back coefficient.
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from folcalc.errors import ValidationError
 from folcalc.lattice import intersection_matrix
-from folcalc.linalg import factor, is_negative_definite_matrix, solve_exact
+from folcalc.linalg import Factorization, factor, is_negative_definite_matrix, solve_exact
 
 from conftest import random_graph
 
@@ -420,3 +420,247 @@ def test_missing_pivot_stops_early():
     rows = [{0: -1, 1: 1}, {0: 1, 1: -1}]
     assert factor(rows, stop_early=True) is None
     assert factor(rows).kernel == [1, 1]
+
+
+# --- the whole-matrix record against the kernel before bordering -------------
+#
+# ``factor`` is the growing elimination taking every row at once. Its record
+# must be the one the kernel made before the elimination could grow: the code
+# below is that kernel, verbatim but for its names, and the reference here and
+# for the Zariski passes in ``tests/test_zariski.py``.
+
+
+class ReferenceFactorization:
+    """The record of one forward elimination of a square integer matrix, as the kernel made it before bordering.
+
+    ``definite`` is the verdict. ``pivots`` holds ``(k, row)`` per column c:
+    the pivot row's index and its final entries, zero before column c.
+    ``updates`` holds the ``(i, k, scale, f, g)`` records in the order they
+    ran, flattened into one list, five ints per record. ``det`` is |det A|,
+    which scales the rhs of every replay. ``kernel`` is None for a
+    nonsingular matrix. A singular one keeps only its verdict (False),
+    ``det`` = 0 and ``kernel``, a primitive integer vector Z with rows @ Z = 0.
+    Nothing here is modified after ``factor`` returns.
+    """
+
+    __slots__ = ("definite", "pivots", "updates", "det", "kernel")
+
+    def __init__(self, definite, pivots, updates, det, kernel):
+        self.definite = definite
+        self.pivots = pivots
+        self.updates = updates
+        self.det = det
+        self.kernel = kernel
+
+    def solve(self, rhs):
+        """``(numerators, den)`` with x_i = numerators[i] / den, den > 0 least, or None if singular.
+
+        ``rhs`` holds one int per row; any other entry, a Fraction, bool or float
+        included, is refused with ``ValidationError``, since ``//`` on a Fraction
+        would give a wrong answer silently. A caller with a rational rhs puts it
+        over one common denominator, solves on the numerators and multiplies that
+        denominator into ``den``.
+        """
+        if not set(map(type, rhs)) <= {int}:
+            raise ValidationError("a replayed rhs must hold ints only")
+        if self.kernel is not None:
+            return None
+        den = self.det
+        b = [x * den for x in rhs]
+        fields = iter(self.updates)
+        for i, k, scale, f, g in zip(fields, fields, fields, fields, fields):
+            b[i] = (scale * b[i] - f * b[k]) // g
+        y = reference_back_substitute(self.pivots, [0] * len(b), b)
+        h = gcd(den, *y)
+        return [x // h for x in y], den // h
+
+
+def reference_back_substitute(pivots, y, b):
+    """``y`` with y_c = (b[k] - sum of v_j * y_j over j != c) // p_c for the pivot columns, last first.
+
+    The pivot row of column c, with index k and pivot p_c, says row . y = b[k]; entries of ``y``
+    past the pivot columns are given. Each division is exact when that y is an integer vector.
+    """
+    for c in reversed(range(len(pivots))):
+        k, row = pivots[c]
+        acc = b[k]
+        for j, v in row.items():
+            if j != c:
+                acc -= v * y[j]
+        y[c] = acc // row[c]
+    return y
+
+
+def reference_kernel(pivots, free, n):
+    """The primitive integer Z, zero past ``free`` and positive at it, orthogonal to ``pivots``.
+
+    ``pivots`` are the pivot rows of the columns before ``free``, which no row left has an entry in.
+    They form a triangular block, so with Z_free the product of their |p_c| every Z_c is an
+    integer by Cramer's rule.
+    """
+    y = [0] * n
+    y[free] = prod(abs(row[c]) for c, (_, row) in enumerate(pivots))
+    z = reference_back_substitute(pivots, y, [0] * n)
+    content = gcd(*z)
+    return [x // content for x in z]
+
+
+def reference_factor(rows, *, stop_early: bool = False) -> ReferenceFactorization | None:
+    """Eliminate the square integer matrix ``rows`` once, recording every row update.
+
+    ``rows`` gives the nonzero entries, one ``{column: int}`` mapping per row;
+    it is not modified. With ``stop_early``, a pivot that rules definiteness
+    out, or a missing one, stops elimination and returns None.
+    """
+    n = len(rows)
+    work = list(map(dict, rows))
+    # cols[c]: the remaining rows with a nonzero entry in column c
+    cols: list[set[int]] = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    definite = True
+    pivots: list[tuple[int, dict[int, int]]] = []
+    updates: list[int] = []
+    det_num = det_den = 1  # |det A| = det_num / det_den: each column's |p|^(1 - updates) and every g
+    filled = False  # whether some row has grown; only then can a row hold room for entries it lost
+    for c in range(n):
+        col = cols[c]
+        k = c if c in col else min(col, default=None)
+        if k is None:
+            return None if stop_early else ReferenceFactorization(False, [], [], 0, reference_kernel(pivots, c, n))
+        pivot_row = work[k]
+        p = pivot_row[c]
+        if k != c or p > 0:
+            if stop_early:
+                return None
+            definite = False
+        if filled:
+            work[k] = pivot_row = dict(pivot_row)  # a fresh dict is sized to the row
+        pivots.append((k, pivot_row))
+        for j in pivot_row:
+            cols[j].discard(k)
+        scale = abs(p)
+        sign = 1 if p > 0 else -1
+        if not col:
+            det_num *= scale
+        elif len(col) > 1:
+            det_den *= scale ** (len(col) - 1)
+        for i in col:
+            row = work[i]
+            f = sign * row.pop(c)
+            if scale != 1:
+                for j in row:
+                    row[j] *= scale
+            for j, v in pivot_row.items():
+                if j == c:
+                    continue
+                old = row.get(j, 0)
+                new = old - f * v
+                if new:
+                    row[j] = new
+                    if not old:
+                        cols[j].add(i)
+                        filled = True
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            g = gcd(*row.values()) or 1  # an emptied row has content 0
+            if g > 1:
+                for j in row:
+                    row[j] //= g
+                det_num *= g
+            updates += (i, k, scale, f, g)
+        col.clear()
+    return ReferenceFactorization(definite, pivots, updates, det_num // det_den, None)
+
+
+
+
+def sparse(matrix):
+    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
+
+
+def record_of(record):
+    return record.definite, record.pivots, record.updates, record.det, record.kernel
+
+
+sparse_ints = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -4])
+any_square_system = st.one_of(
+    square_systems(small_ints, max_size=7),
+    square_systems(sparse_ints, max_size=8),
+    square_systems(sparse_ints, max_size=8, symmetric=True),
+    square_systems(sparse_ints, max_size=6, zero_diagonal=True),
+    square_systems(st.integers(-40, 40), max_size=5, symmetric=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_square_system, st.booleans())
+def test_whole_matrix_record_is_the_reference_record(system, stop_early):
+    # non-symmetric matrices too, as solve_exact takes them: off-diagonal pivots, fill and kernels
+    matrix, rhs = system
+    rows = sparse(matrix)
+    got, expected = factor(rows, stop_early=stop_early), reference_factor(rows, stop_early=stop_early)
+    if expected is None:
+        assert got is None
+        return
+    assert record_of(got) == record_of(expected)
+    assert got.columns == list(range(len(got.pivots)))
+    assert solve_rational(got, rhs) == solve_rational(expected, rhs)
+    assert rows == sparse(matrix)
+
+
+@st.composite
+def growing_eliminations(draw, max_size=8):
+    """A symmetric matrix and a partition of some of its indices into blocks, taken in the order drawn."""
+    n = draw(st.integers(1, max_size))
+    upper = [[draw(sparse_ints) for _ in range(n)] for _ in range(n)]
+    matrix = [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    for i in range(n):
+        matrix[i][i] = draw(st.sampled_from([-1, -2, -2, -3, -5, 0, 1]))
+    order = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+    cuts = sorted(draw(st.sets(st.integers(1, len(order) - 1), max_size=len(order) - 1))) if len(order) > 1 else []
+    blocks = [sorted(order[a:b]) for a, b in zip([0] + cuts, cuts + [len(order)])]
+    return matrix, blocks
+
+
+def principal(matrix, idxs):
+    return [[matrix[i][j] for j in idxs] for i in idxs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(growing_eliminations(), st.data())
+def test_growing_elimination_answers_for_the_rows_taken(case, data):
+    # after each take: the verdict, |det| and solution of the principal submatrix on every row taken so far
+    matrix, blocks = case
+    rows = sparse(matrix)
+    elimination, early = Factorization(rows), Factorization(rows)
+    taken = []
+    for block in blocks:
+        taken = sorted(taken + block)
+        sub = principal(matrix, taken)
+        definite = minors_negative_definite(sub) if len(sub) <= 7 else None
+        if early is not None:
+            if early.take(block, stop_early=True):
+                assert definite in (True, None) and early.definite
+                assert early.det == abs(cofactor_det(sub))
+            else:
+                assert definite in (False, None)
+                early = None
+        assert elimination.take(block)
+        if elimination.kernel is not None:
+            z = elimination.kernel
+            assert any(z) and gcd(*z) == 1 and all(z[j] == 0 for j in range(len(z)) if j not in taken)
+            assert all(sum(matrix[i][j] * z[j] for j in taken) == 0 for i in taken)
+            assert cofactor_det(sub) == 0 and elimination.solve([0] * len(rows)) is None
+            return
+        assert elimination.det == abs(cofactor_det(sub)) != 0
+        if definite is not None:
+            assert elimination.definite == definite
+        rhs = data.draw(rhs_for(len(rows)))
+        numerators, den = solve_rational(elimination, rhs)
+        assert all(numerators[j] == 0 for j in range(len(rows)) if j not in taken)
+        assert [Fraction(numerators[j], den) for j in taken] == gauss_jordan(sub, [rhs[i] for i in taken])
+        if early is not None:
+            assert solve_rational(early, rhs) == (numerators, den)
