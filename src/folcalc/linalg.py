@@ -97,8 +97,8 @@ class Factorization:
     order they ran, flattened into one list, five ints per record. ``det`` is
     the |det| of the block taken so far, which scales the rhs of every replay.
     ``kernel`` is None for a nonsingular block. A singular one keeps only its
-    verdict (False), ``det`` = 0 and ``kernel``, a primitive integer vector Z
-    with rows @ Z = 0.
+    verdict (False), ``det`` = 0 and ``kernel``, a primitive integer vector Z,
+    zero in every column not taken, with row . Z = 0 for every row taken.
     """
 
     __slots__ = ("definite", "pivots", "columns", "updates", "det", "kernel", "_work", "_cols", "_position")
@@ -108,8 +108,9 @@ class Factorization:
 
         Each row is copied; ``rows`` is not modified.
         """
-        self._work = list(map(dict, rows))  # every row, as eliminated so far
-        # _cols[j]: the rows of the take under way with a nonzero entry in column j; empty between takes
+        # _work: every row, as eliminated so far; _cols[j]: the rows of the take under way with a
+        # nonzero entry in column j, empty between takes. Both go once every row is taken.
+        self._work = list(map(dict, rows))
         self._cols: list[set[int]] = [set() for _ in rows]
         self._position: dict[int, int] = {}  # a taken column's index in ``columns``, filled in lazily
         self.definite = True
@@ -119,15 +120,15 @@ class Factorization:
         self.det = 1
         self.kernel = None
 
-    def take(self, block, *, stop_early: bool = False) -> bool:
+    def take(self, block, stop_early: bool = False) -> bool:
         """Take the rows ``block``, ascending indices none of which was taken before, and eliminate their columns.
 
         Returns False, and leaves the elimination of no further use, when
         ``stop_early`` stops it at a pivot that rules definiteness out or a
         missing one; otherwise True, a singular block included.
         """
-        pivots, columns, updates, position = self.pivots, self.columns, self.updates, self._position
-        work, cols = self._work, self._cols
+        pivots, columns, updates = self.pivots, self.columns, self.updates
+        work, cols, position = self._work, self._cols, self._position
         for i in block:
             for j in work[i]:
                 cols[j].add(i)
@@ -154,6 +155,7 @@ class Factorization:
                     taken = columns + list(block)[: len(pivots) - len(columns)]
                     self.kernel = _kernel(pivots, taken, c, len(work))
                     self.definite, self.pivots, self.columns, self.updates, self.det = False, [], [], [], 0
+                    self._work = self._cols = None
                     return True
                 pivot_row = work[k]
                 p = pivot_row[c]
@@ -187,7 +189,7 @@ class Factorization:
                         row[j] = new
                         if not old:
                             cols[j].add(i)
-                            if j in position:
+                            if j in position:  # only while catching up: fill in an earlier pivot column
                                 pending.add(position[j])
                             filled = True
                     else:
@@ -202,7 +204,7 @@ class Factorization:
             col.clear()
         columns += block  # a take that ends here pivots its columns in order
         if len(columns) == len(work):  # no row is left to take
-            self._cols = None
+            self._work = self._cols = None
         self.det = det_num // det_den
         return True
 
@@ -246,7 +248,9 @@ def _back_substitute(pivots, columns, y, b):
     The pivot row of column c, with index k and pivot p_c, says row . y = b[k]; entries of ``y``
     outside the pivot columns are given. Each division is exact when that y is an integer vector.
     """
-    for c, (k, row) in zip(reversed(columns), reversed(pivots)):
+    for t in reversed(range(len(pivots))):
+        k, row = pivots[t]
+        c = columns[t]
         acc = b[k]
         for j, v in row.items():
             if j != c:
@@ -278,7 +282,7 @@ def factor(rows, *, stop_early: bool = False) -> Factorization | None:
     stops elimination and returns None.
     """
     record = Factorization(rows)
-    return record if record.take(range(len(rows)), stop_early=stop_early) else None
+    return record if record.take(range(len(rows)), stop_early) else None
 
 
 def _sparse(matrix) -> list[dict[int, int]]:
