@@ -71,9 +71,14 @@ for dense elimination; a dense matrix still costs O(r^3) to factor and
 O(r^2) per replay. A take costs the steps of its new rows alone, so growing
 one elimination a few rows at a time costs what taking them all at once
 does: the Zariski passes down a string of r curves make O(r) row updates in
-all, not O(r) per pass. A ``Factorization`` holds the filled pivot rows and
-one record per row update: O(r) on a string, O(fill) in general. Once some
-row has filled in, each pivot row is copied when it is chosen, since a dict
+all, not O(r) per pass. That holds while the order of the takes adds no
+fill. A take in the wrong order can fill in badly: on a star whose hub is
+taken before its leaves, each leaf row brought up to date against the hub's
+pivot row gains an entry for every other leaf. ``Factorization.fills``
+counts that fill before a take, so a caller can eliminate afresh in index
+order instead. A ``Factorization`` holds the filled pivot rows and one
+record per row update: O(r) on a string, O(fill) in general. Once some row
+has filled in, each pivot row is copied when it is chosen, since a dict
 keeps the room of the entries it lost.
 """
 
@@ -134,8 +139,7 @@ class Factorization:
                 cols[j].add(i)
         order = block
         if columns:
-            for t in range(len(position), len(columns)):
-                position[columns[t]] = t
+            self._positions()
             pending = {position[j] for i in block for j in work[i] if j in position}
             order = _catch_up(pending, columns, block)
         det_num, det_den = self.det, 1  # D = det_num / det_den: each column's |p|^(1 - updates) and every g
@@ -207,6 +211,34 @@ class Factorization:
             self._work = self._cols = None
         self.det = det_num // det_den
         return True
+
+    def fills(self, block) -> bool:
+        """Whether bringing the rows ``block`` up to date would fill them in, by more than one entry per row.
+
+        An entry of fill is an entry of a pivot row that a row of ``block``
+        meets as taken, outside the column it pivots, in a column where that
+        row has none; fill that the fill itself would meet is not counted. One
+        entry per row is what a string whose end curve is never taken carries
+        along: that curve's entry passes from each pivot row to the next.
+        """
+        position, pivots, work = self._positions(), self.pivots, self._work
+        excess = -len(block)  # the fill so far, less one entry per row
+        for i in block:
+            row = work[i]
+            for j in row:
+                t = position.get(j)
+                if t is not None:
+                    excess += sum(c not in row for c in pivots[t][1])
+                    if excess > 0:
+                        return True
+        return False
+
+    def _positions(self) -> dict[int, int]:
+        """``_position`` brought up to date with ``columns``."""
+        position, columns = self._position, self.columns
+        for t in range(len(position), len(columns)):
+            position[columns[t]] = t
+        return position
 
     def solve(self, rhs):
         """``(numerators, den)`` with x_c = numerators[c] / den, den > 0 least, or None if singular.

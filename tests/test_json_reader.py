@@ -327,14 +327,14 @@ class TestLocations:
             ({"curves": [{"label": "A", "self": -2}, {"self": -2}]}, "/curves/1"),
             ({"curves": [{"label": "A", "self": -2}, {"label": "B", "self": 1.5}]}, "/curves/1/self"),
             ({"curves": CURVES + [{"label": "A", "self": -1}]}, "/curves/2/label"),
-            ({"curves": CURVES + [{"label": True, "self": 1.5}]}, "/curves/2/label"),
-            ({"curves": CURVES, "edges": [[True, "A", 1]]}, "/edges/0/0"),
-            ({"curves": CURVES, "edges": [["A", None, 1]]}, "/edges/0/1"),
             ({"curves": CURVES, "edges": [["A", "a/b~", 1], ["A"]]}, "/edges/1"),
             ({"curves": CURVES, "edges": [["Z", "A", 1]]}, "/edges/0/0"),
             ({"curves": CURVES, "edges": [["A", "Z", 1]]}, "/edges/0/1"),
             ({"curves": CURVES, "edges": [["A", "A", 1]]}, "/edges/0"),
             ({"curves": CURVES, "edges": [["A", "a/b~", -1]]}, "/edges/0/2"),
+            ({"curves": CURVES + [{"label": True, "self": 1.5}]}, "/curves/2/label"),
+            ({"curves": CURVES, "edges": [[True, "A", 1]]}, "/edges/0/0"),
+            ({"curves": CURVES, "edges": [["A", None, 1]]}, "/edges/0/1"),
         ],
     )
     def test_graph_refusals_name_their_pointer(self, doc, location):

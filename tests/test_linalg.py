@@ -664,3 +664,21 @@ def test_growing_elimination_answers_for_the_rows_taken(case, data):
         assert [Fraction(numerators[j], den) for j in taken] == gauss_jordan(sub, [rhs[i] for i in taken])
         if early is not None:
             assert solve_rational(early, rhs) == (numerators, den)
+
+
+def test_fill_is_counted_at_the_pivot_rows_a_take_meets():
+    # a string C0 - C1 - ... - C5 taken from C1 on: each pivot row carries one entry in column 0,
+    # which is never taken, and passes it to the next row
+    string = sparse(chain_matrix([2] * 6))
+    elimination = Factorization(string)
+    for i in range(1, 6):
+        assert not elimination.fills([i])
+        assert elimination.take([i], stop_early=True)
+    # a star whose hub, row 0, is taken first: its pivot row meets every leaf
+    star = sparse([[-7] + [1] * 5] + [[1] + [-2 if j == i else 0 for j in range(1, 6)] for i in range(1, 6)])
+    elimination = Factorization(star)
+    assert elimination.take([0], stop_early=True)
+    assert elimination.fills([1]) and elimination.fills([1, 3])  # each leaf gains the other four
+    # a leaf of the star whose hub is taken last meets a pivot row holding only its own entry
+    elimination = Factorization(star)
+    assert elimination.take([1, 2], stop_early=True) and not elimination.fills([0])

@@ -329,6 +329,39 @@ class TestOneGrowingElimination:
         assert repr(result) == repr(reference_zariski(graph, d))
         assert len(result.support) == r - 1
 
+    @pytest.mark.parametrize("hub_first", [False, True], ids=["hub last", "hub first"])
+    def test_star_whose_hub_is_adopted_first_is_eliminated_afresh(self, monkeypatch, hub_first):
+        # the hub is adopted in the first pass; bordering a leaf against the hub's pivot row would
+        # fill that leaf's row with every other leaf, so each later pass eliminates its support
+        # afresh, and makes no more row updates than the fresh passes did
+        r = 40
+        hub, leaves = Curve("H", -(r + 1)), [Curve(f"L{k}", -2) for k in range(r)]
+        graph = DualGraph([hub] + leaves if hub_first else leaves + [hub], [("H", f"L{k}", 1) for k in range(r)])
+        rng = random.Random(7)
+        d = QDivisor(graph, {"H": 2, **{f"L{k}": Fraction(rng.randint(0, 1000), 1000) for k in range(r)}})
+        made = []
+
+        class Counted(Factorization):
+            __slots__ = ()
+
+            def __init__(self, rows):
+                super().__init__(rows)
+                made.append(self)
+
+        monkeypatch.setattr(folcalc.zariski, "Factorization", Counted)
+        result = zariski_decompose(graph, d)
+        fresh = []
+
+        def counted(rows, **kwargs):
+            record = reference_factor(rows, **kwargs)
+            fresh.append(len(record.updates) // 5)
+            return record
+
+        monkeypatch.setitem(globals(), "factor", counted)
+        assert repr(reference_zariski(graph, d)) == repr(result)
+        assert len(fresh) > 2 and len(made) == len(fresh)
+        assert sum(len(m.updates) // 5 for m in made) <= sum(fresh)
+
     def test_cli_prints_the_recorded_cascade(self, tmp_path, capsys):
         # the bytes of tests/cascade40-zariski.out were printed by the fresh elimination per pass;
         # CI compares the installed console script's output with the same file
