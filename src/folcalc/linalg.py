@@ -74,9 +74,13 @@ does: the Zariski passes down a string of r curves make O(r) row updates in
 all, not O(r) per pass. That holds while the order of the takes adds no
 fill. A take in the wrong order can fill in badly: on a star whose hub is
 taken before its leaves, each leaf row brought up to date against the hub's
-pivot row gains an entry for every other leaf. ``Factorization.fills``
-counts that fill before a take, so a caller can eliminate afresh in index
-order instead. A ``Factorization`` holds the filled pivot rows and one
+pivot row gains an entry for every other leaf. So a take first weighs the
+entries of the pivot rows its rows meet against the entries of every row
+taken and to be taken; when the first is more than both the second and the
+entries of its own rows, the elimination starts over and takes all those
+rows afresh, in index order. On a string the pivot rows a row meets are no
+longer than the row, so a string taken a few curves at a time never starts
+over. A ``Factorization`` holds the filled pivot rows and one
 record per row update: O(r) on a string, O(fill) in general. Once some row
 has filled in, each pivot row is copied when it is chosen, since a dict
 keeps the room of the entries it lost.
@@ -106,16 +110,17 @@ class Factorization:
     zero in every column not taken, with row . Z = 0 for every row taken.
     """
 
-    __slots__ = ("definite", "pivots", "columns", "updates", "det", "kernel", "_work", "_cols", "_position")
+    __slots__ = ("definite", "pivots", "columns", "updates", "det", "kernel", "_rows", "_work", "_cols", "_position")
 
     def __init__(self, rows):
         """An elimination of ``rows``, one ``{column: int}`` mapping per row, that has taken none yet.
 
         Each row is copied; ``rows`` is not modified.
         """
-        # _work: every row, as eliminated so far; _cols[j]: the rows of the take under way with a
-        # nonzero entry in column j, empty between takes. Both go once every row is taken.
-        self._work = list(map(dict, rows))
+        # _work: a copy of each row taken, as eliminated so far; _cols[j]: the rows of the take under
+        # way with a nonzero entry in column j, empty between takes. Both go once every row is taken.
+        self._rows = rows
+        self._work: list[dict[int, int] | None] = [None] * len(rows)
         self._cols: list[set[int]] = [set() for _ in rows]
         self._position: dict[int, int] = {}  # a taken column's index in ``columns``, filled in lazily
         self.definite = True
@@ -130,18 +135,37 @@ class Factorization:
 
         Returns False, and leaves the elimination of no further use, when
         ``stop_early`` stops it at a pivot that rules definiteness out or a
-        missing one; otherwise True, a singular block included.
+        missing one; otherwise True, a singular block included. A take whose
+        rows meet pivot rows with more entries than all the rows taken hold
+        starts the elimination over (see the module docstring).
         """
         pivots, columns, updates = self.pivots, self.columns, self.updates
-        work, cols, position = self._work, self._cols, self._position
-        for i in block:
-            for j in work[i]:
-                cols[j].add(i)
+        rows, work, cols, position = self._rows, self._work, self._cols, self._position
         order = block
         if columns:
             self._positions()
-            pending = {position[j] for i in block for j in work[i] if j in position}
+            pending = set()  # where in ``columns`` the pivot columns the rows meet are
+            cost = 0  # the entries of the pivot rows they meet
+            for i in block:
+                for j in rows[i]:
+                    t = position.get(j)
+                    if t is not None:
+                        pending.add(t)
+                        cost += len(pivots[t][1])
+            fresh = sum(len(rows[i]) for i in block)
+            if cost > fresh and cost > fresh + sum(len(rows[c]) for c in columns):
+                # bringing the rows up to date would cost more than eliminating every row afresh
+                self.__init__(rows)
+                return self.take(sorted(columns + list(block)), stop_early)
             order = _catch_up(pending, columns, block)
+        if len(block) == len(work):  # every row at once
+            work[:] = map(dict, rows)
+        else:
+            for i in block:
+                work[i] = dict(rows[i])
+        for i in block:
+            for j in work[i]:
+                cols[j].add(i)
         det_num, det_den = self.det, 1  # D = det_num / det_den: each column's |p|^(1 - updates) and every g
         filled = False  # whether some row has grown; only then can a row hold room for entries it lost
         for c in order:
@@ -159,7 +183,7 @@ class Factorization:
                     taken = columns + list(block)[: len(pivots) - len(columns)]
                     self.kernel = _kernel(pivots, taken, c, len(work))
                     self.definite, self.pivots, self.columns, self.updates, self.det = False, [], [], [], 0
-                    self._work = self._cols = None
+                    self._rows = self._work = self._cols = None
                     return True
                 pivot_row = work[k]
                 p = pivot_row[c]
@@ -208,30 +232,9 @@ class Factorization:
             col.clear()
         columns += block  # a take that ends here pivots its columns in order
         if len(columns) == len(work):  # no row is left to take
-            self._work = self._cols = None
+            self._rows = self._work = self._cols = None
         self.det = det_num // det_den
         return True
-
-    def fills(self, block) -> bool:
-        """Whether bringing the rows ``block`` up to date would fill them in, by more than one entry per row.
-
-        An entry of fill is an entry of a pivot row that a row of ``block``
-        meets as taken, outside the column it pivots, in a column where that
-        row has none; fill that the fill itself would meet is not counted. One
-        entry per row is what a string whose end curve is never taken carries
-        along: that curve's entry passes from each pivot row to the next.
-        """
-        position, pivots, work = self._positions(), self.pivots, self._work
-        excess = -len(block)  # the fill so far, less one entry per row
-        for i in block:
-            row = work[i]
-            for j in row:
-                t = position.get(j)
-                if t is not None:
-                    excess += sum(c not in row for c in pivots[t][1])
-                    if excess > 0:
-                        return True
-        return False
 
     def _positions(self) -> dict[int, int]:
         """``_position`` brought up to date with ``columns``."""

@@ -28,10 +28,11 @@ has it take the curves it adopts: they are brought up to date against the
 support's pivot rows and their columns eliminated, and the support is not
 eliminated again. So the passes of a cascade down a string of r curves make
 O(r) row updates in all, where a fresh elimination per pass would make O(r)
-per pass. A pass whose curves would fill in as they are brought up to date
-(``Factorization.fills``; a star whose hub was adopted before its leaves)
-eliminates the grown support afresh, in index order, as the next shared
-elimination. The solve replays the whole record on ``target`` each pass.
+per pass. Where bringing the adopted curves up to date would cost more than
+eliminating the grown support afresh, as on a star whose hub was adopted
+before its leaves, the elimination starts over in index order (see
+``folcalc.linalg``). The solve replays the whole record on ``target`` each
+pass.
 
 "Pseudoeffective relative to the configuration" means exactly that this
 procedure succeeds; cone membership on an actual surface is not decidable
@@ -62,8 +63,7 @@ def zariski_decompose(graph: DualGraph, d: QDivisor) -> ZariskiResult:
     Its one failure is NotPseudoeffectiveError when the accumulated support
     stops being negative definite (``location`` names the curves adopted in
     that pass); N >= 0 needs no check (see the module docstring). The passes
-    grow one elimination: each has it take the curves it adopts, or, where
-    those would fill in, eliminates the grown support afresh; either take
+    grow one elimination: each has it take the curves it adopts, and the take
     stops early when the grown support is not definite.
     """
     _on_graph(graph, d)
@@ -80,10 +80,7 @@ def zariski_decompose(graph: DualGraph, d: QDivisor) -> ZariskiResult:
         ]
         if not adopted:
             break
-        block = adopted
-        if elimination.fills(adopted):  # so would a take: eliminate the grown support afresh instead
-            elimination, block = Factorization(graph.sparse_rows), sorted(support + adopted)
-        if not elimination.take(block, stop_early=True):
+        if not elimination.take(adopted, stop_early=True):
             raise NotPseudoeffectiveError(
                 "not pseudoeffective relative to configuration: "
                 "support is not negative definite",

@@ -666,19 +666,23 @@ def test_growing_elimination_answers_for_the_rows_taken(case, data):
             assert solve_rational(early, rhs) == (numerators, den)
 
 
-def test_fill_is_counted_at_the_pivot_rows_a_take_meets():
-    # a string C0 - C1 - ... - C5 taken from C1 on: each pivot row carries one entry in column 0,
-    # which is never taken, and passes it to the next row
+def test_take_starts_over_where_catching_up_costs_more_than_a_fresh_elimination():
+    # a string C0 - C1 - ... - C5 taken one curve at a time from C1 on: each row meets one pivot
+    # row, as long as itself, which carries the entry of C0, never taken, on to the next
     string = sparse(chain_matrix([2] * 6))
     elimination = Factorization(string)
     for i in range(1, 6):
-        assert not elimination.fills([i])
         assert elimination.take([i], stop_early=True)
-    # a star whose hub, row 0, is taken first: its pivot row meets every leaf
-    star = sparse([[-7] + [1] * 5] + [[1] + [-2 if j == i else 0 for j in range(1, 6)] for i in range(1, 6)])
-    elimination = Factorization(star)
-    assert elimination.take([0], stop_early=True)
-    assert elimination.fills([1]) and elimination.fills([1, 3])  # each leaf gains the other four
-    # a leaf of the star whose hub is taken last meets a pivot row holding only its own entry
-    elimination = Factorization(star)
-    assert elimination.take([1, 2], stop_early=True) and not elimination.fills([0])
+        assert elimination.columns == list(range(1, i + 1))  # never started over
+    # a star of five leaves and its hub, row 5, taken first: each leaf meets the hub's pivot row,
+    # which holds all six entries of the hub's row
+    matrix = [[-2 if j == i else 0 for j in range(5)] + [1] for i in range(5)] + [[1] * 5 + [-7]]
+    elimination = Factorization(sparse(matrix))
+    assert elimination.take([5]) and elimination.take([0])  # 6 entries met, against 2 + 6
+    assert elimination.columns == [5, 0] and len(elimination.updates) == 5
+    assert elimination.take([1, 2, 3])  # 18 entries met, against 6 + 8: afresh, in index order
+    assert elimination.columns == [0, 1, 2, 3, 5] and elimination.definite
+    assert elimination.det == abs(cofactor_det(principal(matrix, [0, 1, 2, 3, 5])))
+    # the hub taken after two leaves meets their two pivot rows of 2 entries
+    elimination = Factorization(sparse(matrix))
+    assert elimination.take([0, 1]) and elimination.take([5]) and elimination.columns == [0, 1, 5]
