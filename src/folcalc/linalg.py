@@ -76,13 +76,12 @@ fill. A take in the wrong order can fill in badly: on a star whose hub is
 taken before its leaves, each leaf row brought up to date against the hub's
 pivot row gains an entry for every other leaf. So a take first weighs the
 entries of the pivot rows its rows meet against the entries of every row
-taken and to be taken; when the first is more than both the second and the
-entries of its own rows, the elimination starts over and takes all those
-rows afresh, in index order. On a string the pivot rows a row meets are no
-longer than the row, so a string taken a few curves at a time never starts
-over. A ``Factorization`` holds the filled pivot rows and one
-record per row update: O(r) on a string, O(fill) in general. Once some row
-has filled in, each pivot row is copied when it is chosen, since a dict
+taken and to be taken; when the first is more, the elimination starts over
+and takes all those rows afresh, in index order. On a string the pivot rows
+a row meets are no longer than the row, so a string taken a few curves at a
+time never starts over. A ``Factorization`` holds the filled pivot rows and
+one record per row update: O(r) on a string, O(fill) in general. Once some
+row has filled in, each pivot row is copied when it is chosen, since a dict
 keeps the room of the entries it lost.
 """
 
@@ -118,7 +117,8 @@ class Factorization:
         Each row is copied; ``rows`` is not modified.
         """
         # _work: a copy of each row taken, as eliminated so far; _cols[j]: the rows of the take under
-        # way with a nonzero entry in column j, empty between takes. Both go once every row is taken.
+        # way with a nonzero entry in column j, empty between takes. They and _rows go once every
+        # row is taken.
         self._rows = rows
         self._work: list[dict[int, int] | None] = [None] * len(rows)
         self._cols: list[set[int]] = [set() for _ in rows]
@@ -136,14 +136,15 @@ class Factorization:
         Returns False, and leaves the elimination of no further use, when
         ``stop_early`` stops it at a pivot that rules definiteness out or a
         missing one; otherwise True, a singular block included. A take whose
-        rows meet pivot rows with more entries than all the rows taken hold
-        starts the elimination over (see the module docstring).
+        rows meet pivot rows holding more entries than the rows taken and to
+        be taken starts the elimination over (see the module docstring).
         """
         pivots, columns, updates = self.pivots, self.columns, self.updates
         rows, work, cols, position = self._rows, self._work, self._cols, self._position
         order = block
         if columns:
-            self._positions()
+            for t in range(len(position), len(columns)):  # the columns taken since the last take
+                position[columns[t]] = t
             pending = set()  # where in ``columns`` the pivot columns the rows meet are
             cost = 0  # the entries of the pivot rows they meet
             for i in block:
@@ -152,7 +153,7 @@ class Factorization:
                     if t is not None:
                         pending.add(t)
                         cost += len(pivots[t][1])
-            fresh = sum(len(rows[i]) for i in block)
+            fresh = sum(len(rows[i]) for i in block)  # the rows taken so far are counted only past this
             if cost > fresh and cost > fresh + sum(len(rows[c]) for c in columns):
                 # bringing the rows up to date would cost more than eliminating every row afresh
                 self.__init__(rows)
@@ -235,13 +236,6 @@ class Factorization:
             self._rows = self._work = self._cols = None
         self.det = det_num // det_den
         return True
-
-    def _positions(self) -> dict[int, int]:
-        """``_position`` brought up to date with ``columns``."""
-        position, columns = self._position, self.columns
-        for t in range(len(position), len(columns)):
-            position[columns[t]] = t
-        return position
 
     def solve(self, rhs):
         """``(numerators, den)`` with x_c = numerators[c] / den, den > 0 least, or None if singular.
